@@ -38,6 +38,11 @@ from .serialize import (
 from .views import export_graph
 
 
+#: Reported instead of a traceback when parsing or evaluating a formula
+#: recurses past the interpreter's limit.
+TOO_DEEP = "formula nested too deeply"
+
+
 class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
@@ -62,6 +67,8 @@ def _parse_formula(text: str):
         return parse(text)
     except FormulaError as exc:
         raise CliError(f"bad formula: {exc}", 1) from None
+    except RecursionError:
+        raise CliError(f"bad formula: {TOO_DEEP}", 1) from None
 
 
 def _emit(report: dict, fmt: str, timing: float | None) -> None:
@@ -85,6 +92,8 @@ def _cmd_eval(args) -> int:
         sat = evaluate(model, formula)
     except (EvalError, ModelError) as exc:
         raise CliError(str(exc), 1) from None
+    except RecursionError:
+        raise CliError(TOO_DEEP, 1) from None
     points = (
         model.point_order
         if args.all
@@ -231,7 +240,12 @@ def _cmd_verify(args) -> int:
     except (SchemaError, ModelError) as exc:
         raise CliError(f"{args.manifest}: {exc}", 2) from None
     started = time.monotonic()
-    failures = verify_manifest(manifest)
+    try:
+        failures = verify_manifest(manifest)
+    except (FormulaError, ModelError) as exc:
+        raise CliError(f"{args.manifest}: {exc}", 1) from None
+    except RecursionError:
+        raise CliError(f"{args.manifest}: {TOO_DEEP}", 1) from None
     lines = [
         f"{manifest.name}: {len(manifest.expectations)} expectations, "
         f"{len(failures)} failed"

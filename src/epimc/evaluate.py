@@ -1,8 +1,17 @@
 """Set-based formula evaluation over a system, valuation, and view policy.
 
-Every formula denotes a set of points. Knowledge of an agent is the union
-of its indistinguishability classes contained in the argument set; group
-operators intersect, quantify over intervals, or close under reachability.
+Every formula denotes a set of points. Inside this module a point set is
+an ``int`` bitmask over the index's dense point numbering (bit i is
+``System.points[i]``, and each run is a contiguous slice of horizon + 1
+bits); the public functions take and return ``frozenset[Point]``.
+Knowledge of an agent is the union of its view-class masks contained in
+the argument; distributed knowledge does the same with the group's joint
+classes, and common knowledge via reachability with the group's
+components, which the index builds with one union-find pass per group
+and caches, so each component is tested against the argument once. The
+interval, eventual and clock-indexed variants shift whole-system masks:
+a shift by d ticks moves every run's slice at once, and a per-tick
+validity mask drops the bits that crossed into a neighbouring run.
 Greatest fixed points are computed by descending iteration from the full
 point set, which terminates on the finite lattice; the reachability
 characterization of common knowledge is kept as a separate fast path and
@@ -18,7 +27,14 @@ from typing import Iterable, Mapping, Sequence
 from . import formulas as fm
 from .formulas import Formula
 from .runs import ModelError, Point, System, UnknownAgentError
-from .views import IndistIndex, ViewPolicy, build_index, normalize_group
+from .views import (
+    IndistIndex,
+    ViewPolicy,
+    build_index,
+    mask_from_ids,
+    normalize_group,
+    runs_in_point_order,
+)
 
 PointSet = frozenset[Point]
 
@@ -82,6 +98,36 @@ class Model:
     def point_order(self) -> tuple[Point, ...]:
         return self.system.points
 
+    @cached_property
+    def _prop_masks(self) -> dict[str, int]:
+        return {}
+
+    @cached_property
+    def _run_heads(self) -> int:
+        """Tick 0 of every run."""
+        n = len(self.system.points)
+        return mask_from_ids(range(0, n, self.system.horizon + 1), n)
+
+    @cached_property
+    def _stamp_masks(self) -> tuple[dict[int, int], ...]:
+        """Per agent, clock reading -> the points at or after the agent's
+        wake-up where its clock shows that reading."""
+        width = self.system.horizon + 1
+        n = len(self.system.points)
+        runs = runs_in_point_order(self.system)
+        out = []
+        for agent in self.system.agents:
+            by_stamp: dict[int, list[int]] = {}
+            for r, run in enumerate(runs):
+                if run.clock is None:
+                    continue
+                wake = run.wake_up[agent]
+                readings = run.clock[agent][: width - wake]
+                for t, stamp in enumerate(readings, start=wake):
+                    by_stamp.setdefault(stamp, []).append(r * width + t)
+            out.append({s: mask_from_ids(ids, n) for s, ids in by_stamp.items()})
+        return tuple(out)
+
 
 def _validate_formula(model: Model, f: Formula) -> None:
     for agent in fm.agents_mentioned(f):
@@ -99,18 +145,29 @@ def _validate_formula(model: Model, f: Formula) -> None:
                 )
 
 
-def _know(model: Model, agent: int, arg: PointSet) -> PointSet:
+def _prop(model: Model, name: str) -> int:
+    masks = model._prop_masks
+    mask = masks.get(name)
+    if mask is None:
+        mask = masks[name] = model.index.mask_of(model.valuation.truth_set(name))
+    return mask
+
+
+def _inside(classes: Iterable[int], arg: int) -> int:
+    """Union of the class masks that lie wholly inside ``arg``."""
+    out = 0
+    for cls in classes:
+        if cls & arg == cls:
+            out |= cls
+    return out
+
+
+def _know(model: Model, agent: int, arg: int) -> int:
     """Points whose whole view class for ``agent`` lies inside ``arg``."""
-    keep = []
-    for cls in model.index.classes_by_agent[agent]:
-        if cls <= arg:
-            keep.append(cls)
-    if not keep:
-        return frozenset()
-    return frozenset().union(*keep)
+    return _inside(model.index.class_masks[agent], arg)
 
 
-def _everyone(model: Model, group: Sequence[int], arg: PointSet) -> PointSet:
+def _everyone(model: Model, group: Sequence[int], arg: int) -> int:
     out = _know(model, group[0], arg)
     for agent in group[1:]:
         if not out:
@@ -119,92 +176,83 @@ def _everyone(model: Model, group: Sequence[int], arg: PointSet) -> PointSet:
     return out
 
 
-def _someone(model: Model, group: Sequence[int], arg: PointSet) -> PointSet:
-    out: PointSet = frozenset()
+def _someone(model: Model, group: Sequence[int], arg: int) -> int:
+    out = 0
     for agent in group:
         out |= _know(model, agent, arg)
     return out
 
 
-def _distributed(model: Model, group: Sequence[int], arg: PointSet) -> PointSet:
+def _distributed(model: Model, group: Sequence[int], arg: int) -> int:
     """Joint-view classes (intersections of member classes) inside ``arg``."""
-    joint: dict[tuple, list[Point]] = {}
-    index = model.index
-    for pt in model.point_order:
-        key = tuple(id(index.class_of(a, pt)) for a in group)
-        joint.setdefault(key, []).append(pt)
-    out: set[Point] = set()
-    for members in joint.values():
-        cls = frozenset(members)
-        if cls <= arg:
-            out |= cls
-    return frozenset(out)
+    return _inside(model.index.joint_class_masks(group), arg)
 
 
-def _know_times_by_run(model: Model, group: Sequence[int], arg: PointSet) -> dict[str, dict[int, list[int]]]:
-    """Per run, per agent: sorted times at which the agent is in K(arg)."""
-    per_agent = {a: _know(model, a, arg) for a in group}
-    out: dict[str, dict[int, list[int]]] = {
-        r.id: {a: [] for a in group} for r in model.system.runs
-    }
-    for a in group:
-        for pt in sorted(per_agent[a]):
-            out[pt.run_id][a].append(pt.time)
-    return out
+def _common(model: Model, group: Sequence[int], arg: int) -> int:
+    """Group components inside ``arg``: one subset test per component."""
+    return _inside(model.index.component_masks(group), arg)
 
 
-def _interval_everyone(model: Model, group: Sequence[int], eps: int, arg: PointSet) -> PointSet:
+def _ticks_upto(model: Model, last: int) -> int:
+    """Ticks 0..last of every run."""
+    return ((1 << (last + 1)) - 1) * model._run_heads
+
+
+def _runs_meeting(model: Model, mask: int) -> int:
+    """Tick 0 of every run whose slice meets ``mask``."""
+    smeared = mask
+    for d in range(1, model.system.horizon + 1):
+        smeared |= mask >> d
+    return smeared & model._run_heads
+
+
+def _whole_runs(model: Model, heads: int) -> int:
+    """Every tick of the runs whose tick 0 is in ``heads``."""
+    return heads * ((1 << (model.system.horizon + 1)) - 1)
+
+
+def _interval_everyone(model: Model, group: Sequence[int], eps: int, arg: int) -> int:
     """Shared width-eps interval containing now in which each member knows.
 
     Intervals are clipped to [0, horizon]; with eps = 0 this degenerates
-    to plain E.
+    to plain E. An interval is named by its start s <= horizon - eps;
+    shifting a mask right by d <= eps brings tick s + d of a run to tick s
+    of the same run, and shifting the starts left by d covers their ticks.
     """
     horizon = model.system.horizon
     if eps > horizon:
-        return frozenset()
-    times = _know_times_by_run(model, group, arg)
-    out: set[Point] = set()
-    for run in model.system.runs:
-        per = times[run.id]
-        for t in range(horizon + 1):
-            lo = max(0, t - eps)
-            hi = min(t, horizon - eps)
-            for start in range(lo, hi + 1):
-                if all(
-                    any(start <= x <= start + eps for x in per[a]) for a in group
-                ):
-                    out.add(Point(run.id, t))
-                    break
-    return frozenset(out)
+        return 0
+    starts = _ticks_upto(model, horizon - eps)
+    for agent in group:
+        known = _know(model, agent, arg)
+        window = known
+        for d in range(1, eps + 1):
+            window |= known >> d
+        starts &= window
+    out = starts
+    for d in range(1, eps + 1):
+        out |= starts << d
+    return out
 
 
-def _eventual_everyone(model: Model, group: Sequence[int], arg: PointSet) -> PointSet:
+def _eventual_everyone(model: Model, group: Sequence[int], arg: int) -> int:
     """Each member knows at some time of the run; a run-level fact."""
-    times = _know_times_by_run(model, group, arg)
-    out: set[Point] = set()
-    for run in model.system.runs:
-        if all(times[run.id][a] for a in group):
-            out.update(Point(run.id, t) for t in range(model.system.horizon + 1))
-    return frozenset(out)
+    heads = model._run_heads
+    for agent in group:
+        heads &= _runs_meeting(model, _know(model, agent, arg))
+    return _whole_runs(model, heads)
 
 
-def _know_at_stamp(model: Model, agent: int, stamp: int, arg: PointSet) -> PointSet:
+def _know_at_stamp(model: Model, agent: int, stamp: int, arg: int) -> int:
     """Run-level: the agent's clock reads ``stamp`` somewhere and it knows
     ``arg`` at every such time; false throughout runs that skip the stamp."""
-    known = _know(model, agent, arg)
-    out: set[Point] = set()
-    for run in model.system.runs:
-        reading_times = [
-            t
-            for t in range(run.wake_up[agent], model.system.horizon + 1)
-            if run.clock_at(agent, t) == stamp
-        ]
-        if reading_times and all(Point(run.id, t) in known for t in reading_times):
-            out.update(Point(run.id, t) for t in range(model.system.horizon + 1))
-    return frozenset(out)
+    reading = model._stamp_masks[agent].get(stamp, 0)
+    unknown = reading & ~_know(model, agent, arg)
+    heads = _runs_meeting(model, reading) & ~_runs_meeting(model, unknown)
+    return _whole_runs(model, heads)
 
 
-def _stamped_everyone(model: Model, group: Sequence[int], stamp: int, arg: PointSet) -> PointSet:
+def _stamped_everyone(model: Model, group: Sequence[int], stamp: int, arg: int) -> int:
     out = _know_at_stamp(model, group[0], stamp, arg)
     for agent in group[1:]:
         if not out:
@@ -213,18 +261,28 @@ def _stamped_everyone(model: Model, group: Sequence[int], stamp: int, arg: Point
     return out
 
 
-def _descend_to_fixpoint(model: Model, step) -> PointSet:
-    current = model.all_points
+def _descend_to_fixpoint(model: Model, step) -> int:
+    current = model.index.full
     while True:
         nxt = step(current)
         if nxt == current:
             return current
-        if not nxt <= current:
+        if nxt & ~current:
             raise RuntimeError(
                 "fixed-point iteration increased; the step function is not "
                 "monotone under this evaluator"
             )
         current = nxt
+
+
+def _env_masks(model: Model, env: Mapping[str, Iterable[Point]] | None) -> dict[str, int]:
+    return {k: model.index.mask_of(v) for k, v in (env or {}).items()}
+
+
+def _evaluate(model: Model, f: Formula, env: Mapping[str, Iterable[Point]] | None = None) -> int:
+    fm.check_positivity(f)
+    _validate_formula(model, f)
+    return _eval(model, f, _env_masks(model, env))
 
 
 def evaluate(
@@ -234,28 +292,25 @@ def evaluate(
 ) -> PointSet:
     """The set of points where ``f`` holds.
 
-    ``env`` binds free fixed-point variables to point sets. The formula
-    must satisfy the positivity restriction and mention only agents of
-    the system.
+    ``env`` binds free fixed-point variables to point sets; points outside
+    the system are dropped from them. The formula must satisfy the
+    positivity restriction and mention only agents of the system.
     """
-    fm.check_positivity(f)
-    _validate_formula(model, f)
-    frozen_env: dict[str, PointSet] = {k: frozenset(v) for k, v in (env or {}).items()}
-    return _eval(model, f, frozen_env)
+    return model.index.points_of(_evaluate(model, f, env))
 
 
-def _eval(model: Model, f: Formula, env: dict[str, PointSet]) -> PointSet:
+def _eval(model: Model, f: Formula, env: dict[str, int]) -> int:
     if isinstance(f, fm.Var):
         try:
             return env[f.name]
         except KeyError:
             raise UnboundVariableError(f"variable {f.name!r} is unbound") from None
     if isinstance(f, fm.Prop):
-        return model.valuation.truth_set(f.name) & model.all_points
+        return _prop(model, f.name)
     if isinstance(f, fm.TrueConst):
-        return model.all_points
+        return model.index.full
     if isinstance(f, fm.Not):
-        return model.all_points - _eval(model, f.child, env)
+        return model.index.full & ~_eval(model, f.child, env)
     if isinstance(f, fm.And):
         return _eval(model, f.left, env) & _eval(model, f.right, env)
     if isinstance(f, fm.K):
@@ -272,7 +327,7 @@ def _eval(model: Model, f: Formula, env: dict[str, PointSet]) -> PointSet:
     if isinstance(f, fm.D):
         return _distributed(model, f.group, _eval(model, f.child, env))
     if isinstance(f, fm.C):
-        return eval_C_reach(model, f.group, f.child, env)
+        return _common(model, f.group, _eval(model, f.child, env))
     if isinstance(f, fm.EEps):
         return _interval_everyone(model, f.group, f.eps, _eval(model, f.child, env))
     if isinstance(f, fm.CEps):
@@ -297,8 +352,17 @@ def _eval(model: Model, f: Formula, env: dict[str, PointSet]) -> PointSet:
             model, lambda cur: _stamped_everyone(model, f.group, f.stamp, base & cur)
         )
     if isinstance(f, fm.Nu):
-        return gfp(model, f.var, f.body, env)
+        return _gfp(model, f.var, f.body, env)
     raise EvalError(f"cannot evaluate {type(f).__name__}")
+
+
+def _gfp(model: Model, var: str, body: Formula, env: dict[str, int]) -> int:
+    def step(current: int) -> int:
+        inner = dict(env)
+        inner[var] = current
+        return _eval(model, body, inner)
+
+    return _descend_to_fixpoint(model, step)
 
 
 def gfp(
@@ -313,16 +377,7 @@ def gfp(
     decreasing on the finite lattice, so at most one iteration per point
     is needed. Equals the union of all fixed points of the body.
     """
-    base_env: dict[str, PointSet] = {
-        k: frozenset(v) for k, v in (env or {}).items()
-    }
-
-    def step(current: PointSet) -> PointSet:
-        inner = dict(base_env)
-        inner[var] = current
-        return _eval(model, body, inner)
-
-    return _descend_to_fixpoint(model, step)
+    return model.index.points_of(_gfp(model, var, body, _env_masks(model, env)))
 
 
 def eval_C_reach(
@@ -336,27 +391,26 @@ def eval_C_reach(
     members = normalize_group(group)
     for agent in members:
         model.system.check_agent(agent)
-    arg = _eval(model, f, {k: frozenset(v) for k, v in (env or {}).items()})
-    components = model.index.components(members)
-    out: set[Point] = set()
-    for pt in model.point_order:
-        if components[pt] <= arg:
-            out.add(pt)
-    return frozenset(out)
+    arg = _eval(model, f, _env_masks(model, env))
+    return model.index.points_of(_common(model, members, arg))
+
+
+def _least(model: Model, mask: int) -> Point:
+    """The least point of a nonempty mask."""
+    return model.index.points[(mask & -mask).bit_length() - 1]
 
 
 def holds(model: Model, f: Formula, point: Point) -> bool:
     if point not in model.all_points:
         raise ModelError(f"point {point} is not in the system")
-    return point in evaluate(model, f)
+    return bool(_evaluate(model, f) >> model.index.point_id(point) & 1)
 
 
 def check_validity(model: Model, f: Formula) -> tuple[bool, Point | None]:
     """Valid iff true at every point; otherwise the least failing point."""
-    sat = evaluate(model, f)
-    for pt in model.point_order:
-        if pt not in sat:
-            return False, pt
+    missing = model.index.full & ~_evaluate(model, f)
+    if missing:
+        return False, _least(model, missing)
     return True, None
 
 
@@ -543,28 +597,27 @@ def axiom_suite(
             )
 
             # hierarchy chain: C down to the bare fact, as set inclusions
-            sets = [evaluate(model, fm.C(grp, p))]
+            sets = [_evaluate(model, fm.C(grp, p))]
             labels = [f"C{glabel}"]
             for k in range(max_k, 0, -1):
-                sets.append(evaluate(model, fm.EPow(grp, k, p)))
+                sets.append(_evaluate(model, fm.EPow(grp, k, p)))
                 labels.append(f"E^{k}{glabel}")
-            sets.append(evaluate(model, fm.S(grp, p)))
+            sets.append(_evaluate(model, fm.S(grp, p)))
             labels.append(f"S{glabel}")
-            sets.append(evaluate(model, fm.D(grp, p)))
+            sets.append(_evaluate(model, fm.D(grp, p)))
             labels.append(f"D{glabel}")
-            sets.append(evaluate(model, p))
+            sets.append(_evaluate(model, p))
             labels.append(name)
             for (hi_set, hi_label), (lo_set, lo_label) in zip(
                 zip(sets, labels), zip(sets[1:], labels[1:])
             ):
-                ok = hi_set <= lo_set
-                cx = None if ok else min(hi_set - lo_set)
+                extra = hi_set & ~lo_set
                 entries.append(
                     AxiomCheck(
                         f"hierarchy[{hi_label} => {lo_label}]",
                         f"{hi_label} {name} implies {lo_label} {name}",
-                        "pass" if ok else "fail",
-                        counterexample=cx,
+                        "fail" if extra else "pass",
+                        counterexample=_least(model, extra) if extra else None,
                     )
                 )
 

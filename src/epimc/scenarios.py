@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .evaluate import Model, evaluate, make_valuation
-from .formulas import parse
+from .evaluate import Model, check_validity, holds, make_valuation
+from .formulas import Not, parse
 from .protocols import (
     DROPPED,
     DeliveryModel,
@@ -69,17 +69,18 @@ class ExpectationFailure:
 def verify_manifest(manifest: ScenarioManifest) -> tuple[ExpectationFailure, ...]:
     """Replay every expectation; an empty result means the manifest holds."""
     failures = []
+    model = manifest.model
     for exp in manifest.expectations:
-        sat = evaluate(manifest.model, parse(exp.formula))
+        formula = parse(exp.formula)
         if exp.point is None:
             if exp.expected:
-                ok = sat == manifest.model.all_points
-                detail = "" if ok else f"fails at {min(manifest.model.all_points - sat)}"
+                ok, cx = check_validity(model, formula)
+                detail = "" if ok else f"fails at {cx}"
             else:
-                ok = not sat
-                detail = "" if ok else f"holds at {min(sat)}"
+                ok, cx = check_validity(model, Not(formula))
+                detail = "" if ok else f"holds at {cx}"
         else:
-            truth = exp.point in sat
+            truth = exp.point in model.all_points and holds(model, formula, exp.point)
             ok = truth is exp.expected
             detail = "" if ok else f"evaluated to {truth}"
         if not ok:

@@ -29,6 +29,13 @@ def _need(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
+def _need_count(obj: dict, key: str, path: str) -> int:
+    value = _need(obj, key, path)
+    if type(value) is not int or value < 0:
+        raise SchemaError(f"{path}.{key}: {value!r} is not a nonnegative integer")
+    return value
+
+
 def parse_point(text: str) -> Point:
     """Points are addressed as ``run_id@time``; the last @ separates."""
     run_id, sep, t = text.rpartition("@")
@@ -116,8 +123,8 @@ def system_from_dict(obj: dict, path: str = "system") -> System:
     schema = obj.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise SchemaError(f"{path}.schema: unsupported version {schema!r}")
-    n = int(_need(obj, "agents", path))
-    horizon = int(_need(obj, "horizon", path))
+    n = _need_count(obj, "agents", path)
+    horizon = _need_count(obj, "horizon", path)
     runs = [
         run_from_dict(r, n, horizon, f"{path}.runs[{i}]")
         for i, r in enumerate(_need(obj, "runs", path))
@@ -132,14 +139,23 @@ def valuation_to_dict(valuation: Valuation) -> dict:
     }
 
 
-def valuation_from_dict(obj: dict, path: str = "valuation") -> Valuation:
+def valuation_from_dict(obj: dict, system: System, path: str = "valuation") -> Valuation:
+    """Truth sets of ``system``'s points; an entry naming a point outside
+    the system is a schema error."""
+    run_ids = {r.id for r in system.runs}
     pairs = {}
     for name, entries in obj.items():
         pts = set()
         for i, entry in enumerate(entries):
+            where = f"{path}.{name}[{i}]"
             if not (isinstance(entry, list) and len(entry) == 2):
-                raise SchemaError(f"{path}.{name}[{i}]: expected [run_id, time]")
-            pts.add(Point(str(entry[0]), int(entry[1])))
+                raise SchemaError(f"{where}: expected [run_id, time]")
+            run_id, t = str(entry[0]), entry[1]
+            if type(t) is not int:
+                raise SchemaError(f"{where}: time {t!r} is not an integer")
+            if run_id not in run_ids or not 0 <= t <= system.horizon:
+                raise SchemaError(f"{where}: point {run_id}@{t} is not in the system")
+            pts.add(Point(run_id, t))
         pairs[name] = pts
     return make_valuation(pairs)
 
@@ -153,7 +169,7 @@ def model_to_dict(model: Model) -> dict:
 
 def model_from_dict(obj: dict, path: str = "system") -> Model:
     system = system_from_dict(obj, path)
-    valuation = valuation_from_dict(obj.get("valuation", {}), f"{path}.valuation")
+    valuation = valuation_from_dict(obj.get("valuation", {}), system, f"{path}.valuation")
     policy = policy_from_name(obj.get("policy", "complete"))
     return Model(system, valuation, policy)
 

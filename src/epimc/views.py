@@ -5,16 +5,25 @@ indistinguishable to an agent when its views there are equal. The index
 partitions the point set per agent by view and is the edge structure all
 knowledge operators are evaluated against: group-labelled reachability in
 this graph is what common knowledge quantifies over.
+
+Points are numbered densely in ``System.points`` order: point ``i`` is bit
+``i`` of a Python ``int``, and run ``r`` (in run-id order) owns the
+contiguous slice of bits ``r*(horizon+1) .. r*(horizon+1)+horizon``. Inside
+this module and the evaluator every point set is such a bitmask;
+``frozenset[Point]`` appears only at the public functions. Each view class
+is one mask. The components for a group come from one union-find pass over
+the class lists, made once per group and cached, so they cost time linear
+in the number of points instead of a walk of a whole class per point.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Callable, Hashable, Iterable
 
-from .runs import LocalHistory, ModelError, Point, System
+from .runs import EMPTY_HISTORY, Event, LocalHistory, ModelError, Point, Run, System
 
 AgentSet = tuple[int, ...]
 
@@ -28,6 +37,24 @@ def normalize_group(group: Iterable[int]) -> AgentSet:
     if not members:
         raise ModelError("agent group must be nonempty")
     return members
+
+
+def mask_from_ids(ids: Iterable[int], n: int) -> int:
+    """The bitmask with exactly the bits ``ids`` (each below ``n``) set."""
+    buf = bytearray((n + 7) >> 3)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def ids_of(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def runs_in_point_order(system: System) -> list[Run]:
+    """The runs in the order their slices appear in the dense numbering."""
+    return [system.run(pt.run_id) for pt in system.points[:: system.horizon + 1]]
 
 
 @dataclass(frozen=True)
@@ -101,96 +128,213 @@ def policy_from_name(name: str) -> ViewPolicy:
 class IndistIndex:
     """Per-agent partition of all points into view-equivalence classes.
 
-    Class tuples are deterministically ordered by least member, so
-    exports and iteration are reproducible.
+    ``class_masks[a]`` holds agent a's classes as bitmasks, ordered by
+    least member, so exports and iteration are reproducible;
+    ``class_ids[a][i]`` is the position there of point i's class.
     """
 
     points: tuple[Point, ...]
-    classes_by_agent: tuple[tuple[frozenset[Point], ...], ...]
+    class_masks: tuple[tuple[int, ...], ...]
+    class_ids: tuple[tuple[int, ...], ...]
 
     @property
     def n_agents(self) -> int:
-        return len(self.classes_by_agent)
+        return len(self.class_masks)
 
     @cached_property
-    def _class_of(self) -> tuple[dict[Point, frozenset[Point]], ...]:
-        out = []
-        for classes in self.classes_by_agent:
-            m: dict[Point, frozenset[Point]] = {}
-            for cls in classes:
-                for pt in cls:
-                    m[pt] = cls
-            out.append(m)
-        return tuple(out)
+    def full(self) -> int:
+        return (1 << len(self.points)) - 1
 
     @cached_property
-    def _component_cache(self) -> dict[AgentSet, dict[Point, frozenset[Point]]]:
+    def point_ids(self) -> dict[Point, int]:
+        return {pt: i for i, pt in enumerate(self.points)}
+
+    @cached_property
+    def classes_by_agent(self) -> tuple[tuple[frozenset[Point], ...], ...]:
+        return tuple(
+            tuple(self.points_of(m) for m in masks) for masks in self.class_masks
+        )
+
+    @cached_property
+    def _group_cache(self) -> dict[tuple[str, AgentSet], tuple[int, ...]]:
         return {}
+
+    def point_id(self, point: Point) -> int:
+        try:
+            return self.point_ids[point]
+        except KeyError:
+            raise ModelError(f"point {point} not in index") from None
+
+    def mask_of(self, points: Iterable[Point]) -> int:
+        """Mask of ``points``; points outside the index are ignored."""
+        ids = self.point_ids
+        return mask_from_ids((ids[p] for p in points if p in ids), len(self.points))
+
+    def points_of(self, mask: int) -> frozenset[Point]:
+        pts = self.points
+        return frozenset(pts[i] for i in ids_of(mask))
 
     def class_of(self, agent: int, point: Point) -> frozenset[Point]:
         if not 0 <= agent < self.n_agents:
             raise ModelError(f"agent {agent} not in index")
-        try:
-            return self._class_of[agent][point]
-        except KeyError:
-            raise ModelError(f"point {point} not in index") from None
+        return self.classes_by_agent[agent][self.class_ids[agent][self.point_id(point)]]
+
+    def _members(self, group: Iterable[int]) -> AgentSet:
+        members = normalize_group(group)
+        for agent in members:
+            if not 0 <= agent < self.n_agents:
+                raise ModelError(f"agent {agent} not in index")
+        return members
+
+    def component_masks(self, group: Iterable[int]) -> tuple[int, ...]:
+        """Masks of the connected components of the subgraph with edges
+        labelled by ``group``, ordered by least member.
+
+        Union-find over the classes of the members: two classes are
+        joined when some point lies in both. Each component is then the
+        union of its first member's classes.
+        """
+        members = self._members(group)
+        cached = self._group_cache.get(("C", members))
+        if cached is not None:
+            return cached
+        offsets = [0]
+        for agent in members:
+            offsets.append(offsets[-1] + len(self.class_masks[agent]))
+        parent = list(range(offsets[-1]))
+
+        def find(node: int) -> int:
+            while parent[node] != node:
+                parent[node] = parent[parent[node]]
+                node = parent[node]
+            return node
+
+        for key in set(zip(*(self.class_ids[a] for a in members))):
+            root = find(key[0])
+            for off, cls in zip(offsets[1:], key[1:]):
+                other = find(off + cls)
+                if other != root:
+                    parent[other] = root
+        by_root: dict[int, list[int]] = {}
+        for cls, mask in enumerate(self.class_masks[members[0]]):
+            by_root.setdefault(find(cls), []).append(mask)
+        out = tuple(reduce(or_, masks) for masks in by_root.values())
+        self._group_cache[("C", members)] = out
+        return out
+
+    def joint_class_masks(self, group: Iterable[int]) -> tuple[int, ...]:
+        """Masks of the joint-view classes of ``group``: the nonempty
+        intersections of one class per member."""
+        members = self._members(group)
+        cached = self._group_cache.get(("D", members))
+        if cached is not None:
+            return cached
+        out = tuple(
+            reduce(and_, (self.class_masks[a][c] for a, c in zip(members, key)))
+            for key in set(zip(*(self.class_ids[a] for a in members)))
+        )
+        self._group_cache[("D", members)] = out
+        return out
 
     def components(self, group: Iterable[int]) -> dict[Point, frozenset[Point]]:
         """Connected components of the subgraph with edges labelled by ``group``."""
-        key = normalize_group(group)
-        cached = self._component_cache.get(key)
-        if cached is not None:
-            return cached
         assignment: dict[Point, frozenset[Point]] = {}
-        for start in self.points:
-            if start in assignment:
-                continue
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                pt = queue.popleft()
-                for agent in key:
-                    for nxt in self._class_of[agent][pt]:
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            queue.append(nxt)
-            component = frozenset(seen)
-            for pt in component:
-                assignment[pt] = component
-        self._component_cache[key] = assignment
+        for mask in self.component_masks(group):
+            component = self.points_of(mask)
+            assignment.update(dict.fromkeys(component, component))
         return assignment
+
+    def component_of(self, point: Point, group: Iterable[int]) -> int:
+        """Mask of the ``group`` component containing ``point``."""
+        bit = 1 << self.point_id(point)
+        return next(m for m in self.component_masks(group) if m & bit)
 
 
 def build_index(system: System, policy: ViewPolicy) -> IndistIndex:
     """Group every point by view, per agent.
 
-    Raises ViewPolicyError, naming two witnessing points, if the policy
-    maps equal histories to different views; that can only happen for a
+    Each run's timeline is walked once per agent, and histories are
+    hash-consed: an event sequence is keyed on (id of its prefix, last
+    event), a clock range likewise, and a history on (initial state,
+    event-sequence id, clock-range id). Equal histories are thus one
+    object, found without comparing histories element by element. The
+    walk relies on the canonical timeline order that ``Run`` documents.
+
+    ``policy.view_of`` is still called at every point. Raises
+    ViewPolicyError, naming two witnessing points, if the policy maps
+    equal histories to different views; that can only happen for a
     misbehaving custom projection.
     """
     pts = system.points
-    classes_by_agent = []
+    runs = runs_in_point_order(system)
+    horizon = system.horizon
+    class_masks = []
+    class_ids = []
     for agent in system.agents:
-        by_view: dict[Hashable, list[Point]] = {}
-        by_history: dict[LocalHistory, tuple[Hashable, Point]] = {}
-        for pt in pts:
-            h = system.history(agent, pt)
-            v = policy.view_of(h)
-            prior = by_history.get(h)
-            if prior is None:
-                by_history[h] = (v, pt)
-            elif prior[0] != v:
-                raise ViewPolicyError(
-                    f"policy {policy.name!r} gives different views to agent "
-                    f"{agent} at {prior[1]} and {pt}, whose histories are equal"
-                )
-            by_view.setdefault(v, []).append(pt)
-        classes = tuple(
-            frozenset(members)
-            for members in sorted(by_view.values(), key=min)
-        )
-        classes_by_agent.append(classes)
-    return IndistIndex(pts, tuple(classes_by_agent))
+        seq_ids: dict[tuple, int] = {}
+        seqs: list[tuple] = [()]
+        interned: dict[tuple | None, tuple[LocalHistory, Hashable, int, int]] = {}
+        class_of_view: dict[Hashable, int] = {}
+        members: list[list[int]] = []
+        ids: list[int] = []
+
+        def extend(prefix: int, item: Event | int) -> int:
+            key = (prefix, item)
+            sid = seq_ids.get(key)
+            if sid is None:
+                sid = seq_ids[key] = len(seqs)
+                seqs.append(seqs[prefix] + (item,))
+            return sid
+
+        for run in runs:
+            wake = run.wake_up[agent]
+            timeline = run.timeline[agent]
+            readings = run.clock[agent] if run.clock is not None else None
+            events = 0
+            clock = None
+            k = 0
+            for t in range(horizon + 1):
+                while k < len(timeline) and timeline[k][0] < t:
+                    events = extend(events, timeline[k][1])
+                    k += 1
+                key = None
+                if t >= wake:
+                    if readings is not None:
+                        reading = readings[t - wake]
+                        if t == wake:
+                            clock = extend(0, reading)
+                        elif reading != readings[t - wake - 1]:
+                            clock = extend(clock, reading)
+                    key = (run.initial_state[agent], events, clock)
+                i = len(ids)
+                entry = interned.get(key)
+                if entry is None:
+                    if key is None:
+                        history = EMPTY_HISTORY
+                    else:
+                        history = LocalHistory(
+                            key[0], seqs[events], None if clock is None else seqs[clock]
+                        )
+                    view = policy.view_of(history)
+                    cls = class_of_view.get(view)
+                    if cls is None:
+                        cls = class_of_view[view] = len(members)
+                        members.append([])
+                    interned[key] = (history, view, i, cls)
+                else:
+                    history, first_view, first, cls = entry
+                    view = policy.view_of(history)
+                    if view is not first_view and view != first_view:
+                        raise ViewPolicyError(
+                            f"policy {policy.name!r} gives different views to agent "
+                            f"{agent} at {pts[first]} and {pts[i]}, whose histories "
+                            f"are equal"
+                        )
+                members[cls].append(i)
+                ids.append(cls)
+        class_masks.append(tuple(mask_from_ids(m, len(pts)) for m in members))
+        class_ids.append(tuple(ids))
+    return IndistIndex(pts, tuple(class_masks), tuple(class_ids))
 
 
 def g_reachable(
@@ -206,28 +350,31 @@ def g_reachable(
     zero steps reaches only the point itself.
     """
     members = normalize_group(group)
+    target = index.point_ids.get(to)
     if max_steps is None:
-        return to in index.components(members)[frm]
-    frontier = {frm}
-    seen = {frm}
-    steps = 0
-    while True:
-        if to in seen:
+        reached = index.component_of(frm, members)
+        return target is not None and bool(reached >> target & 1)
+    seen = 1 << index.point_id(frm)
+    if target is None:
+        return False
+    classes = [index.class_masks[a] for a in index._members(members)]
+    for _ in range(max_steps):
+        if seen >> target & 1:
             return True
-        if steps >= max_steps or not frontier:
+        nxt = seen
+        for masks in classes:
+            for cls in masks:
+                if cls & seen:
+                    nxt |= cls
+        if nxt == seen:
             return False
-        nxt: set[Point] = set()
-        for pt in frontier:
-            for agent in members:
-                nxt |= index.class_of(agent, pt)
-        frontier = nxt - seen
-        seen |= nxt
-        steps += 1
+        seen = nxt
+    return bool(seen >> target & 1)
 
 
 def reachable_set(index: IndistIndex, frm: Point, group: Iterable[int]) -> frozenset[Point]:
     """All points reachable from ``frm`` in finitely many group steps."""
-    return index.components(normalize_group(group))[frm]
+    return index.points_of(index.component_of(frm, group))
 
 
 def export_graph(index: IndistIndex, group: Iterable[int]) -> str:

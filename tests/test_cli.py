@@ -65,6 +65,50 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"schema": 1, "agents": 2, "horizon": -1, "runs": []}, "horizon"),
+        ({"schema": 1, "agents": "two", "horizon": 1, "runs": []}, "agents"),
+        ({"schema": 1, "agents": 2, "horizon": 1, "runs": [],
+          "valuation": {"p": [["zz", 9]]}}, "valuation.p[0]"),
+    ],
+)
+def test_system_with_bad_numbers_or_points_exits_two(tmp_path, capsys, doc, field):
+    path = tmp_path / "bad.system.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--system", str(path), "--formula", "true", "--all"]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["K0 " * 3000 + "prefav", "~" * 3000 + "prefav", "(" * 3000 + "prefav" + ")" * 3000],
+    ids=["knowledge", "negation", "parentheses"],
+)
+def test_deeply_nested_formula_exits_one(attack_files, tmp_path, capsys, text):
+    system, manifest = attack_files
+    assert main(["eval", "--system", str(system), "--formula", text, "--all"]) == 1
+    assert "nested too deeply" in capsys.readouterr().err
+    doc = json.loads(manifest.read_text())
+    doc["expectations"] = [{"formula": text, "point": None, "expected": True}]
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc))
+    assert main(["verify", "--manifest", str(deep), "--no-timing"]) == 1
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_unusable_manifest_formula_exits_one(attack_files, tmp_path, capsys):
+    _, manifest = attack_files
+    doc = json.loads(manifest.read_text())
+    for text, message in (("K1 &", "position"), ("K0 undeclared", "undeclared")):
+        doc["expectations"] = [{"formula": text, "point": None, "expected": True}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["verify", "--manifest", str(bad), "--no-timing"]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_verify_passes_and_fails(attack_files, tmp_path, capsys):
     _, manifest = attack_files
     assert main(["verify", "--manifest", str(manifest), "--no-timing"]) == 0

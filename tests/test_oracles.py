@@ -122,9 +122,7 @@ def test_interval_everyone_matches_the_quantifier_transcription():
         model = random_model(rng)
         arg = evaluate(model, fm.Prop("p"))
         group = tuple(model.system.agents)
-        for eps in (0, 1, 2):
-            if eps > model.system.horizon:
-                continue
+        for eps in range(model.system.horizon + 1):
             assert evaluate(model, fm.EEps(group, eps, fm.Prop("p"))) == (
                 oracle_interval(model, group, eps, arg)
             )

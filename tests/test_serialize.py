@@ -1,8 +1,9 @@
 import pytest
 
-from epimc.evaluate import evaluate
+from epimc.evaluate import Model, evaluate, make_valuation
 from epimc.formulas import parse
 from epimc.runs import Point
+from epimc.views import ViewPolicy
 from epimc.scenarios import coordinated_attack, timestamped_demo, verify_manifest
 from epimc.serialize import (
     SchemaError,
@@ -76,6 +77,43 @@ def test_schema_errors_name_the_field():
             }
         )
     assert "kind" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"horizon": -1}, "system.horizon"),
+        ({"agents": -2}, "system.agents"),
+        ({"agents": "two"}, "system.agents"),
+        ({"horizon": 1.5}, "system.horizon"),
+        ({"horizon": True}, "system.horizon"),
+        ({"valuation": {"p": [["r", "x"]]}}, "system.valuation.p[0]"),
+        ({"valuation": {"p": [["r", 0], ["zz", 9]]}}, "system.valuation.p[1]"),
+        ({"valuation": {"q": [["r", 2]]}}, "system.valuation.q[0]"),
+        ({"valuation": {"q": [["r", -1]]}}, "system.valuation.q[0]"),
+    ],
+)
+def test_bad_numbers_and_foreign_points_are_schema_errors(changes, field):
+    doc = {
+        "schema": 1,
+        "agents": 1,
+        "horizon": 1,
+        "runs": [{"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "s"}}],
+    }
+    model_from_dict(doc)
+    with pytest.raises(SchemaError) as err:
+        model_from_dict(dict(doc, **changes))
+    assert str(err.value).startswith(field + ":")
+
+
+def test_in_process_valuations_ignore_points_outside_the_system():
+    system = model_from_dict(
+        {"schema": 1, "agents": 1, "horizon": 1,
+         "runs": [{"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "s"}}]}
+    ).system
+    valuation = make_valuation({"p": [Point("r", 1), Point("zz", 9)]})
+    model = Model(system, valuation, ViewPolicy.complete_history())
+    assert evaluate(model, parse("p")) == {Point("r", 1)}
 
 
 def test_load_json_rejects_non_objects():

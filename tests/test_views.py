@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from epimc import formulas as fm
+from epimc.evaluate import evaluate
 from epimc.runs import Point, make_run, make_system
 from epimc.views import (
     ViewPolicy,
@@ -123,10 +126,16 @@ def test_reachable_set_matches_bfs_oracle():
     rng = random.Random(17)
     for _ in range(15):
         model = random_model(rng)
-        group = tuple(model.system.agents)
-        start = model.system.points[0]
-        expected = bfs_reachable(model, start, group)
-        assert reachable_set(model.index, start, group) == expected
+        agents = tuple(model.system.agents)
+        p = evaluate(model, fm.Prop("p"))
+        for size in range(1, len(agents) + 1):
+            for group in combinations(agents, size):
+                reach = {pt: bfs_reachable(model, pt, group) for pt in model.system.points}
+                for start, expected in reach.items():
+                    assert reachable_set(model.index, start, group) == expected
+                assert evaluate(model, fm.C(group, fm.Prop("p"))) == frozenset(
+                    pt for pt, closure in reach.items() if closure <= p
+                )
 
 
 def test_reachable_set_contains_start_and_is_a_fixed_point():
