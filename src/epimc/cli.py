@@ -3,8 +3,8 @@
 Subcommands: eval, scenario, axioms, check, graph, verify. Exit codes:
 0 on success, 1 when an evaluation-level expectation or check fails (bad
 formula, failed manifest expectation, failed structural check), 2 on I/O
-or schema problems. Reports are deterministic; the trailing timing line
-is suppressed by --no-timing.
+or schema problems and on a malformed --point or --group. Reports are
+deterministic; the trailing timing line is suppressed by --no-timing.
 """
 
 from __future__ import annotations
@@ -87,6 +87,10 @@ def _emit(report: dict, fmt: str, timing: float | None) -> None:
 def _cmd_eval(args) -> int:
     model = _read_model(args.system)
     formula = _parse_formula(args.formula)
+    try:
+        points = model.point_order if args.all else (parse_point(args.point),)
+    except SchemaError as exc:
+        raise CliError(f"--point: {exc}", 2) from None
     started = time.monotonic()
     try:
         sat = evaluate(model, formula)
@@ -94,11 +98,6 @@ def _cmd_eval(args) -> int:
         raise CliError(str(exc), 1) from None
     except RecursionError:
         raise CliError(TOO_DEEP, 1) from None
-    points = (
-        model.point_order
-        if args.all
-        else (parse_point(args.point),)
-    )
     rows = []
     for pt in points:
         if pt not in model.all_points:
@@ -217,7 +216,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_graph(args) -> int:
     model = _read_model(args.system)
-    group = [int(x) for x in args.group.split(",")] if args.group else []
+    try:
+        group = [int(x) for x in args.group.split(",")] if args.group else []
+        for agent in group:
+            model.system.check_agent(agent)
+    except ValueError:
+        raise CliError(f"--group: {args.group!r} is not a list of agent ids", 2) from None
+    except ModelError as exc:
+        raise CliError(f"--group: {exc}", 2) from None
     text = export_graph(model.index, group)
     if args.out:
         try:

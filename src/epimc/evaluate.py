@@ -138,7 +138,7 @@ def _validate_formula(model: Model, f: Formula) -> None:
             )
     if model.system.runs and not model.system.has_clocks:
         for node in fm.walk(f):
-            if isinstance(node, (fm.KTime, fm.ETime, fm.CTime)):
+            if isinstance(node, fm.Modal) and node.param == "stamp":
                 raise EvalError(
                     "clock-indexed operators need a system in which every "
                     "run has clocks"
@@ -261,6 +261,28 @@ def _stamped_everyone(model: Model, group: Sequence[int], stamp: int, arg: int) 
     return out
 
 
+def _power(model: Model, f: fm.EPow, arg: int) -> int:
+    for _ in range(f.power):
+        arg = _everyone(model, f.group, arg)
+    return arg
+
+
+#: Each modal class -> (model, node, mask of the child) -> mask. C keeps
+#: its reachability route here; Ceps, Cv and Ct iterate their E-form.
+_MODAL_OPS = {
+    fm.K: lambda model, f, arg: _know(model, f.agent, arg),
+    fm.S: lambda model, f, arg: _someone(model, f.group, arg),
+    fm.E: lambda model, f, arg: _everyone(model, f.group, arg),
+    fm.EPow: _power,
+    fm.D: lambda model, f, arg: _distributed(model, f.group, arg),
+    fm.C: lambda model, f, arg: _common(model, f.group, arg),
+    fm.EEps: lambda model, f, arg: _interval_everyone(model, f.group, f.eps, arg),
+    fm.EDiamond: lambda model, f, arg: _eventual_everyone(model, f.group, arg),
+    fm.KTime: lambda model, f, arg: _know_at_stamp(model, f.agent, f.stamp, arg),
+    fm.ETime: lambda model, f, arg: _stamped_everyone(model, f.group, f.stamp, arg),
+}
+
+
 def _descend_to_fixpoint(model: Model, step) -> int:
     current = model.index.full
     while True:
@@ -313,44 +335,15 @@ def _eval(model: Model, f: Formula, env: dict[str, int]) -> int:
         return model.index.full & ~_eval(model, f.child, env)
     if isinstance(f, fm.And):
         return _eval(model, f.left, env) & _eval(model, f.right, env)
-    if isinstance(f, fm.K):
-        return _know(model, f.agent, _eval(model, f.child, env))
-    if isinstance(f, fm.S):
-        return _someone(model, f.group, _eval(model, f.child, env))
-    if isinstance(f, fm.E):
-        return _everyone(model, f.group, _eval(model, f.child, env))
-    if isinstance(f, fm.EPow):
-        out = _eval(model, f.child, env)
-        for _ in range(f.power):
-            out = _everyone(model, f.group, out)
-        return out
-    if isinstance(f, fm.D):
-        return _distributed(model, f.group, _eval(model, f.child, env))
-    if isinstance(f, fm.C):
-        return _common(model, f.group, _eval(model, f.child, env))
-    if isinstance(f, fm.EEps):
-        return _interval_everyone(model, f.group, f.eps, _eval(model, f.child, env))
-    if isinstance(f, fm.CEps):
-        base = _eval(model, f.child, env)
-        return _descend_to_fixpoint(
-            model, lambda cur: _interval_everyone(model, f.group, f.eps, base & cur)
-        )
-    if isinstance(f, fm.EDiamond):
-        return _eventual_everyone(model, f.group, _eval(model, f.child, env))
-    if isinstance(f, fm.CDiamond):
-        base = _eval(model, f.child, env)
-        return _descend_to_fixpoint(
-            model, lambda cur: _eventual_everyone(model, f.group, base & cur)
-        )
-    if isinstance(f, fm.KTime):
-        return _know_at_stamp(model, f.agent, f.stamp, _eval(model, f.child, env))
-    if isinstance(f, fm.ETime):
-        return _stamped_everyone(model, f.group, f.stamp, _eval(model, f.child, env))
-    if isinstance(f, fm.CTime):
-        base = _eval(model, f.child, env)
-        return _descend_to_fixpoint(
-            model, lambda cur: _stamped_everyone(model, f.group, f.stamp, base & cur)
-        )
+    if isinstance(f, fm.Modal):
+        arg = _eval(model, f.child, env)
+        op = _MODAL_OPS.get(type(f))
+        if op is not None:
+            return op(model, f, arg)
+        # Ceps, Cv, Ct: the greatest fixed point of their E-form, iterated
+        # directly; the E-form's operator reads the fields the two share
+        step = _MODAL_OPS[f.unfolds]
+        return _descend_to_fixpoint(model, lambda cur: step(model, f, arg & cur))
     if isinstance(f, fm.Nu):
         return _gfp(model, f.var, f.body, env)
     raise EvalError(f"cannot evaluate {type(f).__name__}")
@@ -482,14 +475,11 @@ def check_induction_rule(
 
 
 def _s5_operators(model: Model, groups: Sequence[tuple[int, ...]]):
-    ops: list[tuple[str, object]] = []
-    for agent in model.system.agents:
-        ops.append((f"K{agent}", lambda g, a=agent: fm.K(a, g)))
+    """(printed head, wrapper) for each operator the S5 axioms are checked on."""
+    wraps = [lambda g, a=agent: fm.K(a, g) for agent in model.system.agents]
     for grp in groups:
-        label = "{" + ",".join(map(str, grp)) + "}"
-        ops.append((f"D{label}", lambda g, m=grp: fm.D(m, g)))
-        ops.append((f"C{label}", lambda g, m=grp: fm.C(m, g)))
-    return ops
+        wraps += [lambda g, m=grp: fm.D(m, g), lambda g, m=grp: fm.C(m, g)]
+    return [(fm.modal_head(wrap(fm.TrueConst())), wrap) for wrap in wraps]
 
 
 def axiom_suite(
@@ -581,33 +571,24 @@ def axiom_suite(
         glabel = "{" + ",".join(map(str, grp)) + "}"
         for name in props:
             p = fm.Prop(name)
-            assert_valid(
-                f"C1[{glabel}]",
-                fm.iff(fm.C(grp, p), fm.E(grp, fm.And(p, fm.C(grp, p)))),
-            )
+            c = fm.C(grp, p)
+            assert_valid(f"C1[{glabel}]", fm.iff(c, fm.E(grp, fm.And(p, c))))
             report = check_induction_rule(model, p, p, grp)
             entries.append(
                 AxiomCheck(
                     f"C2[{glabel}]",
-                    f"from {name} -> E{glabel}({name} & {name}) infer "
-                    f"{name} -> C{glabel} {name}",
+                    f"from {name} -> {fm.modal_head(fm.E(grp, p))}({name} & {name}) "
+                    f"infer {name} -> {fm.modal_head(c)} {name}",
                     "vacuous" if report.vacuous else ("pass" if report.ok else "fail"),
                     counterexample=report.counterexample,
                 )
             )
 
             # hierarchy chain: C down to the bare fact, as set inclusions
-            sets = [_evaluate(model, fm.C(grp, p))]
-            labels = [f"C{glabel}"]
-            for k in range(max_k, 0, -1):
-                sets.append(_evaluate(model, fm.EPow(grp, k, p)))
-                labels.append(f"E^{k}{glabel}")
-            sets.append(_evaluate(model, fm.S(grp, p)))
-            labels.append(f"S{glabel}")
-            sets.append(_evaluate(model, fm.D(grp, p)))
-            labels.append(f"D{glabel}")
-            sets.append(_evaluate(model, p))
-            labels.append(name)
+            chain = [c, *(fm.EPow(grp, k, p) for k in range(max_k, 0, -1))]
+            chain += [fm.S(grp, p), fm.D(grp, p)]
+            labels = [fm.modal_head(f) for f in chain] + [name]
+            sets = [_evaluate(model, f) for f in chain + [p]]
             for (hi_set, hi_label), (lo_set, lo_label) in zip(
                 zip(sets, labels), zip(sets[1:], labels[1:])
             ):

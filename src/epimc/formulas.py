@@ -6,6 +6,9 @@ the eventual variant Ev/Cv, clock-indexed Kt/Et/Ct, and a greatest
 fixed-point binder nu. Or, implication, and iff are surface syntax only
 and parse into negation and conjunction.
 
+Every prefix operator is a ``Modal`` subclass, and ``MODALS``, which maps
+each head keyword to its class, is the one place heads are defined.
+
 Concrete syntax (full grammar in docs/grammar.ebnf)::
 
     ~a  a & b  a | b  a -> b  a <-> b  true
@@ -22,8 +25,8 @@ extends as far right as possible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, replace
+from typing import ClassVar, Iterable, Iterator
 
 AgentSet = tuple[int, ...]
 
@@ -82,112 +85,146 @@ class And(Formula):
     right: Formula
 
 
+class Modal(Formula):
+    """A prefix operator: a head keyword, an agent or a group, an optional
+    integer, then the operand ``child``.
+
+    Each subclass declares its syntax and meaning as class keywords, and
+    the parser (through ``MODALS``), the printer, ``agents_mentioned``,
+    ``expand_fixpoints`` and the evaluator read them instead of naming
+    classes:
+
+    - ``head``: the keyword; a ``by_agent`` head takes the agent as a
+      numeric suffix (``K0``), the others take a group (``E{0,1}``);
+    - ``param``: the name of the integer field, written ``[n]`` after the
+      head (``^n`` for E^k), or None;
+    - ``least``: the smallest value ``param`` may take;
+    - ``unfolds``: for the C-family, the E-form whose greatest fixed point
+      the operator is (``C G f`` is ``nu X. E G (f & X)``); a C-form has
+      the fields of its E-form.
+
+    Every subclass lists its fields in the order index, integer, child.
+    """
+
+    __slots__ = ()
+
+    head: ClassVar[str]
+    by_agent: ClassVar[bool]
+    param: ClassVar[str | None]
+    least: ClassVar[int]
+    unfolds: ClassVar[type[Modal] | None]
+
+    def __init_subclass__(
+        cls,
+        head: str,
+        by_agent: bool = False,
+        param: str | None = None,
+        least: int = 0,
+        unfolds: type[Modal] | None = None,
+    ):
+        super().__init_subclass__()
+        cls.head = head
+        cls.by_agent = by_agent
+        cls.param = param
+        cls.least = least
+        cls.unfolds = unfolds
+
+    def __post_init__(self):
+        if self.param is None:
+            return
+        value = getattr(self, self.param)
+        if value < self.least:
+            raise FormulaError(
+                f"{self.param} of {self.head} must be at least {self.least}, got {value}"
+            )
+
+
 @dataclass(frozen=True)
-class K(Formula):
+class K(Modal, head="K", by_agent=True):
     agent: int
     child: Formula
 
 
 @dataclass(frozen=True)
-class S(Formula):
+class S(Modal, head="S"):
     group: AgentSet
     child: Formula
 
 
 @dataclass(frozen=True)
-class E(Formula):
+class E(Modal, head="E"):
     group: AgentSet
     child: Formula
 
 
 @dataclass(frozen=True)
-class EPow(Formula):
+class EPow(Modal, head="E^", param="power", least=1):
     group: AgentSet
     power: int
     child: Formula
 
-    def __post_init__(self):
-        if self.power < 1:
-            raise FormulaError("E^k requires k >= 1")
-
 
 @dataclass(frozen=True)
-class D(Formula):
+class D(Modal, head="D"):
     group: AgentSet
     child: Formula
 
 
 @dataclass(frozen=True)
-class C(Formula):
+class C(Modal, head="C", unfolds=E):
     group: AgentSet
     child: Formula
 
 
 @dataclass(frozen=True)
-class EEps(Formula):
+class EEps(Modal, head="Eeps", param="eps"):
     group: AgentSet
     eps: int
     child: Formula
 
-    def __post_init__(self):
-        if self.eps < 0:
-            raise FormulaError("Eeps requires a nonnegative width")
-
 
 @dataclass(frozen=True)
-class CEps(Formula):
+class CEps(Modal, head="Ceps", param="eps", unfolds=EEps):
     group: AgentSet
     eps: int
     child: Formula
 
-    def __post_init__(self):
-        if self.eps < 0:
-            raise FormulaError("Ceps requires a nonnegative width")
-
 
 @dataclass(frozen=True)
-class EDiamond(Formula):
+class EDiamond(Modal, head="Ev"):
     group: AgentSet
     child: Formula
 
 
 @dataclass(frozen=True)
-class CDiamond(Formula):
+class CDiamond(Modal, head="Cv", unfolds=EDiamond):
     group: AgentSet
     child: Formula
 
 
 @dataclass(frozen=True)
-class KTime(Formula):
+class KTime(Modal, head="Kt", by_agent=True, param="stamp"):
     agent: int
     stamp: int
     child: Formula
 
-    def __post_init__(self):
-        if self.stamp < 0:
-            raise FormulaError("clock stamps are nonnegative")
-
 
 @dataclass(frozen=True)
-class ETime(Formula):
+class ETime(Modal, head="Et", param="stamp"):
     group: AgentSet
     stamp: int
     child: Formula
 
-    def __post_init__(self):
-        if self.stamp < 0:
-            raise FormulaError("clock stamps are nonnegative")
-
 
 @dataclass(frozen=True)
-class CTime(Formula):
+class CTime(Modal, head="Ct", param="stamp", unfolds=ETime):
     group: AgentSet
     stamp: int
     child: Formula
 
-    def __post_init__(self):
-        if self.stamp < 0:
-            raise FormulaError("clock stamps are nonnegative")
+
+#: Every prefix operator by head keyword; the one place heads are defined.
+MODALS: dict[str, type[Modal]] = {cls.head: cls for cls in Modal.__subclasses__()}
 
 
 @dataclass(frozen=True)
@@ -232,11 +269,23 @@ _TOKEN_RE = re.compile(
     r"|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*))"
 )
 
-_K_RE = re.compile(r"^K(\d+)$")
-_KT_RE = re.compile(r"^Kt(\d+)$")
+_AGENT_SUFFIX_RE = re.compile(r"([A-Za-z]+)(\d+)")
 
-_GROUP_HEADS = {"S", "E", "D", "C", "Eeps", "Ceps", "Ev", "Cv", "Et", "Ct"}
-_RESERVED = _GROUP_HEADS | {"nu", "true"}
+_RESERVED = {"nu", "true"}
+
+
+def _modal_of(name: str) -> tuple[type[Modal], int | None] | None:
+    """The operator a name token starts, with the agent of a K-like head
+    (``Kt12`` -> KTime, 12); None when the name is not a head."""
+    cls = MODALS.get(name)
+    if cls is not None and not cls.by_agent:
+        return cls, None
+    m = _AGENT_SUFFIX_RE.fullmatch(name)
+    if m:
+        cls = MODALS.get(m.group(1))
+        if cls is not None and cls.by_agent:
+            return cls, int(m.group(2))
+    return None
 
 
 @dataclass(frozen=True)
@@ -337,48 +386,19 @@ class _Parser:
         return self.atom()
 
     def try_modal(self, tok: _Token) -> Formula | None:
-        m = _K_RE.match(tok.text)
-        if m:
-            self.take()
-            return K(int(m.group(1)), self.unary())
-        m = _KT_RE.match(tok.text)
-        if m:
-            self.take()
-            stamp = self.bracket_int()
-            return KTime(int(m.group(1)), stamp, self.unary())
-        if tok.text not in _GROUP_HEADS:
+        found = _modal_of(tok.text)
+        if found is None:
             return None
-        head = tok.text
+        cls, agent = found
         self.take()
-        if head == "E" and self.peek().kind == "^":
+        if cls is E and self.peek().kind == "^":  # E^k: the caret form
             self.take()
-            power = int(self.take("int").text)
-            group = self.group()
-            return EPow(group, power, self.unary())
-        if head in ("Eeps", "Ceps", "Et", "Ct"):
-            param = self.bracket_int()
-            group = self.group()
-            child = self.unary()
-            if head == "Eeps":
-                return EEps(group, param, child)
-            if head == "Ceps":
-                return CEps(group, param, child)
-            if head == "Et":
-                return ETime(group, param, child)
-            return CTime(group, param, child)
-        group = self.group()
-        child = self.unary()
-        if head == "S":
-            return S(group, child)
-        if head == "E":
-            return E(group, child)
-        if head == "D":
-            return D(group, child)
-        if head == "C":
-            return C(group, child)
-        if head == "Ev":
-            return EDiamond(group, child)
-        return CDiamond(group, child)
+            cls = EPow
+            params = [int(self.take("int").text)]
+        else:
+            params = [self.bracket_int()] if cls.param else []
+        index = agent if cls.by_agent else self.group()
+        return cls(index, *params, self.unary())
 
     def bracket_int(self) -> int:
         self.take("[")
@@ -413,7 +433,7 @@ class _Parser:
             if name == "nu":
                 self.take()
                 var = self.take("name").text
-                if var in _RESERVED or _K_RE.match(var) or _KT_RE.match(var):
+                if var in _RESERVED or _modal_of(var):
                     raise ParseError(f"{var!r} is reserved and cannot bind", tok.pos)
                 self.take(".")
                 self.bound.append(var)
@@ -422,8 +442,6 @@ class _Parser:
                 finally:
                     self.bound.pop()
                 return Nu(var, body)
-            if name in _RESERVED:
-                raise ParseError(f"{name!r} is reserved", tok.pos)
             self.take()
             if name in self.bound or name in self.free_vars:
                 return Var(name)
@@ -456,7 +474,7 @@ def _fmt_group(group: AgentSet) -> str:
 
 
 def _render(f: Formula) -> tuple[str, int]:
-    if isinstance(f, Prop) or isinstance(f, Var):
+    if isinstance(f, (Prop, Var)):
         return f.name, _PREC_ATOM
     if isinstance(f, TrueConst):
         return "true", _PREC_ATOM
@@ -469,40 +487,18 @@ def _render(f: Formula) -> tuple[str, int]:
     if isinstance(f, Nu):
         body, _ = _render(f.body)
         return f"nu {f.var}. {body}", _PREC_NU
-    head = _modal_head(f)
-    if head is not None:
-        return head + " " + _child(f.child, _PREC_UNARY), _PREC_UNARY
+    if isinstance(f, Modal):
+        return modal_head(f) + " " + _child(f.child, _PREC_UNARY), _PREC_UNARY
     raise FormulaError(f"cannot print {type(f).__name__}")
 
 
-def _modal_head(f: Formula) -> str | None:
-    if isinstance(f, K):
-        return f"K{f.agent}"
-    if isinstance(f, KTime):
-        return f"Kt{f.agent}[{f.stamp}]"
-    if isinstance(f, S):
-        return "S" + _fmt_group(f.group)
-    if isinstance(f, E):
-        return "E" + _fmt_group(f.group)
-    if isinstance(f, EPow):
-        return f"E^{f.power}" + _fmt_group(f.group)
-    if isinstance(f, D):
-        return "D" + _fmt_group(f.group)
-    if isinstance(f, C):
-        return "C" + _fmt_group(f.group)
-    if isinstance(f, EEps):
-        return f"Eeps[{f.eps}]" + _fmt_group(f.group)
-    if isinstance(f, CEps):
-        return f"Ceps[{f.eps}]" + _fmt_group(f.group)
-    if isinstance(f, EDiamond):
-        return "Ev" + _fmt_group(f.group)
-    if isinstance(f, CDiamond):
-        return "Cv" + _fmt_group(f.group)
-    if isinstance(f, ETime):
-        return f"Et[{f.stamp}]" + _fmt_group(f.group)
-    if isinstance(f, CTime):
-        return f"Ct[{f.stamp}]" + _fmt_group(f.group)
-    return None
+def modal_head(f: Modal) -> str:
+    """``K0``, ``Kt0[3]``, ``E{0,1}``, ``Ceps[2]{0,1}`` or ``E^3{0,1}``."""
+    text = f.head + (str(f.agent) if f.by_agent else "")
+    if f.param is not None:
+        value = getattr(f, f.param)
+        text += str(value) if isinstance(f, EPow) else f"[{value}]"  # E^k: caret form
+    return text if f.by_agent else text + _fmt_group(f.group)
 
 
 def _child(f: Formula, min_prec: int) -> str:
@@ -521,13 +517,13 @@ def print_formula(f: Formula) -> str:
 # Structure queries
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Prop, TrueConst, Var)):
-        return ()
+    if isinstance(f, (Not, Modal)):
+        return (f.child,)
     if isinstance(f, And):
         return (f.left, f.right)
     if isinstance(f, Nu):
         return (f.body,)
-    return (f.child,)  # type: ignore[attr-defined]
+    return ()
 
 
 def walk(f: Formula) -> Iterator[Formula]:
@@ -550,11 +546,8 @@ def free_variables(f: Formula) -> frozenset[str]:
 def agents_mentioned(f: Formula) -> frozenset[int]:
     out: set[int] = set()
     for node in walk(f):
-        if isinstance(node, (K, KTime)):
-            out.add(node.agent)
-        group = getattr(node, "group", None)
-        if group is not None:
-            out.update(group)
+        if isinstance(node, Modal):
+            out.update((node.agent,) if node.by_agent else node.group)
     return frozenset(out)
 
 
@@ -577,8 +570,6 @@ def find_negative_occurrence(f: Formula) -> tuple[str, str] | None:
             if node.name == tracked and not positive:
                 return (tracked, path)
             return None
-        if isinstance(node, Nu) and node.var == tracked:
-            return None  # rebinding shadows the outer variable
         if isinstance(node, Not):
             return scan(node.child, tracked, not positive, path + ".~")
         if isinstance(node, And):
@@ -587,6 +578,8 @@ def find_negative_occurrence(f: Formula) -> tuple[str, str] | None:
                 return hit
             return scan(node.right, tracked, positive, path + ".&R")
         if isinstance(node, Nu):
+            if node.var == tracked:
+                return None  # rebinding shadows the outer variable
             return scan(node.body, tracked, positive, path + f".nu {node.var}")
         kids = children(node)
         if not kids:
@@ -638,28 +631,6 @@ def expand_fixpoints(f: Formula) -> Formula:
     names = _FreshNames(taken)
 
     def go(node: Formula) -> Formula:
-        if isinstance(node, (Prop, TrueConst, Var)):
-            return node
-        if isinstance(node, Not):
-            return Not(go(node.child))
-        if isinstance(node, And):
-            return And(go(node.left), go(node.right))
-        if isinstance(node, Nu):
-            return Nu(node.var, go(node.body))
-        if isinstance(node, K):
-            return K(node.agent, go(node.child))
-        if isinstance(node, KTime):
-            return KTime(node.agent, node.stamp, go(node.child))
-        if isinstance(node, E):
-            return E(node.group, go(node.child))
-        if isinstance(node, D):
-            return D(node.group, go(node.child))
-        if isinstance(node, EEps):
-            return EEps(node.group, node.eps, go(node.child))
-        if isinstance(node, EDiamond):
-            return EDiamond(node.group, go(node.child))
-        if isinstance(node, ETime):
-            return ETime(node.group, node.stamp, go(node.child))
         if isinstance(node, S):
             child = go(node.child)
             out: Formula = K(node.group[0], child)
@@ -671,18 +642,18 @@ def expand_fixpoints(f: Formula) -> Formula:
             for _ in range(node.power):
                 out = E(node.group, out)
             return out
-        if isinstance(node, C):
+        if isinstance(node, Modal) and node.unfolds is not None:
+            # the name is taken before the child expands, so an outer
+            # operator gets a lower number than the ones nested in it
             x = names.fresh()
-            return Nu(x, E(node.group, And(go(node.child), Var(x))))
-        if isinstance(node, CEps):
-            x = names.fresh()
-            return Nu(x, EEps(node.group, node.eps, And(go(node.child), Var(x))))
-        if isinstance(node, CDiamond):
-            x = names.fresh()
-            return Nu(x, EDiamond(node.group, And(go(node.child), Var(x))))
-        if isinstance(node, CTime):
-            x = names.fresh()
-            return Nu(x, ETime(node.group, node.stamp, And(go(node.child), Var(x))))
-        raise FormulaError(f"cannot expand {type(node).__name__}")
+            params = [getattr(node, node.param)] if node.param else []
+            return Nu(x, node.unfolds(node.group, *params, And(go(node.child), Var(x))))
+        if isinstance(node, (Not, Modal)):
+            return replace(node, child=go(node.child))
+        if isinstance(node, And):
+            return And(go(node.left), go(node.right))
+        if isinstance(node, Nu):
+            return Nu(node.var, go(node.body))
+        return node
 
     return go(f)

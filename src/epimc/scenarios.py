@@ -80,7 +80,7 @@ def verify_manifest(manifest: ScenarioManifest) -> tuple[ExpectationFailure, ...
                 ok, cx = check_validity(model, Not(formula))
                 detail = "" if ok else f"holds at {cx}"
         else:
-            truth = exp.point in model.all_points and holds(model, formula, exp.point)
+            truth = holds(model, formula, exp.point)
             ok = truth is exp.expected
             detail = "" if ok else f"evaluated to {truth}"
         if not ok:

@@ -23,10 +23,40 @@ class SchemaError(ModelError):
     offending field path."""
 
 
-def _need(obj: dict, key: str, path: str) -> Any:
+_KINDS = {int: "an integer", bool: "true or false", str: "a string",
+          list: "an array", dict: "an object"}
+
+
+def _type_error(where: str, kind: type, value: Any) -> SchemaError:
+    return SchemaError(f"{where}: expected {_KINDS[kind]}, got {value!r:.40}")
+
+
+def _expect(value: Any, kind: type, where: str) -> Any:
+    """``value`` if it is exactly of the JSON type ``kind``; a bool is not
+    an integer and a float is not either, even when whole."""
+    if type(value) is not kind:
+        raise _type_error(where, kind, value)
+    return value
+
+
+def _need(obj: dict, key: str, path: str, kind: type | None = None) -> Any:
+    """``obj[key]``, exactly of JSON type ``kind`` when one is given. It runs
+    for every event of a system, so the field path is formatted only on
+    failure."""
     if key not in obj:
         raise SchemaError(f"{path}.{key}: missing")
-    return obj[key]
+    value = obj[key]
+    if kind is not None and type(value) is not kind:
+        raise _type_error(f"{path}.{key}", kind, value)
+    return value
+
+
+def _need_tick(obj: dict, key: str, path: str, horizon: int) -> int:
+    """``obj[key]``, a JSON integer in 0..horizon."""
+    value = _need(obj, key, path, int)
+    if not 0 <= value <= horizon:
+        raise SchemaError(f"{path}.{key}: {value} is outside 0..{horizon}")
+    return value
 
 
 def _need_count(obj: dict, key: str, path: str) -> int:
@@ -70,36 +100,36 @@ def run_to_dict(run: Run) -> dict:
 
 
 def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str) -> Run:
+    _expect(obj, dict, path)
     run_id = str(_need(obj, "id", path))
-    wake_raw = _need(obj, "wake_up", path)
-    init_raw = _need(obj, "initial_state", path)
-    try:
-        wake = [int(wake_raw[str(a)]) for a in range(n_agents)]
-        init = [str(init_raw[str(a)]) for a in range(n_agents)]
-    except KeyError as exc:
-        raise SchemaError(f"{path}: missing agent entry {exc}") from None
+    wake_raw = _need(obj, "wake_up", path, dict)
+    init_raw = _need(obj, "initial_state", path, dict)
+    wake = [_need_tick(wake_raw, str(a), f"{path}.wake_up", horizon) for a in range(n_agents)]
+    init = [str(_need(init_raw, str(a), f"{path}.initial_state")) for a in range(n_agents)]
     events = []
-    for i, ev in enumerate(obj.get("events", [])):
+    for i, ev in enumerate(_expect(obj.get("events", []), list, f"{path}.events")):
         ev_path = f"{path}.events[{i}]"
+        _expect(ev, dict, ev_path)
         kind = _need(ev, "kind", ev_path)
         if kind not in ("send", "receive"):
             raise SchemaError(f"{ev_path}.kind: {kind!r} is not send or receive")
         events.append(
             (
-                int(_need(ev, "time", ev_path)),
-                int(_need(ev, "agent", ev_path)),
+                _need_tick(ev, "time", ev_path, horizon),
+                _need(ev, "agent", ev_path, int),
                 kind,
-                int(_need(ev, "peer", ev_path)),
+                _need(ev, "peer", ev_path, int),
                 str(_need(ev, "message", ev_path)),
             )
         )
     clock = None
     if "clock" in obj and obj["clock"] is not None:
-        raw = obj["clock"]
-        try:
-            clock = [list(map(int, raw[str(a)])) for a in range(n_agents)]
-        except KeyError as exc:
-            raise SchemaError(f"{path}.clock: missing agent entry {exc}") from None
+        raw = _need(obj, "clock", path, dict)
+        clock = [_need(raw, str(a), f"{path}.clock", list) for a in range(n_agents)]
+        for a, readings in enumerate(clock):
+            for t, value in enumerate(readings):
+                if type(value) is not int:
+                    raise _type_error(f"{path}.clock.{a}[{t}]", int, value)
     return make_run(
         run_id,
         horizon=horizon,
@@ -127,7 +157,7 @@ def system_from_dict(obj: dict, path: str = "system") -> System:
     horizon = _need_count(obj, "horizon", path)
     runs = [
         run_from_dict(r, n, horizon, f"{path}.runs[{i}]")
-        for i, r in enumerate(_need(obj, "runs", path))
+        for i, r in enumerate(_need(obj, "runs", path, list))
     ]
     return make_system(n, horizon, runs)
 
@@ -144,9 +174,9 @@ def valuation_from_dict(obj: dict, system: System, path: str = "valuation") -> V
     the system is a schema error."""
     run_ids = {r.id for r in system.runs}
     pairs = {}
-    for name, entries in obj.items():
+    for name, entries in _expect(obj, dict, path).items():
         pts = set()
-        for i, entry in enumerate(entries):
+        for i, entry in enumerate(_expect(entries, list, f"{path}.{name}")):
             where = f"{path}.{name}[{i}]"
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise SchemaError(f"{where}: expected [run_id, time]")
@@ -193,19 +223,27 @@ def manifest_to_dict(manifest: ScenarioManifest) -> dict:
 
 
 def manifest_from_dict(obj: dict) -> ScenarioManifest:
+    """A manifest; an expectation at a point outside its system is a
+    schema error."""
     schema = obj.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise SchemaError(f"manifest.schema: unsupported version {schema!r}")
-    model = model_from_dict(_need(obj, "system", "manifest"), "manifest.system")
+    model = model_from_dict(_need(obj, "system", "manifest", dict), "manifest.system")
     expectations = []
-    for i, e in enumerate(obj.get("expectations", [])):
+    raw = _expect(obj.get("expectations", []), list, "manifest.expectations")
+    for i, e in enumerate(raw):
         path = f"manifest.expectations[{i}]"
-        point_text = e.get("point")
+        _expect(e, dict, path)
+        point = None
+        if e.get("point") is not None:
+            point = parse_point(_need(e, "point", path, str))
+            if point not in model.all_points:
+                raise SchemaError(f"{path}.point: {point} is not in the system")
         expectations.append(
             Expectation(
                 str(_need(e, "formula", path)),
-                parse_point(point_text) if point_text is not None else None,
-                bool(_need(e, "expected", path)),
+                point,
+                _need(e, "expected", path, bool),
                 str(e.get("note", "")),
             )
         )

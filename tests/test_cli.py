@@ -72,6 +72,16 @@ def test_missing_file_exits_two(capsys):
         ({"schema": 1, "agents": "two", "horizon": 1, "runs": []}, "agents"),
         ({"schema": 1, "agents": 2, "horizon": 1, "runs": [],
           "valuation": {"p": [["zz", 9]]}}, "valuation.p[0]"),
+        ({"schema": 1, "agents": 1, "horizon": 1,
+          "runs": [{"id": "r", "wake_up": {"0": "x"}, "initial_state": {"0": "s"}}]},
+         "runs[0].wake_up.0"),
+        ({"schema": 1, "agents": 1, "horizon": 1,
+          "runs": [{"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "s"},
+                    "events": [{"time": "a", "agent": 0, "kind": "send",
+                                "peer": 0, "message": "m"}]}]},
+         "runs[0].events[0].time"),
+        ({"schema": 1, "agents": 2, "horizon": 1, "runs": [], "valuation": [1]},
+         "system.valuation"),
     ],
 )
 def test_system_with_bad_numbers_or_points_exits_two(tmp_path, capsys, doc, field):
@@ -107,6 +117,30 @@ def test_unusable_manifest_formula_exits_one(attack_files, tmp_path, capsys):
         bad.write_text(json.dumps(doc))
         assert main(["verify", "--manifest", str(bad), "--no-timing"]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_manifest_point_outside_the_system_exits_two(attack_files, tmp_path, capsys):
+    _, manifest = attack_files
+    doc = json.loads(manifest.read_text())
+    doc["expectations"] = [{"formula": "prefav", "point": "zz@9", "expected": False}]
+    bad = tmp_path / "foreign.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--manifest", str(bad), "--no-timing"]) == 2
+    assert "zz@9 is not in the system" in capsys.readouterr().err
+
+
+def test_eval_malformed_point_exits_two(attack_files, capsys):
+    system, _ = attack_files
+    code = main(["eval", "--system", str(system), "--formula", "prefav", "--point", "bogus"])
+    assert code == 2
+    assert "'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, message", [("a", "'a'"), ("9", "agent 9")])
+def test_graph_bad_group_exits_two(attack_files, capsys, group, message):
+    system, _ = attack_files
+    assert main(["graph", "--system", str(system), "--group", group]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_passes_and_fails(attack_files, tmp_path, capsys):

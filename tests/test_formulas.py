@@ -2,6 +2,7 @@ import pytest
 
 from epimc import formulas as fm
 from epimc.formulas import (
+    FormulaError,
     ParseError,
     PositivityError,
     check_positivity,
@@ -113,6 +114,12 @@ def test_expand_uses_fresh_variables():
     assert len({n.var for n in nus}) == len(nus)
 
 
+def test_expand_numbers_outer_fixpoints_first():
+    out = expand_fixpoints(parse("C{0,1} Cv{0} p"))
+    inner = fm.Nu("X1", fm.EDiamond((0,), fm.And(fm.Prop("p"), fm.Var("X1"))))
+    assert out == fm.Nu("X0", fm.E((0, 1), fm.And(inner, fm.Var("X0"))))
+
+
 def test_print_round_trip_on_kernel_and_derived_nodes():
     texts = [
         "K1 m",
@@ -138,3 +145,27 @@ def test_reserved_words_cannot_be_propositions():
         parse("E")
     with pytest.raises(ParseError):
         parse("nu & m")
+
+
+@pytest.mark.parametrize("head", list(fm.MODALS))
+def test_every_modal_head_parses_prints_reserves_and_unfolds(head):
+    cls = fm.MODALS[head]
+    p = fm.Prop("p")
+    index = 1 if cls.by_agent else (0, 2)
+    params = [cls.least + 2] if cls.param else []
+    f = cls(index, *params, p)
+    assert parse(print_formula(f)) == f
+    name = head + ("1" if cls.by_agent else "")
+    with pytest.raises(ParseError):
+        parse(name)
+    with pytest.raises(ParseError):
+        parse(f"nu {name}. p")
+    # only the K-like heads take an agent suffix; the bare K is a name
+    other = head if cls.by_agent else head.rstrip("^") + "1"
+    assert parse(other) == fm.Prop(other)
+    if cls.param:
+        with pytest.raises(FormulaError):
+            cls(index, cls.least - 1, p)
+    if cls.unfolds:
+        x = fm.Var("X0")
+        assert expand_fixpoints(f) == fm.Nu("X0", cls.unfolds(index, *params, fm.And(p, x)))

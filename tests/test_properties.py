@@ -15,7 +15,9 @@ PROPS = ("p", "q")
 GROUPS = ((0, 1), (0,), (1,))
 
 
-def formula_strategy(max_depth=4, allow_var=False):
+def formula_strategy(max_depth=4, allow_var=False, clocked=False):
+    """Random formulas; ``clocked`` adds Kt/Et/Ct, which evaluate only on
+    systems where every run has clocks."""
     leaves = [st.sampled_from([fm.Prop(p) for p in PROPS]), st.just(fm.TrueConst())]
     if allow_var:
         leaves.append(st.just(fm.Var("X")))
@@ -23,7 +25,7 @@ def formula_strategy(max_depth=4, allow_var=False):
 
     def extend(children):
         group = st.sampled_from(GROUPS)
-        return st.one_of(
+        ops = [
             st.builds(fm.Not, children),
             st.builds(fm.And, children, children),
             st.builds(fm.K, st.sampled_from((0, 1)), children),
@@ -36,14 +38,22 @@ def formula_strategy(max_depth=4, allow_var=False):
             st.builds(fm.CEps, group, st.integers(0, 2), children),
             st.builds(fm.EDiamond, group, children),
             st.builds(fm.CDiamond, group, children),
-        )
+        ]
+        if clocked:
+            ops += [
+                st.builds(fm.KTime, st.sampled_from((0, 1)), st.integers(0, 3), children),
+                st.builds(fm.ETime, group, st.integers(0, 3), children),
+                st.builds(fm.CTime, group, st.integers(0, 3), children),
+            ]
+        return st.one_of(*ops)
 
     return st.recursive(base, extend, max_leaves=max_depth)
 
 
 @settings(max_examples=120, deadline=None)
-@given(formula_strategy())
+@given(formula_strategy(allow_var=True, clocked=True))
 def test_print_parse_round_trip(f):
+    f = fm.Nu("X", f)
     assert parse(print_formula(f)) == f
 
 

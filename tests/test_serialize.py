@@ -79,6 +79,15 @@ def test_schema_errors_name_the_field():
     assert "kind" in str(err.value)
 
 
+_RUN = {"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "s"}}
+_EVENT = {"time": 0, "agent": 0, "kind": "send", "peer": 0, "message": "m"}
+
+
+def _run(**changes):
+    """A ``runs`` entry replacing fields of the one-run document below."""
+    return {"runs": [dict(_RUN, **changes)]}
+
+
 @pytest.mark.parametrize(
     "changes, field",
     [
@@ -91,6 +100,21 @@ def test_schema_errors_name_the_field():
         ({"valuation": {"p": [["r", 0], ["zz", 9]]}}, "system.valuation.p[1]"),
         ({"valuation": {"q": [["r", 2]]}}, "system.valuation.q[0]"),
         ({"valuation": {"q": [["r", -1]]}}, "system.valuation.q[0]"),
+        (_run(wake_up={"0": "x"}), "system.runs[0].wake_up.0"),
+        (_run(wake_up={"0": 0.0}), "system.runs[0].wake_up.0"),
+        (_run(wake_up=[0]), "system.runs[0].wake_up"),
+        (_run(wake_up={"0": 2}), "system.runs[0].wake_up.0"),
+        (_run(wake_up={"0": -1}), "system.runs[0].wake_up.0"),
+        (_run(events=[dict(_EVENT, time="a")]), "system.runs[0].events[0].time"),
+        (_run(events=[dict(_EVENT, time=2)]), "system.runs[0].events[0].time"),
+        (_run(events=[dict(_EVENT, agent=True)]), "system.runs[0].events[0].agent"),
+        (_run(events=[dict(_EVENT, peer="0")]), "system.runs[0].events[0].peer"),
+        (_run(events=[5]), "system.runs[0].events[0]"),
+        (_run(clock={"0": [0, "1"]}), "system.runs[0].clock.0[1]"),
+        (_run(clock={"0": 5}), "system.runs[0].clock.0"),
+        ({"runs": [5]}, "system.runs[0]"),
+        ({"valuation": [1]}, "system.valuation"),
+        ({"valuation": {"p": 5}}, "system.valuation.p"),
     ],
 )
 def test_bad_numbers_and_foreign_points_are_schema_errors(changes, field):
@@ -103,6 +127,23 @@ def test_bad_numbers_and_foreign_points_are_schema_errors(changes, field):
     model_from_dict(doc)
     with pytest.raises(SchemaError) as err:
         model_from_dict(dict(doc, **changes))
+    assert str(err.value).startswith(field + ":")
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"point": "zz@9", "expected": False}, "manifest.expectations[0].point"),
+        ({"point": "c1@99"}, "manifest.expectations[0].point"),
+        ({"point": 3}, "manifest.expectations[0].point"),
+        ({"expected": "false"}, "manifest.expectations[0].expected"),
+    ],
+)
+def test_manifest_expectations_are_checked_against_the_system(change, field):
+    doc = manifest_to_dict(coordinated_attack(2, 3))
+    doc["expectations"] = [dict(doc["expectations"][0], **change)]
+    with pytest.raises(SchemaError) as err:
+        manifest_from_dict(doc)
     assert str(err.value).startswith(field + ":")
 
 
