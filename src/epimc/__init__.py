@@ -13,7 +13,6 @@ from .runs import (
     System,
     extends,
     history_cover,
-    local_history,
     make_run,
     make_system,
     validate_system,

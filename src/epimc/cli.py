@@ -218,13 +218,13 @@ def _cmd_graph(args) -> int:
     model = _read_model(args.system)
     try:
         group = [int(x) for x in args.group.split(",")] if args.group else []
-        for agent in group:
-            model.system.check_agent(agent)
     except ValueError:
         raise CliError(f"--group: {args.group!r} is not a list of agent ids", 2) from None
+    index = model.index
+    try:
+        text = export_graph(index, group)
     except ModelError as exc:
         raise CliError(f"--group: {exc}", 2) from None
-    text = export_graph(model.index, group)
     if args.out:
         try:
             Path(args.out).write_text(text)

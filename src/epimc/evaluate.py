@@ -33,7 +33,6 @@ from .views import (
     build_index,
     mask_from_ids,
     normalize_group,
-    runs_in_point_order,
 )
 
 PointSet = frozenset[Point]
@@ -114,7 +113,7 @@ class Model:
         wake-up where its clock shows that reading."""
         width = self.system.horizon + 1
         n = len(self.system.points)
-        runs = runs_in_point_order(self.system)
+        runs = self.system.runs_in_point_order
         out = []
         for agent in self.system.agents:
             by_stamp: dict[int, list[int]] = {}

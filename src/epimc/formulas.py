@@ -238,17 +238,6 @@ class Nu(Formula):
     body: Formula
 
 
-def neg(f: Formula) -> Formula:
-    return Not(f)
-
-
-def conj(*fs: Formula) -> Formula:
-    out = fs[0]
-    for f in fs[1:]:
-        out = And(out, f)
-    return out
-
-
 def disj(a: Formula, b: Formula) -> Formula:
     return Not(And(Not(a), Not(b)))
 

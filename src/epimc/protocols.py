@@ -14,11 +14,12 @@ which is the discrete rendering of delivery within one time unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
+from math import inf
 from typing import Callable, Iterable, Sequence
 
 from .runs import (
-    EMPTY_HISTORY,
     Event,
     LocalHistory,
     ModelError,
@@ -28,8 +29,6 @@ from .runs import (
     System,
     make_system,
     run_history,
-    same_clock_readings,
-    same_initial_configuration,
     timeline_sort_key,
 )
 
@@ -204,9 +203,7 @@ def enumerate_runs(
     results: list[tuple[Run, tuple[ScheduleEntry, ...]]] = []
     count = 0
 
-    def finish(ci: int, cfg: InitialConfiguration,
-               events: tuple[tuple[int, int, Event], ...],
-               schedule: tuple[ScheduleEntry, ...]) -> None:
+    def finish(ci: int, run: Run, schedule: tuple[ScheduleEntry, ...]) -> None:
         nonlocal count
         count += 1
         if count > max_schedules:
@@ -215,24 +212,7 @@ def enumerate_runs(
                 f"shrink the horizon or raise max_schedules"
             )
         tags = ",".join(_outcome_tag(e) for e in schedule)
-        run_id = f"c{ci}" + (f":{tags}" if tags else "")
-        per_agent: list[list[tuple[int, Event]]] = [[] for _ in range(n)]
-        for t, agent, ev in events:
-            per_agent[agent].append((t, ev))
-        clk = None
-        if global_clock:
-            clk = tuple(
-                tuple(range(cfg.wake_up[a], horizon + 1)) for a in range(n)
-            )
-        timeline = tuple(
-            tuple(sorted(per_agent[a], key=timeline_sort_key)) for a in range(n)
-        )
-        results.append(
-            (
-                Run(run_id, cfg.wake_up, cfg.initial_state, timeline, clk),
-                schedule,
-            )
-        )
+        results.append((replace(run, id=f"c{ci}" + (f":{tags}" if tags else "")), schedule))
 
     for ci, cfg in enumerate(configs):
         _explore(ci, cfg, n, protocol, delivery, horizon, global_clock, finish)
@@ -241,33 +221,28 @@ def enumerate_runs(
 
 
 def _explore(ci, cfg, n, protocol, delivery, horizon, global_clock, finish) -> None:
-    """Depth-first enumeration; branch state is passed down immutably."""
+    """Depth-first enumeration; branch state is passed down immutably.
 
-    def history_at(events, agent: int, t: int) -> LocalHistory:
-        if t < cfg.wake_up[agent]:
-            return EMPTY_HISTORY
-        mine = sorted(
-            ((tt, ev) for (tt, a, ev) in events if a == agent),
-            key=timeline_sort_key,
-        )
-        evs = tuple(ev for tt, ev in mine if tt < t)
-        rng = None
-        if global_clock:
-            rng = tuple(dict.fromkeys(range(cfg.wake_up[agent], t + 1)))
-        return LocalHistory(cfg.initial_state[agent], evs, rng)
+    The state holds the run so far: each agent's canonical timeline of
+    the ticks before the current one, so a tick sorts only its own events
+    and the agents' histories come from ``run_history``.
+    """
+    clk = None
+    if global_clock:
+        clk = tuple(tuple(range(w, horizon + 1)) for w in cfg.wake_up)
 
-    def go(t: int, events: tuple, schedule: tuple, minted: tuple) -> None:
+    def go(t: int, timelines: tuple, schedule: tuple, minted: tuple) -> None:
+        so_far = Run("", cfg.wake_up, cfg.initial_state, timelines, clk)
         if t > horizon:
-            finish(ci, cfg, events, schedule)
+            finish(ci, so_far, schedule)
             return
         stamp = t if global_clock else None
-        new_events = list(events)
-        for entry in schedule:
-            if entry.outcome == t:
-                new_events.append(
-                    (t, entry.recipient,
-                     Event(RECEIVE, entry.sender, entry.message, stamp))
-                )
+        # (agent, event) pairs of tick t
+        now = [
+            (entry.recipient, Event(RECEIVE, entry.sender, entry.message, stamp))
+            for entry in schedule
+            if entry.outcome == t
+        ]
         # sends are a function of history strictly before t, so nothing
         # landing at t itself can influence them
         outgoing: list[tuple[int, int, str]] = []
@@ -277,7 +252,7 @@ def _explore(ci, cfg, n, protocol, delivery, horizon, global_clock, finish) -> N
         for agent in range(n):
             if t < cfg.wake_up[agent]:
                 continue
-            hist = history_at(new_events, agent, t)
+            hist = run_history(so_far, agent, t)
             for recipient, body in protocol.sends(agent, hist):
                 if not 0 <= recipient < n:
                     raise ModelError(
@@ -291,11 +266,10 @@ def _explore(ci, cfg, n, protocol, delivery, horizon, global_clock, finish) -> N
                 token = body if ordinal == 1 else f"{body}#{ordinal}"
                 outgoing.append((agent, recipient, token))
         for sender, recipient, token in outgoing:
-            new_events.append((t, sender, Event(SEND, recipient, token, stamp)))
+            now.append((sender, Event(SEND, recipient, token, stamp)))
         new_minted = tuple(
             (key, tuple(times)) for key, times in sorted(mint_state.items())
         )
-        frozen_events = tuple(new_events)
 
         def options_for(recipient: int) -> tuple:
             # a sleeping recipient observes the message at its wake-up;
@@ -312,14 +286,19 @@ def _explore(ci, cfg, n, protocol, delivery, horizon, global_clock, finish) -> N
         def assign(i: int, sched: tuple) -> None:
             if i == len(outgoing):
                 # same-tick deliveries land after the sends of this tick
-                settled = list(frozen_events)
-                for entry in sched[len(schedule):]:
-                    if entry.outcome == t:
-                        settled.append(
-                            (t, entry.recipient,
-                             Event(RECEIVE, entry.sender, entry.message, stamp))
-                        )
-                go(t + 1, tuple(settled), sched, new_minted)
+                settled = now + [
+                    (entry.recipient, Event(RECEIVE, entry.sender, entry.message, stamp))
+                    for entry in sched[len(schedule):]
+                    if entry.outcome == t
+                ]
+                mine: list[list[tuple[int, Event]]] = [[] for _ in range(n)]
+                for agent, ev in settled:
+                    mine[agent].append((t, ev))
+                grown = tuple(
+                    line + tuple(sorted(m, key=timeline_sort_key)) if m else line
+                    for line, m in zip(timelines, mine)
+                )
+                go(t + 1, grown, sched, new_minted)
                 return
             sender, recipient, token = outgoing[i]
             for outcome in options_for(recipient):
@@ -327,7 +306,7 @@ def _explore(ci, cfg, n, protocol, delivery, horizon, global_clock, finish) -> N
 
         assign(0, schedule)
 
-    go(0, (), (), ())
+    go(0, ((),) * n, (), ())
 
 
 def generate_runs(
@@ -464,51 +443,66 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _receive_times(run: Run, agent: int) -> list[int]:
-    return [t for t, ev in run.timeline[agent] if ev.kind == RECEIVE]
-
-
-def _no_receives_at_or_after(run: Run, t: int) -> bool:
-    return all(
-        all(tt < t for tt in _receive_times(run, a)) for a in range(run.n_agents)
+def _receive_times(run: Run, agents: Iterable[int]) -> tuple[int, ...]:
+    """When any of ``agents`` receives in ``run``, ascending."""
+    return tuple(
+        sorted(t for a in agents for t, ev in run.timeline[a] if ev.kind == RECEIVE)
     )
+
+
+def _silent(times: Sequence[int], lo: int, hi: float) -> bool:
+    """No time in the ascending ``times`` lies in [lo, hi)."""
+    i = bisect_left(times, lo)
+    return i == len(times) or times[i] >= hi
+
+
+def _history_rows(system: System) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """Per run id, each agent's history ids at times 0..horizon."""
+    w = system.horizon + 1
+    return {
+        run.id: tuple(table.ids[r * w : (r + 1) * w] for table in system.history_table)
+        for r, run in enumerate(system.runs_in_point_order)
+    }
+
+
+def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
+    """How many leading entries of ``a`` and ``b`` are equal."""
+    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def _candidates(system: System):
+    """Each run with its candidate extensions: the runs sharing its
+    wake-ups, initial states and clock tables, itself included. Per
+    candidate come the agreement prefixes (for how many ticks from 0 on
+    all agents' histories, and each agent's, equal the run's) and when
+    anyone receives in it."""
+    rows = _history_rows(system)
+    groups: dict[tuple, list[Run]] = {}
+    for run in system.runs:
+        groups.setdefault((run.wake_up, run.initial_state, run.clock), []).append(run)
+    for run in system.runs:
+        cands = []
+        for cand in groups[(run.wake_up, run.initial_state, run.clock)]:
+            agree = [_common_prefix(x, y) for x, y in zip(rows[run.id], rows[cand.id])]
+            rx = _receive_times(cand, system.agents)
+            cands.append((cand, min(agree, default=inf), agree, rx))
+        yield run, cands
 
 
 def check_ng1(system: System) -> CheckReport:
     """For every point, some same-configuration, same-clock extension has
     no receives from that time on."""
-    violations = []
-    for run in system.runs:
-        for t in range(system.horizon + 1):
-            found = False
-            for cand in system.runs:
-                if not same_initial_configuration(run, cand):
-                    continue
-                if not same_clock_readings(run, cand):
-                    continue
-                if not _no_receives_at_or_after(cand, t):
-                    continue
-                if extends_runs(run, cand, t):
-                    found = True
-                    break
-            if not found:
-                violations.append(
-                    f"({run.id}@{t}): no silent extension with the same "
-                    f"configuration and clocks"
-                )
+    violations = [
+        f"({run.id}@{t}): no silent extension with the same configuration and clocks"
+        for run, cands in _candidates(system)
+        for t in range(system.horizon + 1)
+        if not any(t < joint and _silent(rx, t, inf) for _, joint, _, rx in cands)
+    ]
     return CheckReport(
         "ng1",
         tuple(violations),
         ("quantifiers range over times 0..horizon only",),
     )
-
-
-def extends_runs(a: Run, b: Run, t: int) -> bool:
-    for agent in range(a.n_agents):
-        for u in range(t + 1):
-            if run_history(a, agent, u) != run_history(b, agent, u):
-                return False
-    return True
 
 
 def check_ng2(system: System) -> CheckReport:
@@ -517,14 +511,20 @@ def check_ng2(system: System) -> CheckReport:
     if system.n_agents < 2:
         raise ModelError("the condition concerns systems of two or more agents")
     violations = []
-    for run in system.runs:
+    for run, cands in _candidates(system):
         for agent in system.agents:
-            rec = set(_receive_times(run, agent))
+            rec = _receive_times(run, (agent,))
+            others = [a for a in system.agents if a != agent]
+            witnesses = [
+                (joint, agree[agent], _receive_times(cand, others))
+                for cand, joint, agree, _ in cands
+            ]
             for t_lo in range(system.horizon + 1):
+                live = [(own, rx) for joint, own, rx in witnesses if t_lo < joint]
                 for t_hi in range(t_lo + 1, system.horizon + 1):
-                    if any(t_lo < x < t_hi for x in rec):
-                        continue
-                    if not _ng2_witness(system, run, agent, t_lo, t_hi):
+                    if _silent(rec, t_lo + 1, t_hi) and not any(
+                        t_hi < own and _silent(rx, t_lo, t_hi) for own, rx in live
+                    ):
                         violations.append(
                             f"run {run.id!r}, agent {agent}, interval "
                             f"({t_lo},{t_hi}): no witness extension"
@@ -536,54 +536,18 @@ def check_ng2(system: System) -> CheckReport:
     )
 
 
-def _ng2_witness(system: System, run: Run, agent: int, t_lo: int, t_hi: int) -> bool:
-    for cand in system.runs:
-        if not same_initial_configuration(run, cand):
-            continue
-        if not same_clock_readings(run, cand):
-            continue
-        if not extends_runs(run, cand, t_lo):
-            continue
-        if any(
-            run_history(run, agent, u) != run_history(cand, agent, u)
-            for u in range(t_hi + 1)
-        ):
-            continue
-        if any(
-            any(t_lo <= x < t_hi for x in _receive_times(cand, other))
-            for other in system.agents
-            if other != agent
-        ):
-            continue
-        return True
-    return False
-
-
 def check_ng1prime(system: System) -> CheckReport:
     """For every point and later time, some extension is silent on the
     whole closed interval between them."""
     violations = []
-    for run in system.runs:
+    for run, cands in _candidates(system):
         for t in range(system.horizon + 1):
-            for u in range(t, system.horizon + 1):
-                found = False
-                for cand in system.runs:
-                    if not same_initial_configuration(run, cand):
-                        continue
-                    if not same_clock_readings(run, cand):
-                        continue
-                    if any(
-                        any(t <= x <= u for x in _receive_times(cand, a))
-                        for a in system.agents
-                    ):
-                        continue
-                    if extends_runs(run, cand, t):
-                        found = True
-                        break
-                if not found:
-                    violations.append(
-                        f"({run.id}@{t}): no extension silent on [{t},{u}]"
-                    )
+            live = [rx for _, joint, _, rx in cands if t < joint]
+            violations += [
+                f"({run.id}@{t}): no extension silent on [{t},{u}]"
+                for u in range(t, system.horizon + 1)
+                if not any(_silent(rx, t, u + 1) for rx in live)
+            ]
     return CheckReport(
         "ng1prime",
         tuple(violations),
@@ -604,18 +568,28 @@ def check_temporal_imprecision(system: System, delta: int = 1) -> CheckReport:
         raise ModelError("delta must be at least one tick")
     if system.n_agents < 2:
         raise ModelError("the condition concerns systems of two or more agents")
+    rows = _history_rows(system)
+    pairs = [(i, j) for i in system.agents for j in system.agents if i != j]
     violations = []
     for run in system.runs:
+        # reach[(i, j)]: the latest probe time t at which some run shows
+        # agent i's first t histories shifted by delta and agent j's
+        # first t histories unchanged
+        reach = dict.fromkeys(pairs, 0)
+        mine = rows[run.id]
+        for cand in system.runs:
+            theirs = rows[cand.id]
+            shifted = [_common_prefix(x, y[delta:]) for x, y in zip(mine, theirs)]
+            fixed = [_common_prefix(x, y) for x, y in zip(mine, theirs)]
+            for i, j in pairs:
+                reach[(i, j)] = max(reach[(i, j)], min(shifted[i], fixed[j]))
         for t in range(system.horizon - delta + 1):
-            for i in system.agents:
-                for j in system.agents:
-                    if i == j:
-                        continue
-                    if not _timp_witness(system, run, t, i, j, delta):
-                        violations.append(
-                            f"({run.id}@{t}): no run shifts agent {i} by "
-                            f"{delta} while fixing agent {j}"
-                        )
+            for i, j in pairs:
+                if t > reach[(i, j)]:
+                    violations.append(
+                        f"({run.id}@{t}): no run shifts agent {i} by "
+                        f"{delta} while fixing agent {j}"
+                    )
     return CheckReport(
         "temporal_imprecision",
         tuple(violations),
@@ -623,19 +597,6 @@ def check_temporal_imprecision(system: System, delta: int = 1) -> CheckReport:
             f"probes truncated to times 0..horizon-{delta}; delta={delta}",
         ),
     )
-
-
-def _timp_witness(system: System, run: Run, t: int, i: int, j: int, delta: int) -> bool:
-    for cand in system.runs:
-        if all(
-            run_history(run, i, u) == run_history(cand, i, u + delta)
-            for u in range(t)
-            if u + delta <= system.horizon
-        ) and all(
-            run_history(run, j, u) == run_history(cand, j, u) for u in range(t)
-        ):
-            return True
-    return False
 
 
 def shift_run(

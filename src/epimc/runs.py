@@ -12,6 +12,16 @@ local clock reading at which they occurred and the history additionally
 records the range of clock values read so far. Real event times stay out
 of histories on purpose; shifting one agent's timeline must be invisible
 to everyone else.
+
+Points are numbered densely: ``System.runs_in_point_order`` lists the
+runs by id, and point ``r*(horizon+1) + t`` is time ``t`` of the ``r``-th
+of them, which is also its position in ``System.points``. A system
+interns its agents' histories once, on first use, in
+``System.history_table``: per agent, the history id at every dense point
+and the list of distinct histories, so equal histories have equal ids and
+are one object. The index, the structural checks and ``history_cover``
+compare those ids. ``run_history`` is the definition the table is built
+to agree with, and the one used for runs outside any system.
 """
 
 from __future__ import annotations
@@ -108,6 +118,16 @@ class LocalHistory:
 
 
 EMPTY_HISTORY = LocalHistory(None)
+
+
+@dataclass(frozen=True)
+class AgentHistories:
+    """One agent's histories over a system, each distinct one stored once:
+    ``ids[i]`` is the id of its history at dense point i and
+    ``distinct[id]`` that history."""
+
+    ids: tuple[int, ...]
+    distinct: tuple[LocalHistory, ...]
 
 
 @dataclass(frozen=True)
@@ -217,6 +237,64 @@ def run_history(run: Run, agent: int, time: int) -> LocalHistory:
     return LocalHistory(run.initial_state[agent], evs, rng)
 
 
+def _intern_histories(runs: Sequence[Run], horizon: int, agent: int) -> AgentHistories:
+    """Agent's history table over ``runs``, at times 0..horizon of each.
+
+    Each run's timeline is walked once, and histories are hash-consed: an
+    event sequence is keyed on (id of its prefix, last event), a clock
+    range likewise, and a history on (initial state, event-sequence id,
+    clock-range id), so equal histories are found without comparing them
+    element by element. The walk relies on the canonical timeline order
+    that ``Run`` documents.
+    """
+    seq_of: dict[tuple, int] = {}
+    seqs: list[tuple] = [()]
+    hid_of: dict[tuple | None, int] = {}
+    distinct: list[LocalHistory] = []
+    ids: list[int] = []
+
+    def extend(prefix: int, item: Event | int) -> int:
+        key = (prefix, item)
+        sid = seq_of.get(key)
+        if sid is None:
+            sid = seq_of[key] = len(seqs)
+            seqs.append(seqs[prefix] + (item,))
+        return sid
+
+    for run in runs:
+        wake = run.wake_up[agent]
+        timeline = run.timeline[agent]
+        readings = run.clock[agent] if run.clock is not None else None
+        events = 0
+        clock = None
+        k = 0
+        for t in range(horizon + 1):
+            while k < len(timeline) and timeline[k][0] < t:
+                events = extend(events, timeline[k][1])
+                k += 1
+            key = None
+            if t >= wake:
+                if readings is not None:
+                    reading = readings[t - wake]
+                    if t == wake:
+                        clock = extend(0, reading)
+                    elif reading != readings[t - wake - 1]:
+                        clock = extend(clock, reading)
+                key = (run.initial_state[agent], events, clock)
+            hid = hid_of.get(key)
+            if hid is None:
+                hid = hid_of[key] = len(distinct)
+                distinct.append(
+                    EMPTY_HISTORY
+                    if key is None
+                    else LocalHistory(
+                        key[0], seqs[events], None if clock is None else seqs[clock]
+                    )
+                )
+            ids.append(hid)
+    return AgentHistories(tuple(ids), tuple(distinct))
+
+
 @dataclass(frozen=True, eq=False)
 class System:
     """A finite set of runs over shared agents and horizon."""
@@ -241,11 +319,28 @@ class System:
         return {r.id: r for r in self.runs}
 
     @cached_property
+    def runs_in_point_order(self) -> tuple[Run, ...]:
+        """The runs by id: the order of their slices in the dense numbering."""
+        return tuple(self._by_id[rid] for rid in sorted(self._by_id))
+
+    @cached_property
+    def _slot(self) -> dict[str, int]:
+        return {run.id: r for r, run in enumerate(self.runs_in_point_order)}
+
+    @cached_property
     def points(self) -> tuple[Point, ...]:
         return tuple(
-            Point(rid, t)
-            for rid in sorted(self._by_id)
+            Point(run.id, t)
+            for run in self.runs_in_point_order
             for t in range(self.horizon + 1)
+        )
+
+    @cached_property
+    def history_table(self) -> tuple[AgentHistories, ...]:
+        """Every agent's history table, built on first use."""
+        return tuple(
+            _intern_histories(self.runs_in_point_order, self.horizon, agent)
+            for agent in self.agents
         )
 
     @cached_property
@@ -268,18 +363,24 @@ class System:
                 f"agent {agent} out of range for a {self.n_agents}-agent system"
             )
 
+    def point_id(self, point: Point) -> int:
+        """Position of ``point`` in the dense numbering."""
+        slot = self._slot.get(point.run_id)
+        if slot is None:
+            raise UnknownRunError(f"no run named {point.run_id!r}")
+        if not 0 <= point.time <= self.horizon:
+            raise ModelError(f"point {point} is not in the system")
+        return slot * (self.horizon + 1) + point.time
+
     def history(self, agent: int, point: Point) -> LocalHistory:
+        """History of ``agent`` at ``point``; empty before its wake-up."""
         self.check_agent(agent)
-        return run_history(self.run(point.run_id), agent, point.time)
+        table = self.history_table[agent]
+        return table.distinct[table.ids[self.point_id(point)]]
 
 
 def make_system(n_agents: int, horizon: int, runs: Iterable[Run]) -> System:
     return System(n_agents, horizon, tuple(runs))
-
-
-def local_history(system: System, agent: int, point: Point) -> LocalHistory:
-    """History of ``agent`` at ``point``; empty before its wake-up."""
-    return system.history(agent, point)
 
 
 def extends(system: System, candidate: Run, point: Point) -> bool:
@@ -309,30 +410,10 @@ def history_cover(full: System, sub: System) -> bool:
         raise AgentSetMismatchError(
             f"systems have {full.n_agents} and {sub.n_agents} agents"
         )
-    for agent in range(full.n_agents):
-        available = {
-            run_history(r, agent, t)
-            for r in sub.runs
-            for t in range(sub.horizon + 1)
-        }
-        for r in full.runs:
-            for t in range(full.horizon + 1):
-                if run_history(r, agent, t) not in available:
-                    return False
-    return True
-
-
-def same_initial_configuration(a: Run, b: Run) -> bool:
-    return a.wake_up == b.wake_up and a.initial_state == b.initial_state
-
-
-def same_clock_readings(a: Run, b: Run) -> bool:
-    """Clock tables agree; two clockless runs count as agreeing."""
-    if a.clock is None and b.clock is None:
-        return True
-    if (a.clock is None) != (b.clock is None):
-        return False
-    return a.wake_up == b.wake_up and a.clock == b.clock
+    return all(
+        set(mine.distinct) <= set(theirs.distinct)
+        for mine, theirs in zip(full.history_table, sub.history_table)
+    )
 
 
 def validate_system(system: System) -> list[str]:

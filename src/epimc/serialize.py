@@ -236,7 +236,11 @@ def manifest_from_dict(obj: dict) -> ScenarioManifest:
         _expect(e, dict, path)
         point = None
         if e.get("point") is not None:
-            point = parse_point(_need(e, "point", path, str))
+            text = _need(e, "point", path, str)
+            try:
+                point = parse_point(text)
+            except SchemaError as exc:
+                raise SchemaError(f"{path}.point: {exc}") from None
             if point not in model.all_points:
                 raise SchemaError(f"{path}.point: {point} is not in the system")
         expectations.append(

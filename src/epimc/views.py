@@ -4,11 +4,11 @@ A view policy maps local histories to views; two points are
 indistinguishable to an agent when its views there are equal. The index
 partitions the point set per agent by view and is the edge structure all
 knowledge operators are evaluated against: group-labelled reachability in
-this graph is what common knowledge quantifies over.
+this graph is what common knowledge quantifies over. Histories come from
+the system's history table, ``System.history_table``.
 
-Points are numbered densely in ``System.points`` order: point ``i`` is bit
-``i`` of a Python ``int``, and run ``r`` (in run-id order) owns the
-contiguous slice of bits ``r*(horizon+1) .. r*(horizon+1)+horizon``. Inside
+Point ``i`` of the system's dense numbering (see ``runs``) is bit ``i`` of
+a Python ``int``, so each run owns a contiguous slice of bits. Inside
 this module and the evaluator every point set is such a bitmask;
 ``frozenset[Point]`` appears only at the public functions. Each view class
 is one mask. The components for a group come from one union-find pass over
@@ -23,7 +23,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable
 
-from .runs import EMPTY_HISTORY, Event, LocalHistory, ModelError, Point, Run, System
+from .runs import LocalHistory, ModelError, Point, System
 
 AgentSet = tuple[int, ...]
 
@@ -50,11 +50,6 @@ def mask_from_ids(ids: Iterable[int], n: int) -> int:
 def ids_of(mask: int) -> list[int]:
     """The set bits of a nonnegative mask, ascending."""
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-
-
-def runs_in_point_order(system: System) -> list[Run]:
-    """The runs in the order their slices appear in the dense numbering."""
-    return [system.run(pt.run_id) for pt in system.points[:: system.horizon + 1]]
 
 
 @dataclass(frozen=True)
@@ -253,85 +248,39 @@ class IndistIndex:
 def build_index(system: System, policy: ViewPolicy) -> IndistIndex:
     """Group every point by view, per agent.
 
-    Each run's timeline is walked once per agent, and histories are
-    hash-consed: an event sequence is keyed on (id of its prefix, last
-    event), a clock range likewise, and a history on (initial state,
-    event-sequence id, clock-range id). Equal histories are thus one
-    object, found without comparing histories element by element. The
-    walk relies on the canonical timeline order that ``Run`` documents.
-
-    ``policy.view_of`` is still called at every point. Raises
-    ViewPolicyError, naming two witnessing points, if the policy maps
-    equal histories to different views; that can only happen for a
-    misbehaving custom projection.
+    Histories come from the system's history table. ``policy.view_of``
+    is still called at every point. Raises ViewPolicyError, naming two
+    witnessing points, if the policy maps equal histories to different
+    views; that can only happen for a misbehaving custom projection.
     """
     pts = system.points
-    runs = runs_in_point_order(system)
-    horizon = system.horizon
     class_masks = []
     class_ids = []
-    for agent in system.agents:
-        seq_ids: dict[tuple, int] = {}
-        seqs: list[tuple] = [()]
-        interned: dict[tuple | None, tuple[LocalHistory, Hashable, int, int]] = {}
+    for agent, table in enumerate(system.history_table):
+        # per history id: (its first view, the point it was first seen at, class)
+        seen: list[tuple[Hashable, int, int] | None] = [None] * len(table.distinct)
         class_of_view: dict[Hashable, int] = {}
         members: list[list[int]] = []
         ids: list[int] = []
-
-        def extend(prefix: int, item: Event | int) -> int:
-            key = (prefix, item)
-            sid = seq_ids.get(key)
-            if sid is None:
-                sid = seq_ids[key] = len(seqs)
-                seqs.append(seqs[prefix] + (item,))
-            return sid
-
-        for run in runs:
-            wake = run.wake_up[agent]
-            timeline = run.timeline[agent]
-            readings = run.clock[agent] if run.clock is not None else None
-            events = 0
-            clock = None
-            k = 0
-            for t in range(horizon + 1):
-                while k < len(timeline) and timeline[k][0] < t:
-                    events = extend(events, timeline[k][1])
-                    k += 1
-                key = None
-                if t >= wake:
-                    if readings is not None:
-                        reading = readings[t - wake]
-                        if t == wake:
-                            clock = extend(0, reading)
-                        elif reading != readings[t - wake - 1]:
-                            clock = extend(clock, reading)
-                    key = (run.initial_state[agent], events, clock)
-                i = len(ids)
-                entry = interned.get(key)
-                if entry is None:
-                    if key is None:
-                        history = EMPTY_HISTORY
-                    else:
-                        history = LocalHistory(
-                            key[0], seqs[events], None if clock is None else seqs[clock]
-                        )
-                    view = policy.view_of(history)
-                    cls = class_of_view.get(view)
-                    if cls is None:
-                        cls = class_of_view[view] = len(members)
-                        members.append([])
-                    interned[key] = (history, view, i, cls)
-                else:
-                    history, first_view, first, cls = entry
-                    view = policy.view_of(history)
-                    if view is not first_view and view != first_view:
-                        raise ViewPolicyError(
-                            f"policy {policy.name!r} gives different views to agent "
-                            f"{agent} at {pts[first]} and {pts[i]}, whose histories "
-                            f"are equal"
-                        )
-                members[cls].append(i)
-                ids.append(cls)
+        for i, hid in enumerate(table.ids):
+            view = policy.view_of(table.distinct[hid])
+            entry = seen[hid]
+            if entry is None:
+                cls = class_of_view.get(view)
+                if cls is None:
+                    cls = class_of_view[view] = len(members)
+                    members.append([])
+                seen[hid] = (view, i, cls)
+            else:
+                first_view, first, cls = entry
+                if view is not first_view and view != first_view:
+                    raise ViewPolicyError(
+                        f"policy {policy.name!r} gives different views to agent "
+                        f"{agent} at {pts[first]} and {pts[i]}, whose histories "
+                        f"are equal"
+                    )
+            members[cls].append(i)
+            ids.append(cls)
         class_masks.append(tuple(mask_from_ids(m, len(pts)) for m in members))
         class_ids.append(tuple(ids))
     return IndistIndex(pts, tuple(class_masks), tuple(class_ids))
@@ -382,9 +331,15 @@ def export_graph(index: IndistIndex, group: Iterable[int]) -> str:
 
     Nodes are all points ordered by (run id, time); one undirected edge
     per indistinguishable pair per agent of ``group``, labelled p<i>.
-    An empty group yields nodes only.
+    An empty group yields nodes only; an agent outside the index is a
+    ModelError.
     """
     members = tuple(sorted(set(int(a) for a in group)))
+    for agent in members:
+        if not 0 <= agent < index.n_agents:
+            raise ModelError(
+                f"agent {agent} out of range for a {index.n_agents}-agent system"
+            )
     lines = ["graph indistinguishability {"]
     for pt in index.points:
         lines.append(f'  "{pt}";')

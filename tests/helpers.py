@@ -1,9 +1,10 @@
 """Shared test fixtures: small random systems and independent oracles.
 
 The oracles here deliberately avoid the library's own fast paths: the
-fixed-point oracle enumerates every candidate subset, and the
-reachability oracle is a plain breadth-first search over freshly compared
-histories.
+fixed-point oracle enumerates every candidate subset, the reachability
+oracle is a plain breadth-first search over freshly compared histories,
+and the structural-check oracles transcribe the checks' docstrings with
+one ``run_history`` call per comparison.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations
 
 from epimc.evaluate import Model, PointSet, evaluate, make_valuation
 from epimc.formulas import Formula
-from epimc.runs import Point, System, make_run, make_system
+from epimc.runs import Point, Run, System, make_run, make_system, run_history
 from epimc.views import VIEW_PROJECTIONS, ViewPolicy
 
 
@@ -50,6 +51,25 @@ def random_system(rng: random.Random, max_runs: int = 4, max_horizon: int = 4,
             )
         )
     return make_system(n, horizon, runs)
+
+
+def clock_variants(system: System) -> System:
+    """``system`` plus, per run, a copy with a stuttering clock (readings
+    t // 2) and a clockless copy: runs that differ from their originals
+    only in their clocks."""
+    runs = list(system.runs)
+    for run in system.runs:
+        events = [
+            (t, agent, ev.kind, ev.peer, ev.message)
+            for agent in system.agents
+            for t, ev in run.timeline[agent]
+        ]
+        for suffix, clock in (("/slow", lambda a, t: t // 2), ("/none", None)):
+            runs.append(
+                make_run(run.id + suffix, horizon=system.horizon, wake_up=run.wake_up,
+                         initial_state=run.initial_state, events=events, clock=clock)
+            )
+    return make_system(system.n_agents, system.horizon, runs)
 
 
 def random_valuation(rng: random.Random, system: System, n_props: int = 2):
@@ -126,3 +146,106 @@ def singleton_class_pairs(model: Model, agent: int):
         for a, b in combinations(pts, 2)
         if model.system.history(agent, a) == model.system.history(agent, b)
     }
+
+
+def _same_start(a: Run, b: Run) -> bool:
+    """Same wake-ups, initial states and clock readings."""
+    return (a.wake_up, a.initial_state, a.clock) == (b.wake_up, b.initial_state, b.clock)
+
+
+def _agree(a: Run, b: Run, agents, upto: int) -> bool:
+    """``agents``' histories are equal in the two runs at every time 0..upto."""
+    return all(
+        run_history(a, agent, u) == run_history(b, agent, u)
+        for agent in agents
+        for u in range(upto + 1)
+    )
+
+
+def _receives(run: Run, agents) -> list[int]:
+    return [t for a in agents for t, ev in run.timeline[a] if ev.kind == "receive"]
+
+
+def oracle_ng1(system: System) -> tuple[str, ...]:
+    """Points with no same-configuration, same-clock extension that has
+    no receives from that time on."""
+    agents = system.agents
+    return tuple(
+        f"({run.id}@{t}): no silent extension with the same configuration and clocks"
+        for run in system.runs
+        for t in range(system.horizon + 1)
+        if not any(
+            _same_start(run, cand)
+            and all(x < t for x in _receives(cand, agents))
+            and _agree(run, cand, agents, t)
+            for cand in system.runs
+        )
+    )
+
+
+def oracle_ng2(system: System) -> tuple[str, ...]:
+    """Silent intervals (t_lo, t_hi) of one agent with no extension that
+    agrees with the run through t_lo, keeps that agent's history through
+    t_hi, and has no other agent receive in [t_lo, t_hi)."""
+    out = []
+    for run in system.runs:
+        for agent in system.agents:
+            others = [a for a in system.agents if a != agent]
+            for t_lo in range(system.horizon + 1):
+                for t_hi in range(t_lo + 1, system.horizon + 1):
+                    if any(t_lo < x < t_hi for x in _receives(run, [agent])):
+                        continue
+                    if not any(
+                        _same_start(run, cand)
+                        and _agree(run, cand, system.agents, t_lo)
+                        and _agree(run, cand, [agent], t_hi)
+                        and not any(t_lo <= x < t_hi for x in _receives(cand, others))
+                        for cand in system.runs
+                    ):
+                        out.append(
+                            f"run {run.id!r}, agent {agent}, interval "
+                            f"({t_lo},{t_hi}): no witness extension"
+                        )
+    return tuple(out)
+
+
+def oracle_ng1prime(system: System) -> tuple[str, ...]:
+    """(point, later time u) pairs with no same-configuration, same-clock
+    extension that is silent on [t, u]."""
+    agents = system.agents
+    return tuple(
+        f"({run.id}@{t}): no extension silent on [{t},{u}]"
+        for run in system.runs
+        for t in range(system.horizon + 1)
+        for u in range(t, system.horizon + 1)
+        if not any(
+            _same_start(run, cand)
+            and not any(t <= x <= u for x in _receives(cand, agents))
+            and _agree(run, cand, agents, t)
+            for cand in system.runs
+        )
+    )
+
+
+def oracle_timp(system: System, delta: int = 1) -> tuple[str, ...]:
+    """Probed points (times 0..horizon-delta) and ordered agent pairs
+    (i, j) with no run showing i's histories before the probe shifted by
+    delta and j's unchanged."""
+    h = system.horizon
+    return tuple(
+        f"({run.id}@{t}): no run shifts agent {i} by {delta} while fixing agent {j}"
+        for run in system.runs
+        for t in range(h - delta + 1)
+        for i in system.agents
+        for j in system.agents
+        if i != j
+        and not any(
+            all(
+                run_history(run, i, u) == run_history(cand, i, u + delta)
+                for u in range(t)
+                if u + delta <= h
+            )
+            and all(run_history(run, j, u) == run_history(cand, j, u) for u in range(t))
+            for cand in system.runs
+        )
+    )

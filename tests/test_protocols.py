@@ -1,9 +1,13 @@
+import random
+from functools import lru_cache
+
 import pytest
 
 from epimc.protocols import (
     PENDING,
     DeliveryModel,
     InitialConfiguration,
+    JointProtocol,
     ScheduleExplosionError,
     check_ng1,
     check_ng1prime,
@@ -19,6 +23,14 @@ from epimc.protocols import (
     silent_protocol,
 )
 from epimc.runs import ModelError, make_run, make_system, validate_system
+from tests.helpers import (
+    clock_variants,
+    oracle_ng1,
+    oracle_ng1prime,
+    oracle_ng2,
+    oracle_timp,
+    random_system,
+)
 
 CFG = InitialConfiguration((0, 0), ("favor", "await"))
 
@@ -63,6 +75,18 @@ def test_generated_runs_validate():
     ):
         system = generate_runs(ping_once(), delivery, [CFG], 4)
         assert validate_system(system) == [], delivery.kind
+
+
+def test_generated_timelines_are_canonical_when_a_tick_mixes_sends_and_receives():
+    # both agents message each other at every tick, so from tick 1 on each
+    # receives the other's last message in the tick it sends its next one
+    chatty = JointProtocol("chatty", lambda agent, hist: ((1 - agent, "m"),))
+    system = generate_runs(chatty, DeliveryModel.not_guaranteed((1,)), [CFG], 2)
+    assert any(
+        {ev.kind for t, ev in run.timeline[0] if t == 1} == {"send", "receive"}
+        for run in system.runs
+    )
+    assert validate_system(system) == []
 
 
 def test_explosion_guard_reports_the_cap():
@@ -206,3 +230,38 @@ def test_ok_protocol_requires_clock_histories():
     # without a clock the rule stays silent, so generation yields one run
     system = generate_runs(ok_protocol(2), DeliveryModel.not_guaranteed((0,)), [CFG], 3)
     assert len(system.runs) == 1
+
+
+@lru_cache(maxsize=None)
+def differential_systems():
+    """Random systems, clocked ones included, some with runs that differ
+    only in their clocks, plus a shift-closed image and drop-generated,
+    clocked and delivered-only handshakes."""
+    rng = random.Random(404)
+    systems = [random_system(rng) for _ in range(200)]
+    assert sum(s.has_clocks for s in systems) >= 40
+    systems += [clock_variants(random_system(rng, max_runs=2)) for _ in range(20)]
+    bounded, delivery = slack_safe_bounded_system()
+    closed = close_under_shifts(bounded, 1, delivery=delivery)
+    cfgs = [CFG, InitialConfiguration((0, 0), ("oppose", "await"))]
+    dropping = generate_runs(handshake(3), DeliveryModel.not_guaranteed((0, 1)), cfgs, 4)
+    clocked = generate_runs(
+        handshake(2), DeliveryModel.not_guaranteed((0, 1)), cfgs, 3, global_clock=True
+    )
+    delivered = make_system(2, 4, [r for r in dropping.runs if "!" not in r.id])
+    return systems + [closed, dropping, clocked, delivered]
+
+
+@pytest.mark.parametrize(
+    "check, oracle",
+    [
+        (check_ng1, oracle_ng1),
+        (check_ng2, oracle_ng2),
+        (check_ng1prime, oracle_ng1prime),
+        (check_temporal_imprecision, oracle_timp),
+    ],
+    ids=["ng1", "ng2", "ng1prime", "timp"],
+)
+def test_checks_match_their_transcriptions(check, oracle):
+    for system in differential_systems():
+        assert check(system).violations == oracle(system)

@@ -1,19 +1,22 @@
+import random
+
 import pytest
 
 from epimc.runs import (
     EMPTY_HISTORY,
     AgentSetMismatchError,
+    ModelError,
     Point,
     UnknownAgentError,
     UnknownRunError,
     extends,
     history_cover,
-    local_history,
     make_run,
     make_system,
     run_history,
     validate_system,
 )
+from tests.helpers import clock_variants, random_system
 
 
 def two_run_pair(horizon=3, clocked=False):
@@ -32,7 +35,7 @@ def two_run_pair(horizon=3, clocked=False):
 def test_history_of_eventless_run_is_initial_state_only():
     run = make_run("r", horizon=2, wake_up=[0], initial_state=["s"])
     system = make_system(1, 2, [run])
-    h = local_history(system, 0, Point("r", 0))
+    h = system.history(0, Point("r", 0))
     assert h.initial_state == "s"
     assert h.events == ()
 
@@ -43,16 +46,16 @@ def test_history_excludes_events_at_the_query_time():
         events=[(3, 1, "receive", 0, "m"), (3, 0, "send", 1, "m")],
     )
     system = make_system(2, 5, [run])
-    assert local_history(system, 1, Point("r", 3)).events == ()
-    got = local_history(system, 1, Point("r", 4)).events
+    assert system.history(1, Point("r", 3)).events == ()
+    got = system.history(1, Point("r", 4)).events
     assert len(got) == 1 and got[0].kind == "receive"
 
 
 def test_history_empty_before_wake_up():
     run = make_run("r", horizon=3, wake_up=[2], initial_state=["s"])
     system = make_system(1, 3, [run])
-    assert local_history(system, 0, Point("r", 1)) is EMPTY_HISTORY
-    assert local_history(system, 0, Point("r", 2)).awake
+    assert system.history(0, Point("r", 1)) is EMPTY_HISTORY
+    assert system.history(0, Point("r", 2)).awake
 
 
 def test_history_prefix_property():
@@ -127,10 +130,6 @@ def test_history_cover_fails_when_a_history_is_unique_to_a_dropped_run():
 
 
 def test_history_cover_is_transitive():
-    import random
-
-    from tests.helpers import random_system
-
     rng = random.Random(101)
     triples = 0
     while triples < 30:
@@ -182,6 +181,37 @@ def test_validate_flags_receive_before_send():
 def test_lookup_errors():
     system = two_run_pair()
     with pytest.raises(UnknownRunError):
-        local_history(system, 0, Point("nope", 0))
+        system.history(0, Point("nope", 0))
     with pytest.raises(UnknownAgentError):
-        local_history(system, 7, Point("del", 0))
+        system.history(7, Point("del", 0))
+    with pytest.raises(ModelError):
+        system.history(0, Point("del", system.horizon + 1))
+
+
+def test_system_history_matches_run_history():
+    rng = random.Random(202)
+    for k in range(150):
+        system = random_system(rng)
+        if k % 5 == 0:
+            system = clock_variants(system)
+        for run in system.runs:
+            for t in range(system.horizon + 1):
+                for agent in system.agents:
+                    got = system.history(agent, Point(run.id, t))
+                    assert got == run_history(run, agent, t)
+
+
+def test_history_table_interns_equal_histories_to_equal_ids():
+    rng = random.Random(203)
+    for k in range(150):
+        system = random_system(rng)
+        if k % 5 == 0:
+            system = clock_variants(system)
+        for agent, table in zip(system.agents, system.history_table):
+            # no history is listed twice, so equal histories share one id
+            assert len(set(table.distinct)) == len(table.distinct)
+            assert len(table.ids) == len(system.points)
+            for i, pt in enumerate(system.points):
+                assert system.point_id(pt) == i
+                history = run_history(system.run(pt.run_id), agent, pt.time)
+                assert table.distinct[table.ids[i]] == history

@@ -136,6 +136,7 @@ def test_bad_numbers_and_foreign_points_are_schema_errors(changes, field):
         ({"point": "zz@9", "expected": False}, "manifest.expectations[0].point"),
         ({"point": "c1@99"}, "manifest.expectations[0].point"),
         ({"point": 3}, "manifest.expectations[0].point"),
+        ({"point": "bogus"}, "manifest.expectations[0].point"),
         ({"expected": "false"}, "manifest.expectations[0].expected"),
     ],
 )

@@ -5,7 +5,7 @@ import pytest
 
 from epimc import formulas as fm
 from epimc.evaluate import evaluate
-from epimc.runs import Point, make_run, make_system
+from epimc.runs import ModelError, Point, make_run, make_system
 from epimc.views import (
     ViewPolicy,
     ViewPolicyError,
@@ -175,3 +175,10 @@ def test_export_graph_deterministic_and_labelled():
     assert 'label="p0"' in text1 and 'label="p1"' in text1
     empty = export_graph(index, ())
     assert "--" not in empty and '"g@0";' in empty
+
+
+@pytest.mark.parametrize("group, bad", [([-1], -1), ([9], 9), ([0, 2], 2)])
+def test_export_graph_rejects_agents_outside_the_index(group, bad):
+    index = build_index(small_system(), ViewPolicy.trivial())
+    with pytest.raises(ModelError, match=f"agent {bad} out of range"):
+        export_graph(index, group)
