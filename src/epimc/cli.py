@@ -3,7 +3,8 @@
 Subcommands: eval, scenario, axioms, check, graph, verify. Exit codes:
 0 on success, 1 when an evaluation-level expectation or check fails (bad
 formula, failed manifest expectation, failed structural check), 2 on I/O
-or schema problems and on a malformed --point or --group. Reports are
+or schema problems and on a malformed --point or --group, and 141 when
+standard output is closed before the report is written. Reports are
 deterministic; the trailing timing line is suppressed by --no-timing.
 """
 
@@ -11,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .evaluate import EvalError, axiom_suite, evaluate
+from .evaluate import EvalError, axiom_suite, truth_mask
 from .formulas import FormulaError, parse
 from .protocols import (
     check_ng1,
@@ -37,6 +39,11 @@ from .serialize import (
 )
 from .views import export_graph
 
+
+#: Exit status when the reader of standard output goes away before the
+#: report is written (``epimc eval ... | head -1``); it is the status a
+#: shell shows for a process ended by SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 #: Reported instead of a traceback when parsing or evaluating a formula
 #: recurses past the interpreter's limit.
@@ -88,21 +95,25 @@ def _cmd_eval(args) -> int:
     model = _read_model(args.system)
     formula = _parse_formula(args.formula)
     try:
-        points = model.point_order if args.all else (parse_point(args.point),)
+        point = None if args.all else parse_point(args.point)
     except SchemaError as exc:
         raise CliError(f"--point: {exc}", 2) from None
     started = time.monotonic()
     try:
-        sat = evaluate(model, formula)
+        sat = truth_mask(model, formula)
     except (EvalError, ModelError) as exc:
         raise CliError(str(exc), 1) from None
     except RecursionError:
         raise CliError(TOO_DEEP, 1) from None
-    rows = []
-    for pt in points:
-        if pt not in model.all_points:
-            raise CliError(f"point {pt} is not in the system", 1)
-        rows.append((str(pt), pt in sat))
+    if point is None:
+        points = model.point_order
+        bits = bin(sat)[:1:-1].ljust(len(points), "0")
+        rows = [(str(pt), bit == "1") for pt, bit in zip(points, bits)]
+    else:
+        try:
+            rows = [(str(point), bool(sat >> model.system.point_id(point) & 1))]
+        except ModelError as exc:
+            raise CliError(str(exc), 1) from None
     report = {
         "formula": args.formula,
         "results": [{"point": p, "holds": h} for p, h in rows],
@@ -338,10 +349,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The recipe in the Python docs ("Note on SIGPIPE"): point stdout
+        # at devnull, so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Set-based formula evaluation over a system, valuation, and view policy.
 
 Every formula denotes a set of points. Inside this module a point set is
-an ``int`` bitmask over the index's dense point numbering (bit i is
+an ``int`` bitmask over the system's dense point numbering (bit i is
 ``System.points[i]``, and each run is a contiguous slice of horizon + 1
-bits); the public functions take and return ``frozenset[Point]``.
+bits); the public functions take and return ``frozenset[Point]``, except
+``truth_mask``, which hands the mask itself to callers that test many
+points against one formula.
 Knowledge of an agent is the union of its view-class masks contained in
 the argument; distributed knowledge does the same with the group's joint
 classes, and common knowledge via reachability with the group's
@@ -300,7 +302,11 @@ def _env_masks(model: Model, env: Mapping[str, Iterable[Point]] | None) -> dict[
     return {k: model.index.mask_of(v) for k, v in (env or {}).items()}
 
 
-def _evaluate(model: Model, f: Formula, env: Mapping[str, Iterable[Point]] | None = None) -> int:
+def truth_mask(
+    model: Model, f: Formula, env: Mapping[str, Iterable[Point]] | None = None
+) -> int:
+    """``evaluate`` as a bitmask: bit i is set iff ``f`` holds at
+    ``model.system.points[i]``."""
     fm.check_positivity(f)
     _validate_formula(model, f)
     return _eval(model, f, _env_masks(model, env))
@@ -317,7 +323,7 @@ def evaluate(
     the system are dropped from them. The formula must satisfy the
     positivity restriction and mention only agents of the system.
     """
-    return model.index.points_of(_evaluate(model, f, env))
+    return model.index.points_of(truth_mask(model, f, env))
 
 
 def _eval(model: Model, f: Formula, env: dict[str, int]) -> int:
@@ -387,22 +393,21 @@ def eval_C_reach(
     return model.index.points_of(_common(model, members, arg))
 
 
-def _least(model: Model, mask: int) -> Point:
+def least_point(model: Model, mask: int) -> Point:
     """The least point of a nonempty mask."""
-    return model.index.points[(mask & -mask).bit_length() - 1]
+    return model.system.points[(mask & -mask).bit_length() - 1]
 
 
 def holds(model: Model, f: Formula, point: Point) -> bool:
-    if point not in model.all_points:
-        raise ModelError(f"point {point} is not in the system")
-    return bool(_evaluate(model, f) >> model.index.point_id(point) & 1)
+    bit = model.system.point_id(point)
+    return bool(truth_mask(model, f) >> bit & 1)
 
 
 def check_validity(model: Model, f: Formula) -> tuple[bool, Point | None]:
     """Valid iff true at every point; otherwise the least failing point."""
-    missing = model.index.full & ~_evaluate(model, f)
+    missing = model.index.full & ~truth_mask(model, f)
     if missing:
-        return False, _least(model, missing)
+        return False, least_point(model, missing)
     return True, None
 
 
@@ -587,7 +592,7 @@ def axiom_suite(
             chain = [c, *(fm.EPow(grp, k, p) for k in range(max_k, 0, -1))]
             chain += [fm.S(grp, p), fm.D(grp, p)]
             labels = [fm.modal_head(f) for f in chain] + [name]
-            sets = [_evaluate(model, f) for f in chain + [p]]
+            sets = [truth_mask(model, f) for f in chain + [p]]
             for (hi_set, hi_label), (lo_set, lo_label) in zip(
                 zip(sets, labels), zip(sets[1:], labels[1:])
             ):
@@ -597,7 +602,7 @@ def axiom_suite(
                         f"hierarchy[{hi_label} => {lo_label}]",
                         f"{hi_label} {name} implies {lo_label} {name}",
                         "fail" if extra else "pass",
-                        counterexample=_least(model, extra) if extra else None,
+                        counterexample=least_point(model, extra) if extra else None,
                     )
                 )
 

@@ -22,6 +22,11 @@ and the list of distinct histories, so equal histories have equal ids and
 are one object. The index, the structural checks and ``history_cover``
 compare those ids. ``run_history`` is the definition the table is built
 to agree with, and the one used for runs outside any system.
+
+``Point`` and ``Event`` are named tuples, so hashing, equality and
+ordering run in C. A consequence: a ``Point`` compares equal to the plain
+tuple ``(run_id, time)``, and an ``Event`` to ``(kind, peer, message,
+clock_stamp)``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 SEND = "send"
 RECEIVE = "receive"
@@ -53,8 +59,7 @@ class AgentSetMismatchError(ModelError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(NamedTuple):
     """A (run, time) pair; the possible worlds of the semantics."""
 
     run_id: str
@@ -64,8 +69,7 @@ class Point:
         return f"{self.run_id}@{self.time}"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One observed message transfer from an agent's standpoint.
 
     ``peer`` is the other endpoint: the recipient for a send, the sender
@@ -83,6 +87,17 @@ def timeline_sort_key(entry: tuple[int, Event]) -> tuple:
     """Canonical event order: by tick, sends before receives, then endpoint."""
     t, ev = entry
     return (t, 0 if ev.kind == SEND else 1, ev.peer, ev.message)
+
+
+_TICK_AND_EVENT = itemgetter(0, 4)
+
+
+def canonical_timeline(entries: list[tuple]) -> tuple[tuple[int, Event], ...]:
+    """A timeline from ``(tick, kind != SEND, peer, message, event)``
+    entries: sorting them as plain tuples gives ``timeline_sort_key``'s
+    order without calling Python code per comparison."""
+    entries.sort()
+    return tuple(map(_TICK_AND_EVENT, entries))
 
 
 @dataclass(frozen=True)
@@ -179,11 +194,13 @@ def make_run(
     ``events`` holds (time, agent, kind, peer, message) tuples in any
     order. Clock stamps are applied from ``clock``, which is either a
     per-agent sequence of readings covering wake-up..horizon or a
-    function (agent, time) -> reading.
+    function (agent, time) -> reading. Values are used as given: wake-up
+    times, ticks, agents, peers and readings are ints, initial states
+    and messages strings.
     """
     n = len(wake_up)
-    wake = tuple(int(w) for w in wake_up)
-    init = tuple(str(s) for s in initial_state)
+    wake = tuple(wake_up)
+    init = tuple(initial_state)
     if len(init) != n:
         raise ModelError(f"run {run_id!r}: wake_up and initial_state lengths differ")
 
@@ -192,11 +209,10 @@ def make_run(
         clk = None
     elif callable(clock):
         clk = tuple(
-            tuple(int(clock(a, t)) for t in range(wake[a], horizon + 1))
-            for a in range(n)
+            tuple(clock(a, t) for t in range(wake[a], horizon + 1)) for a in range(n)
         )
     else:
-        clk = tuple(tuple(int(v) for v in readings) for readings in clock)
+        clk = tuple(map(tuple, clock))
         for a in range(n):
             expected = horizon - wake[a] + 1
             if len(clk[a]) != expected:
@@ -205,19 +221,17 @@ def make_run(
                     f"entries, expected {expected}"
                 )
 
-    per_agent: list[list[tuple[int, Event]]] = [[] for _ in range(n)]
+    per_agent: list[list[tuple]] = [[] for _ in range(n)]
     for time, agent, kind, peer, message in events:
         if not 0 <= agent < n:
             raise UnknownAgentError(f"run {run_id!r}: event names agent {agent}")
         stamp = None
         if clk is not None and time >= wake[agent]:
             stamp = clk[agent][time - wake[agent]]
-        per_agent[agent].append((int(time), Event(kind, int(peer), str(message), stamp)))
-
-    timeline = tuple(
-        tuple(sorted(per_agent[a], key=timeline_sort_key)) for a in range(n)
-    )
-    return Run(run_id, wake, init, timeline, clk)
+        per_agent[agent].append(
+            (time, kind != SEND, peer, message, Event(kind, peer, message, stamp))
+        )
+    return Run(run_id, wake, init, tuple(map(canonical_timeline, per_agent)), clk)
 
 
 def run_history(run: Run, agent: int, time: int) -> LocalHistory:
@@ -244,13 +258,16 @@ def _intern_histories(runs: Sequence[Run], horizon: int, agent: int) -> AgentHis
     event sequence is keyed on (id of its prefix, last event), a clock
     range likewise, and a history on (initial state, event-sequence id,
     clock-range id), so equal histories are found without comparing them
-    element by element. The walk relies on the canonical timeline order
-    that ``Run`` documents.
+    element by element. A run whose (wake-up, initial state, timeline,
+    clock) for the agent matches one already walked reuses that run's row
+    of ids. The walk relies on the canonical timeline order that ``Run``
+    documents.
     """
     seq_of: dict[tuple, int] = {}
     seqs: list[tuple] = [()]
     hid_of: dict[tuple | None, int] = {}
     distinct: list[LocalHistory] = []
+    row_of: dict[tuple, list[int]] = {}
     ids: list[int] = []
 
     def extend(prefix: int, item: Event | int) -> int:
@@ -265,6 +282,12 @@ def _intern_histories(runs: Sequence[Run], horizon: int, agent: int) -> AgentHis
         wake = run.wake_up[agent]
         timeline = run.timeline[agent]
         readings = run.clock[agent] if run.clock is not None else None
+        signature = (wake, run.initial_state[agent], timeline, readings)
+        row = row_of.get(signature)
+        if row is not None:
+            ids += row
+            continue
+        row = row_of[signature] = []
         events = 0
         clock = None
         k = 0
@@ -291,7 +314,8 @@ def _intern_histories(runs: Sequence[Run], horizon: int, agent: int) -> AgentHis
                         key[0], seqs[events], None if clock is None else seqs[clock]
                     )
                 )
-            ids.append(hid)
+            row.append(hid)
+        ids += row
     return AgentHistories(tuple(ids), tuple(distinct))
 
 
@@ -364,10 +388,11 @@ class System:
             )
 
     def point_id(self, point: Point) -> int:
-        """Position of ``point`` in the dense numbering."""
+        """Position of ``point`` in the dense numbering; a ModelError (an
+        UnknownRunError when its run is unknown) if it is not in the system."""
         slot = self._slot.get(point.run_id)
         if slot is None:
-            raise UnknownRunError(f"no run named {point.run_id!r}")
+            raise UnknownRunError(f"point {point} is not in the system")
         if not 0 <= point.time <= self.horizon:
             raise ModelError(f"point {point} is not in the system")
         return slot * (self.horizon + 1) + point.time

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .evaluate import Model, check_validity, holds, make_valuation
-from .formulas import Not, parse
+from .evaluate import Model, least_point, make_valuation, truth_mask
+from .formulas import parse
 from .protocols import (
     DROPPED,
     DeliveryModel,
@@ -67,22 +67,30 @@ class ExpectationFailure:
 
 
 def verify_manifest(manifest: ScenarioManifest) -> tuple[ExpectationFailure, ...]:
-    """Replay every expectation; an empty result means the manifest holds."""
-    failures = []
+    """Replay every expectation; an empty result means the manifest holds.
+
+    Each distinct formula text is parsed and evaluated once, when the
+    first expectation naming it is replayed; every expectation is then
+    answered from that truth mask. A claim about all points reports the
+    least point that refutes it.
+    """
     model = manifest.model
+    truth: dict[str, int] = {}
+    failures = []
     for exp in manifest.expectations:
-        formula = parse(exp.formula)
-        if exp.point is None:
-            if exp.expected:
-                ok, cx = check_validity(model, formula)
-                detail = "" if ok else f"fails at {cx}"
-            else:
-                ok, cx = check_validity(model, Not(formula))
-                detail = "" if ok else f"holds at {cx}"
+        bit = None if exp.point is None else model.system.point_id(exp.point)
+        sat = truth.get(exp.formula)
+        if sat is None:
+            sat = truth[exp.formula] = truth_mask(model, parse(exp.formula))
+        if bit is not None:
+            value = bool(sat >> bit & 1)
+            ok = value is exp.expected
+            detail = "" if ok else f"evaluated to {value}"
         else:
-            truth = holds(model, formula, exp.point)
-            ok = truth is exp.expected
-            detail = "" if ok else f"evaluated to {truth}"
+            wrong = model.index.full & ~sat if exp.expected else sat
+            ok = not wrong
+            verb = "fails" if exp.expected else "holds"
+            detail = "" if ok else f"{verb} at {least_point(model, wrong)}"
         if not ok:
             failures.append(ExpectationFailure(exp, detail))
     return tuple(failures)

@@ -8,10 +8,22 @@ Details and examples live in docs/file-formats.md.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, NoReturn
 
 from .evaluate import Model, Valuation, make_valuation
-from .runs import ModelError, Point, Run, System, make_run, make_system
+from .runs import (
+    EVENT_KINDS,
+    RECEIVE,
+    SEND,
+    Event,
+    ModelError,
+    Point,
+    Run,
+    System,
+    UnknownAgentError,
+    canonical_timeline,
+    make_system,
+)
 from .scenarios import Expectation, ScenarioManifest
 from .views import policy_from_name
 
@@ -40,9 +52,8 @@ def _expect(value: Any, kind: type, where: str) -> Any:
 
 
 def _need(obj: dict, key: str, path: str, kind: type | None = None) -> Any:
-    """``obj[key]``, exactly of JSON type ``kind`` when one is given. It runs
-    for every event of a system, so the field path is formatted only on
-    failure."""
+    """``obj[key]``, exactly of JSON type ``kind`` when one is given; the
+    field path is formatted only on failure."""
     if key not in obj:
         raise SchemaError(f"{path}.{key}: missing")
     value = obj[key]
@@ -99,45 +110,130 @@ def run_to_dict(run: Run) -> dict:
     return out
 
 
-def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str) -> Run:
+def run_from_dict(
+    obj: dict, n_agents: int, horizon: int, path: str, interned: dict | None = None
+) -> Run:
+    """A run from its JSON object, decoded in one loop over its events.
+
+    ``interned`` maps (kind, peer, message, clock stamp) to an ``Event``,
+    so equal events decoded with one table are one object. Every check is
+    made inline; only once one fails does ``_run_error`` walk the object
+    again with the field helpers to name the first bad field.
+    """
+    if interned is None:
+        interned = {}
+    keys = [str(a) for a in range(n_agents)]
+    wake_raw = obj.get("wake_up") if type(obj) is dict else None
+    init_raw = obj.get("initial_state") if type(obj) is dict else None
+    if type(wake_raw) is not dict or type(init_raw) is not dict or "id" not in obj:
+        _run_error(obj, n_agents, horizon, path)
+    wake = tuple(wake_raw.get(k) for k in keys)
+    raw_events = obj.get("events", [])
+    raw_clock = obj.get("clock")
+    if (
+        not all(type(w) is int and 0 <= w <= horizon for w in wake)
+        or not all(k in init_raw for k in keys)
+        or type(raw_events) is not list
+        or not (raw_clock is None or _is_clock_table(raw_clock, keys))
+    ):
+        _run_error(obj, n_agents, horizon, path)
+    run_id = str(obj["id"])
+    init = tuple(str(init_raw[k]) for k in keys)
+    clock = None if raw_clock is None else tuple(tuple(raw_clock[k]) for k in keys)
+    short_clock = None
+    if clock is not None:
+        short_clock = next(
+            (a for a in range(n_agents) if len(clock[a]) != horizon - wake[a] + 1), None
+        )
+    # a bad clock length or agent is reported only after every field check
+    stamps = clock if short_clock is None else None
+    bad_agent = None
+
+    per_agent: list[list[tuple]] = [[] for _ in keys]
+    append = [entries.append for entries in per_agent]
+    known = interned.get
+    for ev in raw_events:
+        if type(ev) is not dict:
+            _run_error(obj, n_agents, horizon, path)
+        try:
+            t, agent, kind = ev["time"], ev["agent"], ev["kind"]
+            peer, message = ev["peer"], ev["message"]
+        except KeyError:
+            _run_error(obj, n_agents, horizon, path)
+        receive = kind == RECEIVE
+        if (
+            type(t) is not int
+            or type(agent) is not int
+            or type(peer) is not int
+            or not 0 <= t <= horizon
+            or not (receive or kind == SEND)
+        ):
+            _run_error(obj, n_agents, horizon, path)
+        if not 0 <= agent < n_agents:
+            if bad_agent is None:
+                bad_agent = agent
+            continue
+        if type(message) is not str:
+            message = str(message)
+        stamp = None
+        if stamps is not None and t >= wake[agent]:
+            stamp = stamps[agent][t - wake[agent]]
+        key = (kind, peer, message, stamp)
+        event = known(key)
+        if event is None:
+            event = interned[key] = Event(kind, peer, message, stamp)
+        append[agent]((t, receive, peer, message, event))
+
+    if short_clock is not None:
+        a = short_clock
+        raise ModelError(
+            f"run {run_id!r}: agent {a} clock table has {len(clock[a])} "
+            f"entries, expected {horizon - wake[a] + 1}"
+        )
+    if bad_agent is not None:
+        raise UnknownAgentError(f"run {run_id!r}: event names agent {bad_agent}")
+    return Run(run_id, wake, init, tuple(map(canonical_timeline, per_agent)), clock)
+
+
+_INTEGERS_ONLY = {int}
+
+
+def _is_clock_table(raw: Any, keys: list[str]) -> bool:
+    return type(raw) is dict and all(
+        type(raw.get(k)) is list and set(map(type, raw[k])) <= _INTEGERS_ONLY
+        for k in keys
+    )
+
+
+def _run_error(obj: Any, n_agents: int, horizon: int, path: str) -> NoReturn:
+    """Raise the schema error of the first bad field of a run, checking
+    fields in the order they are documented."""
     _expect(obj, dict, path)
-    run_id = str(_need(obj, "id", path))
+    _need(obj, "id", path)
     wake_raw = _need(obj, "wake_up", path, dict)
     init_raw = _need(obj, "initial_state", path, dict)
-    wake = [_need_tick(wake_raw, str(a), f"{path}.wake_up", horizon) for a in range(n_agents)]
-    init = [str(_need(init_raw, str(a), f"{path}.initial_state")) for a in range(n_agents)]
-    events = []
+    for a in range(n_agents):
+        _need_tick(wake_raw, str(a), f"{path}.wake_up", horizon)
+    for a in range(n_agents):
+        _need(init_raw, str(a), f"{path}.initial_state")
     for i, ev in enumerate(_expect(obj.get("events", []), list, f"{path}.events")):
         ev_path = f"{path}.events[{i}]"
         _expect(ev, dict, ev_path)
         kind = _need(ev, "kind", ev_path)
-        if kind not in ("send", "receive"):
+        if kind not in EVENT_KINDS:
             raise SchemaError(f"{ev_path}.kind: {kind!r} is not send or receive")
-        events.append(
-            (
-                _need_tick(ev, "time", ev_path, horizon),
-                _need(ev, "agent", ev_path, int),
-                kind,
-                _need(ev, "peer", ev_path, int),
-                str(_need(ev, "message", ev_path)),
-            )
-        )
-    clock = None
-    if "clock" in obj and obj["clock"] is not None:
+        _need_tick(ev, "time", ev_path, horizon)
+        _need(ev, "agent", ev_path, int)
+        _need(ev, "peer", ev_path, int)
+        _need(ev, "message", ev_path)
+    if obj.get("clock") is not None:
         raw = _need(obj, "clock", path, dict)
         clock = [_need(raw, str(a), f"{path}.clock", list) for a in range(n_agents)]
         for a, readings in enumerate(clock):
             for t, value in enumerate(readings):
                 if type(value) is not int:
                     raise _type_error(f"{path}.clock.{a}[{t}]", int, value)
-    return make_run(
-        run_id,
-        horizon=horizon,
-        wake_up=wake,
-        initial_state=init,
-        events=events,
-        clock=clock,
-    )
+    raise AssertionError(f"{path}: run_from_dict rejected a run whose fields all pass")
 
 
 def system_to_dict(system: System) -> dict:
@@ -155,8 +251,9 @@ def system_from_dict(obj: dict, path: str = "system") -> System:
         raise SchemaError(f"{path}.schema: unsupported version {schema!r}")
     n = _need_count(obj, "agents", path)
     horizon = _need_count(obj, "horizon", path)
+    interned: dict = {}
     runs = [
-        run_from_dict(r, n, horizon, f"{path}.runs[{i}]")
+        run_from_dict(r, n, horizon, f"{path}.runs[{i}]", interned)
         for i, r in enumerate(_need(obj, "runs", path, list))
     ]
     return make_system(n, horizon, runs)
@@ -172,20 +269,24 @@ def valuation_to_dict(valuation: Valuation) -> dict:
 def valuation_from_dict(obj: dict, system: System, path: str = "valuation") -> Valuation:
     """Truth sets of ``system``'s points; an entry naming a point outside
     the system is a schema error."""
-    run_ids = {r.id for r in system.runs}
     pairs = {}
     for name, entries in _expect(obj, dict, path).items():
         pts = set()
         for i, entry in enumerate(_expect(entries, list, f"{path}.{name}")):
-            where = f"{path}.{name}[{i}]"
             if not (isinstance(entry, list) and len(entry) == 2):
-                raise SchemaError(f"{where}: expected [run_id, time]")
-            run_id, t = str(entry[0]), entry[1]
-            if type(t) is not int:
-                raise SchemaError(f"{where}: time {t!r} is not an integer")
-            if run_id not in run_ids or not 0 <= t <= system.horizon:
-                raise SchemaError(f"{where}: point {run_id}@{t} is not in the system")
-            pts.add(Point(run_id, t))
+                raise SchemaError(f"{path}.{name}[{i}]: expected [run_id, time]")
+            point = Point(str(entry[0]), entry[1])
+            if type(point.time) is not int:
+                raise SchemaError(
+                    f"{path}.{name}[{i}]: time {point.time!r} is not an integer"
+                )
+            try:
+                system.point_id(point)
+            except ModelError:
+                raise SchemaError(
+                    f"{path}.{name}[{i}]: point {point} is not in the system"
+                ) from None
+            pts.add(point)
         pairs[name] = pts
     return make_valuation(pairs)
 
@@ -239,10 +340,11 @@ def manifest_from_dict(obj: dict) -> ScenarioManifest:
             text = _need(e, "point", path, str)
             try:
                 point = parse_point(text)
+                model.system.point_id(point)
             except SchemaError as exc:
                 raise SchemaError(f"{path}.point: {exc}") from None
-            if point not in model.all_points:
-                raise SchemaError(f"{path}.point: {point} is not in the system")
+            except ModelError:
+                raise SchemaError(f"{path}.point: {point} is not in the system") from None
         expectations.append(
             Expectation(
                 str(_need(e, "formula", path)),

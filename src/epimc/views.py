@@ -125,12 +125,17 @@ class IndistIndex:
 
     ``class_masks[a]`` holds agent a's classes as bitmasks, ordered by
     least member, so exports and iteration are reproducible;
-    ``class_ids[a][i]`` is the position there of point i's class.
+    ``class_ids[a][i]`` is the position there of point i's class. Points
+    are numbered by ``system``.
     """
 
-    points: tuple[Point, ...]
+    system: System
     class_masks: tuple[tuple[int, ...], ...]
     class_ids: tuple[tuple[int, ...], ...]
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return self.system.points
 
     @property
     def n_agents(self) -> int:
@@ -139,10 +144,6 @@ class IndistIndex:
     @cached_property
     def full(self) -> int:
         return (1 << len(self.points)) - 1
-
-    @cached_property
-    def point_ids(self) -> dict[Point, int]:
-        return {pt: i for i, pt in enumerate(self.points)}
 
     @cached_property
     def classes_by_agent(self) -> tuple[tuple[frozenset[Point], ...], ...]:
@@ -155,15 +156,19 @@ class IndistIndex:
         return {}
 
     def point_id(self, point: Point) -> int:
-        try:
-            return self.point_ids[point]
-        except KeyError:
-            raise ModelError(f"point {point} not in index") from None
+        """The system's dense id of ``point``; a ModelError if it is not in
+        the system."""
+        return self.system.point_id(point)
 
     def mask_of(self, points: Iterable[Point]) -> int:
         """Mask of ``points``; points outside the index are ignored."""
-        ids = self.point_ids
-        return mask_from_ids((ids[p] for p in points if p in ids), len(self.points))
+        ids = []
+        for p in points:
+            try:
+                ids.append(self.system.point_id(p))
+            except ModelError:
+                pass
+        return mask_from_ids(ids, len(self.points))
 
     def points_of(self, mask: int) -> frozenset[Point]:
         pts = self.points
@@ -283,7 +288,7 @@ def build_index(system: System, policy: ViewPolicy) -> IndistIndex:
             ids.append(cls)
         class_masks.append(tuple(mask_from_ids(m, len(pts)) for m in members))
         class_ids.append(tuple(ids))
-    return IndistIndex(pts, tuple(class_masks), tuple(class_ids))
+    return IndistIndex(system, tuple(class_masks), tuple(class_ids))
 
 
 def g_reachable(
@@ -299,7 +304,10 @@ def g_reachable(
     zero steps reaches only the point itself.
     """
     members = normalize_group(group)
-    target = index.point_ids.get(to)
+    try:
+        target = index.point_id(to)
+    except ModelError:
+        target = None
     if max_steps is None:
         reached = index.component_of(frm, members)
         return target is not None and bool(reached >> target & 1)

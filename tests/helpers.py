@@ -12,9 +12,17 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from epimc.evaluate import Model, PointSet, evaluate, make_valuation
-from epimc.formulas import Formula
+from epimc.evaluate import (
+    Model,
+    PointSet,
+    check_validity,
+    evaluate,
+    holds,
+    make_valuation,
+)
+from epimc.formulas import Formula, Not, parse
 from epimc.runs import Point, Run, System, make_run, make_system, run_history
+from epimc.scenarios import Expectation, ScenarioManifest
 from epimc.views import VIEW_PROJECTIONS, ViewPolicy
 
 
@@ -249,3 +257,27 @@ def oracle_timp(system: System, delta: int = 1) -> tuple[str, ...]:
             for cand in system.runs
         )
     )
+
+
+def oracle_verify(manifest: ScenarioManifest) -> list[tuple[Expectation, str]]:
+    """``verify_manifest``'s contract, one expectation at a time: parse
+    its formula, then ask ``holds`` at its point, or ``check_validity`` of
+    the formula (expected true) or of its negation (expected false) when
+    it names no point. Each failure is (expectation, detail)."""
+    model = manifest.model
+    out = []
+    for exp in manifest.expectations:
+        formula = parse(exp.formula)
+        if exp.point is not None:
+            value = holds(model, formula, exp.point)
+            if value is not exp.expected:
+                out.append((exp, f"evaluated to {value}"))
+        elif exp.expected:
+            ok, cx = check_validity(model, formula)
+            if not ok:
+                out.append((exp, f"fails at {cx}"))
+        else:
+            ok, cx = check_validity(model, Not(formula))
+            if not ok:
+                out.append((exp, f"holds at {cx}"))
+    return out

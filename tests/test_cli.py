@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from epimc.cli import main
+import epimc
+from epimc.cli import EXIT_BROKEN_PIPE, main
+from epimc.evaluate import evaluate
+from epimc.formulas import parse
+from epimc.serialize import model_from_dict
 
 
 @pytest.fixture()
@@ -28,6 +36,20 @@ def test_eval_all_points_exits_zero(attack_files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("F  ") == out.count("\n")  # false everywhere
+
+
+def test_eval_all_rows_follow_the_truth_set(attack_files, capsys):
+    system, _ = attack_files
+    model = model_from_dict(json.loads(system.read_text()))
+    sat = evaluate(model, parse("K1 sent_1"))
+    code = main(
+        ["eval", "--system", str(system), "--formula", "K1 sent_1",
+         "--all", "--format", "json", "--no-timing"]
+    )
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert rows == [{"point": str(p), "holds": p in sat} for p in model.point_order]
+    assert 0 < len(sat) < len(rows)
 
 
 def test_eval_single_point_json(attack_files, capsys):
@@ -214,3 +236,29 @@ def test_scenario_bad_params_exit_two(tmp_path, capsys):
     assert main(
         ["scenario", "muddy_children", "--param", "bogus=1", "--out", str(tmp_path)]
     ) == 2
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    """A reader that stops after one line, as ``| head -1`` does."""
+    system = tmp_path / "long.system.json"
+    # 30001 report lines, many times what a pipe buffers
+    system.write_text(json.dumps(
+        {"schema": 1, "agents": 1, "horizon": 30000, "valuation": {"p": []},
+         "runs": [{"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "s"}}]}
+    ))
+    src = str(Path(epimc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epimc.cli", "eval", "--system", str(system),
+         "--formula", "K0 p", "--all", "--no-timing"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"F  r@0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert b"Traceback" not in err
+    assert err == b""

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from epimc.runs import (
     EMPTY_HISTORY,
     AgentSetMismatchError,
+    Event,
     ModelError,
     Point,
     UnknownAgentError,
@@ -215,3 +217,38 @@ def test_history_table_interns_equal_histories_to_equal_ids():
                 assert system.point_id(pt) == i
                 history = run_history(system.run(pt.run_id), agent, pt.time)
                 assert table.distinct[table.ids[i]] == history
+
+
+def test_points_and_events_are_values():
+    point = Point("r", 1)
+    assert point == Point(run_id="r", time=1) and point is not Point("r", 1)
+    assert hash(point) == hash(Point("r", 1))
+    assert point != Point("r", 2) and point != Point("s", 1)
+    assert Point("a", 2) < Point("b", 0) < Point("b", 1)
+    assert sorted([Point("b", 0), Point("a", 3), Point("a", 1)]) == [
+        Point("a", 1), Point("a", 3), Point("b", 0)
+    ]
+    assert (point.run_id, point.time) == ("r", 1)
+    assert str(point) == "r@1"
+    assert repr(point) == "Point(run_id='r', time=1)"
+    assert list(inspect.signature(Point).parameters) == ["run_id", "time"]
+
+    event = Event("send", 1, "m")
+    assert event == Event(kind="send", peer=1, message="m", clock_stamp=None)
+    assert hash(event) == hash(Event("send", 1, "m", None))
+    assert event != Event("send", 1, "m", 0) and event != Event("receive", 1, "m")
+    assert str(event) == repr(event) == (
+        "Event(kind='send', peer=1, message='m', clock_stamp=None)"
+    )
+    params = inspect.signature(Event).parameters
+    assert list(params) == ["kind", "peer", "message", "clock_stamp"]
+    assert params["clock_stamp"].default is None
+    with pytest.raises(AttributeError):
+        point.time = 2
+    with pytest.raises(AttributeError):
+        event.peer = 0
+
+
+def test_a_point_equals_its_plain_tuple():
+    assert Point("r", 1) == ("r", 1) and {("r", 1)} == {Point("r", 1)}
+    assert Event("send", 1, "m") == ("send", 1, "m", None)

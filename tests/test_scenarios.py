@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from epimc.evaluate import evaluate, holds
@@ -13,6 +15,7 @@ from epimc.scenarios import (
     timestamped_demo,
     verify_manifest,
 )
+from tests.helpers import oracle_verify
 
 
 def assert_clean(manifest):
@@ -207,3 +210,41 @@ def test_registry_contains_all_builders():
         "broadcast_channel",
         "timestamped_demo",
     }
+
+
+SMALL_PARAMS = {
+    "muddy_children": {"n": 3, "announce": True, "rounds": 3, "staggered_announcement": True},
+    "coordinated_attack": {"k_legs": 3, "horizon": 4},
+    "r2d2": {"eps": 1, "t_S": 3, "k_max": 2},
+    "ok_protocol": {"horizon": 4},
+    "broadcast_channel": {"L": 1, "eps": 1, "n": 3, "horizon": 4, "clocked": True},
+    "timestamped_demo": {"delta": 1, "eps": 1},
+}
+
+
+def test_verify_parses_each_distinct_formula_once(monkeypatch):
+    import epimc.scenarios as scenarios
+
+    parsed = []
+    monkeypatch.setattr(
+        scenarios, "parse", lambda text: parsed.append(text) or parse(text)
+    )
+    once = coordinated_attack(3, 4)  # pointed and whole-system claims
+    manifest = dataclasses.replace(once, expectations=once.expectations * 2)
+    assert not verify_manifest(manifest)
+    assert sorted(parsed) == sorted({e.formula for e in manifest.expectations})
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
+def test_verify_failures_match_the_per_expectation_transcription(name):
+    manifest = SCENARIOS[name](**SMALL_PARAMS[name])
+    flipped = dataclasses.replace(
+        manifest,
+        expectations=tuple(
+            dataclasses.replace(e, expected=not e.expected) if i % 4 == 0 else e
+            for i, e in enumerate(manifest.expectations)
+        ),
+    )
+    got = [(f.expectation, f.detail) for f in verify_manifest(flipped)]
+    assert got == oracle_verify(flipped)
+    assert [e for e, _ in got] == list(flipped.expectations[::4])

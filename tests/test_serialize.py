@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from epimc.evaluate import Model, evaluate, make_valuation
 from epimc.formulas import parse
-from epimc.runs import Point
+from epimc.runs import ModelError, Point
 from epimc.views import ViewPolicy
 from epimc.scenarios import coordinated_attack, timestamped_demo, verify_manifest
 from epimc.serialize import (
@@ -17,6 +19,7 @@ from epimc.serialize import (
     system_from_dict,
     system_to_dict,
 )
+from tests.helpers import clock_variants, random_system, random_valuation
 
 
 def test_system_round_trip_preserves_content():
@@ -24,6 +27,21 @@ def test_system_round_trip_preserves_content():
     redone = system_from_dict(load_json(dump_json(system_to_dict(system))))
     assert [r.content_key() for r in redone.runs] == [r.content_key() for r in system.runs]
     assert redone.horizon == system.horizon and redone.n_agents == system.n_agents
+
+
+def test_random_models_round_trip_to_the_same_history_table():
+    rng = random.Random(509)
+    for _ in range(40):
+        system = clock_variants(random_system(rng))
+        model = Model(system, random_valuation(rng, system), ViewPolicy.complete_history())
+        loaded = model_from_dict(load_json(dump_json(model_to_dict(model))))
+        assert [r.content_key() for r in loaded.system.runs] == [
+            r.content_key() for r in system.runs
+        ]
+        assert dict(loaded.valuation.truth) == dict(model.valuation.truth)
+        for mine, theirs in zip(system.history_table, loaded.system.history_table):
+            assert theirs.ids == mine.ids
+            assert theirs.distinct == mine.distinct
 
 
 def test_clocked_system_round_trip():
@@ -115,6 +133,11 @@ def _run(**changes):
         ({"runs": [5]}, "system.runs[0]"),
         ({"valuation": [1]}, "system.valuation"),
         ({"valuation": {"p": 5}}, "system.valuation.p"),
+        # an unknown agent is reported only when every field is well formed
+        (_run(events=[dict(_EVENT, agent=5), dict(_EVENT, time="a")]),
+         "system.runs[0].events[1].time"),
+        (_run(events=[dict(_EVENT, agent=5)], clock={"0": [0, "1"]}),
+         "system.runs[0].clock.0[1]"),
     ],
 )
 def test_bad_numbers_and_foreign_points_are_schema_errors(changes, field):
@@ -163,3 +186,11 @@ def test_load_json_rejects_non_objects():
         load_json("[1, 2]")
     with pytest.raises(SchemaError):
         load_json("{nope")
+
+
+def test_short_clock_table_is_reported_before_any_stamp_is_read():
+    doc = {"schema": 1, "agents": 1, "horizon": 1,
+           "runs": [dict(_RUN, clock={"0": [0]}, events=[dict(_EVENT, time=1)])]}
+    with pytest.raises(ModelError) as err:
+        system_from_dict(doc)
+    assert "clock table has 1 entries, expected 2" in str(err.value)
