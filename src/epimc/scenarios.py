@@ -26,6 +26,7 @@ from .protocols import (
     ok_protocol,
 )
 from .runs import (
+    LocalHistory,
     ModelError,
     Point,
     RECEIVE,
@@ -171,20 +172,14 @@ def muddy_children(
     answers: dict[str, dict[tuple[int, int], bool]] = {rid: {} for rid in meta}
     for q in range(1, rounds + 1):
         partial = {rid: assemble(rid) for rid in meta}
-        hist = {
-            (rid, c): run_history(partial[rid], c, q)
-            for rid in meta
-            for c in range(n)
-        }
-        for rid in meta:
-            for c in range(n):
-                mine = hist[(rid, c)]
-                knows_muddy = all(
-                    meta[other][0][c] == 1
-                    for other in meta
-                    if hist[(other, c)] == mine
-                )
-                answers[rid][(c, q)] = knows_muddy
+        for c in range(n):
+            # history -> whether every run with it has child c muddy
+            proves: dict[LocalHistory, bool] = {}
+            hist = {rid: run_history(partial[rid], c, q) for rid in meta}
+            for rid, h in hist.items():
+                proves[h] = proves.get(h, True) and meta[rid][0][c] == 1
+            for rid, h in hist.items():
+                answers[rid][(c, q)] = proves[h]
         for rid in meta:
             for c in range(n):
                 body = f"a{q}:{c}:" + ("y" if answers[rid][(c, q)] else "n")

@@ -7,7 +7,9 @@ Details and examples live in docs/file-formats.md.
 
 from __future__ import annotations
 
+import functools
 import json
+from itertools import chain
 from typing import Any, NoReturn
 
 from .evaluate import Model, Valuation, make_valuation
@@ -355,14 +357,115 @@ def manifest_from_dict(obj: dict) -> ScenarioManifest:
         )
     return ScenarioManifest(
         str(obj.get("scenario", "unnamed")),
-        dict(obj.get("parameters", {})),
+        dict(_expect(obj.get("parameters", {}), dict, "manifest.parameters")),
         model,
         tuple(expectations),
     )
 
 
-def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def dump_json(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    The standard library encodes with ``indent`` in pure Python, one call
+    per value. Here the C encoder writes each flat container (one whose
+    values are all scalars) in one call, with newline-and-indent item
+    separators, and likewise a whole list of non-empty flat containers
+    of one kind; only containers that hold containers are walked in
+    Python. Keys are strings, as in every document epimc writes.
+    """
+    out: list[str] = []
+    _encode(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def dump_manifest(doc: dict) -> tuple[str, str]:
+    """The texts of a manifest document and of its ``system`` value, as
+    ``dump_json`` writes them; the system is encoded once.
+
+    Indented JSON holds no raw newline inside a string, so the system's
+    text one level down is its own text with every newline indented.
+    """
+    system = dump_json(doc["system"])
+    return dump_json(dict(doc, system=_Encoded(system[:-1]))), system
+
+
+class _Encoded(str):
+    """JSON text already written by ``dump_json`` at the top level."""
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_CLOSERS = {"{": "}", "[": "]"}
+_scalar = json.JSONEncoder().encode
+_key = json.encoder.encode_basestring_ascii
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """Encodes a flat container with its items on lines indented to
+    ``depth``; the caller moves its brackets onto their own lines."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _opener(value: Any) -> str | None:
+    """The bracket ``json`` writes ``value`` with; None for a scalar."""
+    if isinstance(value, str):
+        return None
+    if isinstance(value, (list, tuple)):
+        return "["
+    return "{" if isinstance(value, dict) else None
+
+
+def _encode(value: Any, depth: int, out: list[str]) -> None:
+    """Append the text of ``value``, whose first line is already indented
+    to ``depth``."""
+    if type(value) is _Encoded:
+        out.append(value.replace("\n", "\n" + "  " * depth))
+        return
+    opener = _opener(value)
+    if opener is None:
+        out.append(_scalar(value))
+        return
+    closer = _CLOSERS[opener]
+    if not value:
+        out.append(opener + closer)
+        return
+    here = "\n" + "  " * depth
+    inner = here + "  "
+    if _SCALARS.issuperset(map(type, value.values() if opener == "{" else value)):
+        out += (opener, inner, _flat_encoder(depth + 1)(value)[1:-1], here, closer)
+        return
+    if opener == "[":
+        kind = type(value[0])
+        first = {dict: "{", list: "["}.get(kind)
+        if (
+            first
+            and all(value)
+            and {kind}.issuperset(map(type, value))
+            and _SCALARS.issuperset(
+                map(type, chain.from_iterable(map(dict.values, value) if kind is dict else value))
+            )
+        ):
+            # One C call writes every item with the items' own separator;
+            # it leaves "},\n<indent>{" (or "],\n<indent>[") between two
+            # items, which no flat item can contain: a string holds no raw
+            # newline and no value inside a flat item is a bracket.
+            i_close = _CLOSERS[first]
+            body = _flat_encoder(depth + 2)(value)[2:-2].replace(
+                i_close + "," + inner + "  " + first,
+                inner + i_close + "," + inner + first + inner + "  ",
+            )
+            out += ("[", inner, first, inner, "  ", body, inner, i_close, here, "]")
+            return
+        items = [("", item) for item in value]
+    else:
+        items = [(_key(key) + ": ", item) for key, item in sorted(value.items())]
+    sep = opener + inner
+    for prefix, item in items:
+        out += (sep, prefix)
+        _encode(item, depth + 1, out)
+        sep = "," + inner
+    out += (here, closer)
 
 
 def load_json(text: str) -> dict:
@@ -370,6 +473,8 @@ def load_json(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise SchemaError("top level must be a JSON object")
     return obj

@@ -281,3 +281,24 @@ def oracle_verify(manifest: ScenarioManifest) -> list[tuple[Expectation, str]]:
             if not ok:
                 out.append((exp, f"holds at {cx}"))
     return out
+
+
+def oracle_muddy_answers(system: System, n: int, rounds: int) -> dict[str, set[Point]]:
+    """The ``said_yes_{c}_{q}`` truth sets of a muddy-children system, by
+    the rule its builder states: at tick q child c says yes exactly when
+    every run in which c has the same history at q has c muddy. Each
+    run's history is compared with every other's, and the muddiness
+    vector is read from the run id (``v0110``, ``s`` appended for the
+    staggered variant)."""
+    truth = {}
+    for c in range(n):
+        for q in range(1, rounds + 1):
+            hist = {r.id: run_history(r, c, q) for r in system.runs}
+            yes = [
+                rid for rid in hist
+                if all(other[1 + c] == "1" for other in hist if hist[other] == hist[rid])
+            ]
+            truth[f"said_yes_{c}_{q}"] = {
+                Point(rid, t) for rid in yes for t in range(q, system.horizon + 1)
+            }
+    return truth

@@ -227,6 +227,54 @@ def test_output_is_deterministic(attack_files, capsys):
     assert first == second
 
 
+_SMALL_SCENARIOS = {
+    "muddy_children": ["n=3", "announce=true", "rounds=3", "staggered_announcement=true"],
+    "coordinated_attack": ["k_legs=2", "horizon=3"],
+    "r2d2": ["eps=1", "t_S=4", "k_max=3"],
+    "ok_protocol": ["horizon=3"],
+    "broadcast_channel": ["L=1", "eps=1", "n=3", "horizon=4", "clocked=true"],
+    "timestamped_demo": ["delta=1", "eps=1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_SCENARIOS))
+def test_scenario_files_are_indented_json_with_the_system_embedded(tmp_path, capsys, name):
+    argv = ["scenario", name, "--out", str(tmp_path)]
+    for param in _SMALL_SCENARIOS[name]:
+        argv += ["--param", param]
+    assert main(argv) == 0
+    texts = {
+        kind: (tmp_path / f"{name}.{kind}.json").read_text() for kind in ("manifest", "system")
+    }
+    docs = {kind: json.loads(text) for kind, text in texts.items()}
+    for kind, text in texts.items():
+        assert text == json.dumps(docs[kind], indent=2, sort_keys=True) + "\n"
+    assert docs["manifest"]["system"] == docs["system"]
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    if command == "eval":
+        argv = ["eval", "--system", str(path), "--formula", "true", "--all"]
+    else:
+        argv = ["verify", "--manifest", str(path)]
+    assert main(argv) == 2
+    assert "not valid JSON: nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parameters", [[1], "ab"])
+def test_manifest_parameters_not_an_object_exits_two(attack_files, tmp_path, capsys, parameters):
+    _, manifest = attack_files
+    doc = json.loads(manifest.read_text())
+    doc["parameters"] = parameters
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    assert main(["verify", "--manifest", str(edited), "--no-timing"]) == 2
+    assert "manifest.parameters: expected an object" in capsys.readouterr().err
+
+
 def test_scenario_unknown_name_exits_two(tmp_path, capsys):
     assert main(["scenario", "nope", "--out", str(tmp_path)]) == 2
     assert "unknown scenario" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from epimc.scenarios import (
     timestamped_demo,
     verify_manifest,
 )
-from tests.helpers import oracle_verify
+from tests.helpers import oracle_muddy_answers, oracle_verify
 
 
 def assert_clean(manifest):
@@ -89,6 +89,18 @@ def test_muddy_children_symmetric_under_child_permutation():
     assert holds(model, parse("said_yes_0_2"), Point("v110", 2))
     assert holds(model, parse("said_yes_2_2"), Point("v011", 2))
     assert not holds(model, parse("said_yes_2_2"), Point("v110", 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("announce", [False, True])
+@pytest.mark.parametrize("staggered", [False, True])
+def test_muddy_children_answers_follow_the_pairwise_rule(n, announce, staggered):
+    rounds = n + 1
+    model = muddy_children(n, announce, rounds, staggered).model
+    expected = oracle_muddy_answers(model.system, n, rounds)
+    assert len(expected) == n * rounds
+    for name, points in expected.items():
+        assert model.valuation.truth_set(name) == points, name
 
 
 def test_muddy_children_guards():

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epimc.evaluate import Model, evaluate, make_valuation
 from epimc.formulas import parse
@@ -10,6 +12,7 @@ from epimc.scenarios import coordinated_attack, timestamped_demo, verify_manifes
 from epimc.serialize import (
     SchemaError,
     dump_json,
+    dump_manifest,
     load_json,
     manifest_from_dict,
     manifest_to_dict,
@@ -179,6 +182,56 @@ def test_in_process_valuations_ignore_points_outside_the_system():
     valuation = make_valuation({"p": [Point("r", 1), Point("zz", 9)]})
     model = Model(system, valuation, ViewPolicy.complete_history())
     assert evaluate(model, parse("p")) == {Point("r", 1)}
+
+
+@pytest.mark.parametrize("parameters", [[1], "ab", 3])
+def test_manifest_parameters_must_be_an_object(parameters):
+    doc = manifest_to_dict(coordinated_attack(2, 3))
+    doc["parameters"] = parameters
+    with pytest.raises(SchemaError) as err:
+        manifest_from_dict(doc)
+    assert str(err.value).startswith("manifest.parameters:")
+
+
+def test_load_json_rejects_deep_nesting():
+    with pytest.raises(SchemaError, match="not valid JSON: nested too deeply"):
+        load_json("[" * 100_000)
+
+
+# Strings that look like the emitter's joints, to catch a join that
+# splits inside a string.
+_TEXT = st.text() | st.sampled_from(["\n", "},\n    {", "],\n      [", "\u00e9\x00\u2028"])
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+_KEY = st.text(max_size=3) | st.sampled_from(["system", "a", "b"])
+# lists of non-empty flat containers, which the emitter writes in one call
+_ROWS = st.lists(
+    st.dictionaries(_KEY, _SCALAR, min_size=1, max_size=3)
+    | st.lists(_SCALAR, min_size=1, max_size=3),
+    min_size=1,
+    max_size=4,
+)
+_JSON = st.recursive(
+    _SCALAR | _ROWS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEY, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _indented(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON)
+def test_dump_json_matches_the_indented_stdlib_encoder(value):
+    assert dump_json(value) == _indented(value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(_KEY, _JSON, max_size=4), _JSON)
+def test_dump_manifest_writes_the_system_once_into_the_manifest(doc, system):
+    doc["system"] = system
+    assert dump_manifest(doc) == (_indented(doc), _indented(system))
 
 
 def test_load_json_rejects_non_objects():
