@@ -18,6 +18,10 @@ Greatest fixed points are computed by descending iteration from the full
 point set, which terminates on the finite lattice; the reachability
 characterization of common knowledge is kept as a separate fast path and
 must agree with the fixed-point route.
+
+Scenario manifests (``ScenarioManifest``, a model with ``Expectation``s)
+are defined and replayed here (``verify_manifest``), so replaying one
+needs neither the run generators nor the scenario builders.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import formulas as fm
-from .formulas import Formula
+from .formulas import Formula, parse
 from .runs import ModelError, Point, System, UnknownAgentError
 from .views import (
     IndistIndex,
@@ -409,6 +413,66 @@ def check_validity(model: Model, f: Formula) -> tuple[bool, Point | None]:
     if missing:
         return False, least_point(model, missing)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Manifest replay
+
+@dataclass(frozen=True)
+class Expectation:
+    """One checkable claim: a formula, a point (or None for all points),
+    and the expected outcome. With ``point=None`` and ``expected=True``
+    the formula must be valid; with ``expected=False`` it must hold
+    nowhere."""
+
+    formula: str
+    point: Point | None
+    expected: bool
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class ScenarioManifest:
+    name: str
+    parameters: Mapping[str, object]
+    model: Model
+    expectations: tuple[Expectation, ...]
+
+
+@dataclass(frozen=True)
+class ExpectationFailure:
+    expectation: Expectation
+    detail: str
+
+
+def verify_manifest(manifest: ScenarioManifest) -> tuple[ExpectationFailure, ...]:
+    """Replay every expectation; an empty result means the manifest holds.
+
+    Each distinct formula text is parsed and evaluated once, when the
+    first expectation naming it is replayed; every expectation is then
+    answered from that truth mask. A claim about all points reports the
+    least point that refutes it.
+    """
+    model = manifest.model
+    truth: dict[str, int] = {}
+    failures = []
+    for exp in manifest.expectations:
+        bit = None if exp.point is None else model.system.point_id(exp.point)
+        sat = truth.get(exp.formula)
+        if sat is None:
+            sat = truth[exp.formula] = truth_mask(model, parse(exp.formula))
+        if bit is not None:
+            value = bool(sat >> bit & 1)
+            ok = value is exp.expected
+            detail = "" if ok else f"evaluated to {value}"
+        else:
+            wrong = model.index.full & ~sat if exp.expected else sat
+            ok = not wrong
+            verb = "fails" if exp.expected else "holds"
+            detail = "" if ok else f"{verb} at {least_point(model, wrong)}"
+        if not ok:
+            failures.append(ExpectationFailure(exp, detail))
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------

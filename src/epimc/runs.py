@@ -348,7 +348,9 @@ class System:
         return tuple(self._by_id[rid] for rid in sorted(self._by_id))
 
     @cached_property
-    def _slot(self) -> dict[str, int]:
+    def run_slots(self) -> dict[str, int]:
+        """Run id -> its position in ``runs_in_point_order``; time ``t`` of
+        the run in slot ``r`` is point ``r * (horizon + 1) + t``."""
         return {run.id: r for r, run in enumerate(self.runs_in_point_order)}
 
     @cached_property
@@ -390,7 +392,7 @@ class System:
     def point_id(self, point: Point) -> int:
         """Position of ``point`` in the dense numbering; a ModelError (an
         UnknownRunError when its run is unknown) if it is not in the system."""
-        slot = self._slot.get(point.run_id)
+        slot = self.run_slots.get(point.run_id)
         if slot is None:
             raise UnknownRunError(f"point {point} is not in the system")
         if not 0 <= point.time <= self.horizon:

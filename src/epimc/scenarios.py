@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .evaluate import Model, least_point, make_valuation, truth_mask
-from .formulas import parse
+from .evaluate import Expectation, Model, ScenarioManifest, make_valuation
 from .protocols import (
     DROPPED,
     DeliveryModel,
@@ -26,75 +24,15 @@ from .protocols import (
     ok_protocol,
 )
 from .runs import (
-    LocalHistory,
     ModelError,
     Point,
     RECEIVE,
-    Run,
     SEND,
     System,
     make_run,
     make_system,
-    run_history,
 )
 from .views import ViewPolicy
-
-
-@dataclass(frozen=True)
-class Expectation:
-    """One checkable claim: a formula, a point (or None for all points),
-    and the expected outcome. With ``point=None`` and ``expected=True``
-    the formula must be valid; with ``expected=False`` it must hold
-    nowhere."""
-
-    formula: str
-    point: Point | None
-    expected: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class ScenarioManifest:
-    name: str
-    parameters: Mapping[str, object]
-    model: Model
-    expectations: tuple[Expectation, ...]
-
-
-@dataclass(frozen=True)
-class ExpectationFailure:
-    expectation: Expectation
-    detail: str
-
-
-def verify_manifest(manifest: ScenarioManifest) -> tuple[ExpectationFailure, ...]:
-    """Replay every expectation; an empty result means the manifest holds.
-
-    Each distinct formula text is parsed and evaluated once, when the
-    first expectation naming it is replayed; every expectation is then
-    answered from that truth mask. A claim about all points reports the
-    least point that refutes it.
-    """
-    model = manifest.model
-    truth: dict[str, int] = {}
-    failures = []
-    for exp in manifest.expectations:
-        bit = None if exp.point is None else model.system.point_id(exp.point)
-        sat = truth.get(exp.formula)
-        if sat is None:
-            sat = truth[exp.formula] = truth_mask(model, parse(exp.formula))
-        if bit is not None:
-            value = bool(sat >> bit & 1)
-            ok = value is exp.expected
-            detail = "" if ok else f"evaluated to {value}"
-        else:
-            wrong = model.index.full & ~sat if exp.expected else sat
-            ok = not wrong
-            verb = "fails" if exp.expected else "holds"
-            detail = "" if ok else f"{verb} at {least_point(model, wrong)}"
-        if not ok:
-            failures.append(ExpectationFailure(exp, detail))
-    return tuple(failures)
 
 
 def _points_where(system: System, pred) -> set[Point]:
@@ -141,54 +79,67 @@ def muddy_children(
 
     meta: dict[str, tuple[tuple[int, ...], bool]] = {}
     events: dict[str, list[tuple[int, int, str, int, str]]] = {}
+    # per run and child: tick -> the child's events at that tick, as the
+    # (kind != SEND, peer, message) keys that canonical order sorts by
+    observed: dict[str, list[dict[int, list[tuple[bool, int, str]]]]] = {}
+
+    def add(rid: str, t: int, agent: int, kind: str, peer: int, message: str) -> None:
+        events[rid].append((t, agent, kind, peer, message))
+        if agent < n:
+            observed[rid][agent].setdefault(t, []).append((kind != SEND, peer, message))
+
     for vec in vectors:
         for late in variants:
             rid = "v" + "".join(map(str, vec)) + ("s" if late else "")
             meta[rid] = (vec, late)
-            evs: list[tuple[int, int, str, int, str]] = []
+            events[rid] = []
+            observed[rid] = [{} for _ in range(n)]
             if announce and any(vec):
                 for child in range(n):
                     tick = 1 if (late and child == 0) else 0
-                    evs.append((0, announcer, SEND, child, "ann"))
-                    evs.append((tick, child, RECEIVE, announcer, "ann"))
-            events[rid] = evs
+                    add(rid, 0, announcer, SEND, child, "ann")
+                    add(rid, tick, child, RECEIVE, announcer, "ann")
 
     def initial(vec: tuple[int, ...], child: int) -> str:
         return "sees:" + "".join(
             "?" if j == child else str(vec[j]) for j in range(n)
         )
 
-    def assemble(rid: str) -> Run:
-        vec, _ = meta[rid]
-        init = [initial(vec, c) for c in range(n)] + ["announcer"]
-        return make_run(
-            rid,
-            horizon=horizon,
-            wake_up=[0] * (n + 1),
-            initial_state=init,
-            events=events[rid],
-        )
-
+    # Child c's history at tick q is its initial state and its events
+    # before q in canonical order, without their ticks (``run_history``).
+    # Round q adds only events at ticks >= q, so the key for round q is
+    # the key for round q - 1 extended by the events of tick q - 1.
+    history = {rid: [(initial(meta[rid][0], c),) for c in range(n)] for rid in meta}
     answers: dict[str, dict[tuple[int, int], bool]] = {rid: {} for rid in meta}
     for q in range(1, rounds + 1):
-        partial = {rid: assemble(rid) for rid in meta}
         for c in range(n):
             # history -> whether every run with it has child c muddy
-            proves: dict[LocalHistory, bool] = {}
-            hist = {rid: run_history(partial[rid], c, q) for rid in meta}
-            for rid, h in hist.items():
-                proves[h] = proves.get(h, True) and meta[rid][0][c] == 1
-            for rid, h in hist.items():
-                answers[rid][(c, q)] = proves[h]
+            proves: dict[tuple, bool] = {}
+            for rid, (vec, _) in meta.items():
+                h = history[rid][c] + tuple(sorted(observed[rid][c].get(q - 1, ())))
+                history[rid][c] = h
+                proves[h] = proves.get(h, True) and vec[c] == 1
+            for rid in meta:
+                answers[rid][(c, q)] = proves[history[rid][c]]
         for rid in meta:
             for c in range(n):
                 body = f"a{q}:{c}:" + ("y" if answers[rid][(c, q)] else "n")
                 for other in range(n):
                     if other != c:
-                        events[rid].append((q, c, SEND, other, body))
-                        events[rid].append((q, other, RECEIVE, c, body))
+                        add(rid, q, c, SEND, other, body)
+                        add(rid, q, other, RECEIVE, c, body)
 
-    system = make_system(n + 1, horizon, [assemble(rid) for rid in sorted(meta)])
+    runs = [
+        make_run(
+            rid,
+            horizon=horizon,
+            wake_up=[0] * (n + 1),
+            initial_state=[initial(meta[rid][0], c) for c in range(n)] + ["announcer"],
+            events=events[rid],
+        )
+        for rid in sorted(meta)
+    ]
+    system = make_system(n + 1, horizon, runs)
     truth: dict[str, set[Point]] = {
         "m": _points_where(system, lambda rid, t: any(meta[rid][0])),
         "announced": _points_where(
@@ -618,6 +569,8 @@ def broadcast_channel(
     enumerated. ``psi_recv`` states that some copy has arrived."""
     if n < 2:
         raise ModelError("a broadcast needs at least two agents")
+    if L < 0 or eps < 0:
+        raise ModelError("the delay L and the spread eps are nonnegative")
     if eps > 0 and horizon < t_send + L + 2 * eps:
         raise ModelError("the horizon leaves no slack for the spread")
     send_tick = t_send - 1

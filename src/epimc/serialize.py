@@ -12,7 +12,7 @@ import json
 from itertools import chain
 from typing import Any, NoReturn
 
-from .evaluate import Model, Valuation, make_valuation
+from .evaluate import Expectation, Model, ScenarioManifest, Valuation, make_valuation
 from .runs import (
     EVENT_KINDS,
     RECEIVE,
@@ -26,7 +26,6 @@ from .runs import (
     canonical_timeline,
     make_system,
 )
-from .scenarios import Expectation, ScenarioManifest
 from .views import policy_from_name
 
 SCHEMA_VERSION = 1
@@ -270,25 +269,27 @@ def valuation_to_dict(valuation: Valuation) -> dict:
 
 def valuation_from_dict(obj: dict, system: System, path: str = "valuation") -> Valuation:
     """Truth sets of ``system``'s points; an entry naming a point outside
-    the system is a schema error."""
+    the system is a schema error. Each entry's dense id is worked out
+    inline and the set holds the system's own ``Point`` at that id."""
+    slots = system.run_slots
+    width = system.horizon + 1
+    points = system.points
     pairs = {}
     for name, entries in _expect(obj, dict, path).items():
         pts = set()
         for i, entry in enumerate(_expect(entries, list, f"{path}.{name}")):
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise SchemaError(f"{path}.{name}[{i}]: expected [run_id, time]")
-            point = Point(str(entry[0]), entry[1])
-            if type(point.time) is not int:
+            run_id, time = entry
+            if type(time) is not int:
+                raise SchemaError(f"{path}.{name}[{i}]: time {time!r} is not an integer")
+            slot = slots.get(str(run_id))
+            if slot is None or not 0 <= time < width:
                 raise SchemaError(
-                    f"{path}.{name}[{i}]: time {point.time!r} is not an integer"
+                    f"{path}.{name}[{i}]: point {Point(str(run_id), time)} is not in "
+                    "the system"
                 )
-            try:
-                system.point_id(point)
-            except ModelError:
-                raise SchemaError(
-                    f"{path}.{name}[{i}]: point {point} is not in the system"
-                ) from None
-            pts.add(point)
+            pts.add(points[slot * width + time])
         pairs[name] = pts
     return make_valuation(pairs)
 

@@ -162,13 +162,16 @@ class IndistIndex:
 
     def mask_of(self, points: Iterable[Point]) -> int:
         """Mask of ``points``; points outside the index are ignored."""
-        ids = []
-        for p in points:
-            try:
-                ids.append(self.system.point_id(p))
-            except ModelError:
-                pass
-        return mask_from_ids(ids, len(self.points))
+        slots = self.system.run_slots
+        width = self.system.horizon + 1
+        return mask_from_ids(
+            (
+                slots[run_id] * width + t
+                for run_id, t in points
+                if run_id in slots and 0 <= t < width
+            ),
+            len(self.points),
+        )
 
     def points_of(self, mask: int) -> frozenset[Point]:
         pts = self.points

@@ -9,12 +9,17 @@ one ``run_history`` call per comparison.
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations
+from pathlib import Path
 
+import epimc
 from epimc.evaluate import (
+    Expectation,
     Model,
     PointSet,
+    ScenarioManifest,
     check_validity,
     evaluate,
     holds,
@@ -22,7 +27,6 @@ from epimc.evaluate import (
 )
 from epimc.formulas import Formula, Not, parse
 from epimc.runs import Point, Run, System, make_run, make_system, run_history
-from epimc.scenarios import Expectation, ScenarioManifest
 from epimc.views import VIEW_PROJECTIONS, ViewPolicy
 
 
@@ -302,3 +306,11 @@ def oracle_muddy_answers(system: System, n: int, rounds: int) -> dict[str, set[P
                 Point(rid, t) for rid in yes for t in range(q, system.horizon + 1)
             }
     return truth
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python process that imports epimc: this
+    package's source directory first on its path."""
+    src = str(Path(epimc.__file__).resolve().parents[1])
+    prior = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src] + ([prior] if prior else [])))

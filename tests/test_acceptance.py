@@ -12,7 +12,16 @@ import random
 import pytest
 
 from epimc import formulas as fm
-from epimc.evaluate import Model, check_validity, eval_C_reach, evaluate, gfp, holds, make_valuation
+from epimc.evaluate import (
+    Model,
+    check_validity,
+    eval_C_reach,
+    evaluate,
+    gfp,
+    holds,
+    make_valuation,
+    verify_manifest,
+)
 from epimc.formulas import parse
 from epimc.protocols import (
     DeliveryModel,
@@ -33,7 +42,6 @@ from epimc.scenarios import (
     ok_protocol_scenario,
     r2d2,
     timestamped_demo,
-    verify_manifest,
 )
 from epimc.views import ViewPolicy
 

@@ -1,16 +1,14 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import epimc
 from epimc.cli import EXIT_BROKEN_PIPE, main
 from epimc.evaluate import evaluate
 from epimc.formulas import parse
 from epimc.serialize import model_from_dict
+from tests.helpers import child_env
 
 
 @pytest.fixture()
@@ -286,6 +284,48 @@ def test_scenario_bad_params_exit_two(tmp_path, capsys):
     ) == 2
 
 
+def test_scenario_negative_broadcast_delays_exit_two(tmp_path, capsys):
+    for params in (["L=-1", "eps=1"], ["L=1", "eps=-2"]):
+        argv = ["scenario", "broadcast_channel", "--out", str(tmp_path)]
+        for param in params + ["n=2", "horizon=6"]:
+            argv += ["--param", param]
+        assert main(argv) == 2
+        assert "nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _epimc_modules_imported(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code of a ``python -m epimc.cli`` child and the epimc modules
+    it imported, read from its ``-X importtime`` log."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "epimc.cli", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    names = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, {n for n in names if n.split(".")[0] == "epimc"}
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "graph", "axioms", "check"])
+def test_query_children_import_only_what_their_command_uses(attack_files, command):
+    system, manifest = attack_files
+    argv = {
+        "eval": ["eval", "--system", str(system), "--formula", "C{0,1} prefav", "--all"],
+        "verify": ["verify", "--manifest", str(manifest)],
+        "graph": ["graph", "--system", str(system), "--group", "0,1"],
+        "axioms": ["axioms", "--system", str(system), "--props", "prefav", "--max-k", "2"],
+        "check": ["check", "--system", str(system), "--which", "ng1"],
+    }[command]
+    code, imported = _epimc_modules_imported(argv)
+    assert code == 0
+    assert {"epimc", "epimc.evaluate", "epimc.serialize"} <= imported
+    assert "epimc.scenarios" not in imported
+    assert ("epimc.protocols" in imported) == (command == "check")
+
+
 def test_closed_stdout_ends_quietly(tmp_path):
     """A reader that stops after one line, as ``| head -1`` does."""
     system = tmp_path / "long.system.json"
@@ -294,14 +334,10 @@ def test_closed_stdout_ends_quietly(tmp_path):
         {"schema": 1, "agents": 1, "horizon": 30000, "valuation": {"p": []},
          "runs": [{"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "s"}}]}
     ))
-    src = str(Path(epimc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
-    ))
     proc = subprocess.Popen(
         [sys.executable, "-m", "epimc.cli", "eval", "--system", str(system),
          "--formula", "K0 p", "--all", "--no-timing"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     assert proc.stdout.readline() == b"F  r@0\n"
     proc.stdout.close()

@@ -1,8 +1,9 @@
 import dataclasses
+import importlib
 
 import pytest
 
-from epimc.evaluate import evaluate, holds
+from epimc.evaluate import evaluate, holds, verify_manifest
 from epimc.formulas import parse
 from epimc.runs import ModelError, Point, validate_system
 from epimc.scenarios import (
@@ -13,7 +14,6 @@ from epimc.scenarios import (
     ok_protocol_scenario,
     r2d2,
     timestamped_demo,
-    verify_manifest,
 )
 from tests.helpers import oracle_muddy_answers, oracle_verify
 
@@ -169,6 +169,12 @@ def test_broadcast_channel_variants():
     assert_clean(broadcast_channel(1, 0, 2, 4))
 
 
+@pytest.mark.parametrize("L, eps", [(-1, 1), (1, -2), (-1, -1)])
+def test_broadcast_channel_rejects_negative_delays(L, eps):
+    with pytest.raises(ModelError, match="nonnegative"):
+        broadcast_channel(L, eps, 2, 6)
+
+
 def test_broadcast_stable_fact_interval_knowledge_is_shifted_plain_knowledge():
     # for a stable fact whose histories grow one event at a time, knowing
     # within a width-w interval now is the same as everyone knowing w later
@@ -235,11 +241,12 @@ SMALL_PARAMS = {
 
 
 def test_verify_parses_each_distinct_formula_once(monkeypatch):
-    import epimc.scenarios as scenarios
+    # the package binds epimc.evaluate to the function, not the module
+    evaluate_module = importlib.import_module("epimc.evaluate")
 
     parsed = []
     monkeypatch.setattr(
-        scenarios, "parse", lambda text: parsed.append(text) or parse(text)
+        evaluate_module, "parse", lambda text: parsed.append(text) or parse(text)
     )
     once = coordinated_attack(3, 4)  # pointed and whole-system claims
     manifest = dataclasses.replace(once, expectations=once.expectations * 2)

@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epimc.evaluate import Model, evaluate, make_valuation
+from epimc.evaluate import Model, evaluate, make_valuation, verify_manifest
 from epimc.formulas import parse
 from epimc.runs import ModelError, Point
 from epimc.views import ViewPolicy
-from epimc.scenarios import coordinated_attack, timestamped_demo, verify_manifest
+from epimc.scenarios import coordinated_attack, timestamped_demo
 from epimc.serialize import (
     SchemaError,
     dump_json,
@@ -175,11 +175,16 @@ def test_manifest_expectations_are_checked_against_the_system(change, field):
 
 
 def test_in_process_valuations_ignore_points_outside_the_system():
+    # r@2 and r@-1 have slot arithmetic ids of s@0 and of a bit outside
+    # the system; neither may land on a point
     system = model_from_dict(
         {"schema": 1, "agents": 1, "horizon": 1,
-         "runs": [{"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "s"}}]}
+         "runs": [{"id": rid, "wake_up": {"0": 0}, "initial_state": {"0": "s"}}
+                  for rid in ("r", "s")]}
     ).system
-    valuation = make_valuation({"p": [Point("r", 1), Point("zz", 9)]})
+    valuation = make_valuation(
+        {"p": [Point("r", 1), Point("zz", 9), Point("r", 2), Point("r", -1)]}
+    )
     model = Model(system, valuation, ViewPolicy.complete_history())
     assert evaluate(model, parse("p")) == {Point("r", 1)}
 
