@@ -27,9 +27,9 @@ from .runs import (
     Run,
     SEND,
     System,
+    canonical_timeline,
     make_system,
     run_history,
-    timeline_sort_key,
 )
 
 DROPPED = "dropped"
@@ -291,11 +291,11 @@ def _explore(ci, cfg, n, protocol, delivery, horizon, global_clock, finish) -> N
                     for entry in sched[len(schedule):]
                     if entry.outcome == t
                 ]
-                mine: list[list[tuple[int, Event]]] = [[] for _ in range(n)]
+                mine: list[list[tuple]] = [[] for _ in range(n)]
                 for agent, ev in settled:
-                    mine[agent].append((t, ev))
+                    mine[agent].append((t, ev.kind != SEND, ev.peer, ev.message, ev))
                 grown = tuple(
-                    line + tuple(sorted(m, key=timeline_sort_key)) if m else line
+                    line + canonical_timeline(m) if m else line
                     for line, m in zip(timelines, mine)
                 )
                 go(t + 1, grown, sched, new_minted)
@@ -632,14 +632,6 @@ def shift_run(
             if ev.kind == SEND:
                 send_times[(a, ev.peer, ev.message)] = tt
 
-    def implied_delay(sender: int, recipient: int, message: str, recv_t: int) -> int:
-        key = (sender, recipient, message)
-        if key not in send_times:
-            raise ModelError(
-                f"receive of {message!r} by agent {recipient} has no matching send"
-            )
-        return recv_t - send_times[key]
-
     new_timeline: list[tuple[tuple[int, Event], ...]] = []
     for a in range(n):
         if a != agent:
@@ -653,21 +645,23 @@ def shift_run(
                     f"shift moves {ev.kind} of {ev.message!r} to {nt}, past the "
                     f"horizon"
                 )
-            moved.append((nt, ev))
-        new_timeline.append(tuple(sorted(moved, key=timeline_sort_key)))
+            moved.append((nt, ev.kind != SEND, ev.peer, ev.message, ev))
+        new_timeline.append(canonical_timeline(moved))
 
     if delivery is not None:
         for a in range(n):
             for tt, ev in new_timeline[a]:
                 if ev.kind != RECEIVE:
                     continue
-                sender = ev.peer
-                send_t = send_times[(sender, a, ev.message)]
-                if sender == agent:
-                    send_t += delta
-                if not delivery.admits_delay(tt - send_t):
+                key = (ev.peer, a, ev.message)
+                if key not in send_times:
                     raise ModelError(
-                        f"shift gives message {ev.message!r} delay {tt - send_t}, "
+                        f"receive of {ev.message!r} by agent {a} has no matching send"
+                    )
+                delay = tt - send_times[key] - (delta if ev.peer == agent else 0)
+                if not delivery.admits_delay(delay):
+                    raise ModelError(
+                        f"shift gives message {ev.message!r} delay {delay}, "
                         f"outside the delivery bounds"
                     )
 

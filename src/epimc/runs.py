@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 SEND = "send"
 RECEIVE = "receive"
@@ -83,19 +83,13 @@ class Event(NamedTuple):
     clock_stamp: int | None = None
 
 
-def timeline_sort_key(entry: tuple[int, Event]) -> tuple:
-    """Canonical event order: by tick, sends before receives, then endpoint."""
-    t, ev = entry
-    return (t, 0 if ev.kind == SEND else 1, ev.peer, ev.message)
-
-
 _TICK_AND_EVENT = itemgetter(0, 4)
 
 
 def canonical_timeline(entries: list[tuple]) -> tuple[tuple[int, Event], ...]:
     """A timeline from ``(tick, kind != SEND, peer, message, event)``
-    entries: sorting them as plain tuples gives ``timeline_sort_key``'s
-    order without calling Python code per comparison."""
+    entries, sorted as plain tuples: the canonical event order is by tick,
+    sends before receives, then peer, then message."""
     entries.sort()
     return tuple(map(_TICK_AND_EVENT, entries))
 
@@ -443,12 +437,50 @@ def history_cover(full: System, sub: System) -> bool:
     )
 
 
+def inconsistencies(run: Run, n_agents: int) -> Iterator[tuple[int, int, str, str]]:
+    """Where ``run`` breaks a rule that no single field shows: an event
+    before its agent's wake-up, a peer that is not an agent, a receive
+    with no send of its message from its peer at the same tick or earlier,
+    or a clock reading below the one before it.
+
+    Yields ``(agent, position, field, problem)``: ``field`` is "event" or
+    "peer" with ``position`` an index in ``run.timeline[agent]``, or
+    "clock" with an index in ``run.clock[agent]``. Linear: a first pass
+    takes the earliest tick of every (sender, recipient, message) send.
+    """
+    first_sent: dict[tuple[int, int, str], int] = {}
+    for agent, line in enumerate(run.timeline):
+        for t, (kind, peer, message, _) in line:
+            if kind == SEND and first_sent.get(key := (agent, peer, message), t + 1) > t:
+                first_sent[key] = t
+    for agent, line in enumerate(run.timeline):
+        wake = run.wake_up[agent]
+        for i, (t, (kind, peer, message, _)) in enumerate(line):
+            if t < wake:
+                yield agent, i, "event", f"event before wake-up at {wake}"
+            if not 0 <= peer < n_agents:
+                yield agent, i, "peer", f"peer {peer} is not an agent"
+            elif kind == RECEIVE and first_sent.get((peer, agent, message), t + 1) > t:
+                yield agent, i, "event", (
+                    f"receive of {message!r} has no matching send from agent {peer}"
+                )
+    for agent, readings in enumerate(run.clock or ()):
+        for k in range(1, len(readings)):
+            if readings[k] < readings[k - 1]:
+                yield agent, k, "clock", (
+                    f"clock is not monotone nondecreasing ({readings[k]} after "
+                    f"{readings[k - 1]})"
+                )
+                break
+
+
 def validate_system(system: System) -> list[str]:
     """Check structural invariants; one message per violation.
 
-    Covers event-time bounds, receive/send matching, clock monotonicity,
-    clock-stamp consistency, and canonical timeline ordering. Violations
-    are reported as data rather than raised.
+    Covers wake-up and event-time bounds, event kinds, clock-stamp
+    consistency, canonical timeline ordering, clock table lengths and
+    every rule of ``inconsistencies``. Violations are reported as data
+    rather than raised.
     """
     problems: list[str] = []
     for run in system.runs:
@@ -460,7 +492,8 @@ def validate_system(system: System) -> list[str]:
                     f"{system.horizon}"
                 )
             entries = run.timeline[agent]
-            if tuple(sorted(entries, key=timeline_sort_key)) != entries:
+            order = [(t, ev.kind != SEND, ev.peer, ev.message) for t, ev in entries]
+            if order != sorted(order):
                 problems.append(
                     f"run {run.id!r}: agent {agent} timeline not in canonical order"
                 )
@@ -468,27 +501,8 @@ def validate_system(system: System) -> list[str]:
                 where = f"run {run.id!r}, agent {agent}, time {t}"
                 if ev.kind not in EVENT_KINDS:
                     problems.append(f"{where}: unknown event kind {ev.kind!r}")
-                    continue
                 if not 0 <= t <= system.horizon:
                     problems.append(f"{where}: event time outside 0..{system.horizon}")
-                if t < w:
-                    problems.append(f"{where}: event before wake-up at {w}")
-                if not 0 <= ev.peer < system.n_agents:
-                    problems.append(f"{where}: peer {ev.peer} is not an agent")
-                    continue
-                if ev.kind == RECEIVE:
-                    matched = any(
-                        ts <= t
-                        and sent.kind == SEND
-                        and sent.peer == agent
-                        and sent.message == ev.message
-                        for ts, sent in run.timeline[ev.peer]
-                    )
-                    if not matched:
-                        problems.append(
-                            f"{where}: receive of {ev.message!r} has no matching "
-                            f"send from agent {ev.peer}"
-                        )
                 if run.clock is not None and t >= w:
                     expected = run.clock[agent][t - w]
                     if ev.clock_stamp != expected:
@@ -498,16 +512,15 @@ def validate_system(system: System) -> list[str]:
                         )
                 if run.clock is None and ev.clock_stamp is not None:
                     problems.append(f"{where}: clock stamp on a clockless run")
-            if run.clock is not None:
-                readings = run.clock[agent]
-                if len(readings) != system.horizon - w + 1:
-                    problems.append(
-                        f"run {run.id!r}: agent {agent} clock table length "
-                        f"{len(readings)}, expected {system.horizon - w + 1}"
-                    )
-                if any(x > y for x, y in zip(readings, readings[1:])):
-                    problems.append(
-                        f"run {run.id!r}: agent {agent} clock is not monotone "
-                        f"nondecreasing"
-                    )
+            if run.clock is not None and len(run.clock[agent]) != system.horizon - w + 1:
+                problems.append(
+                    f"run {run.id!r}: agent {agent} clock table length "
+                    f"{len(run.clock[agent])}, expected {system.horizon - w + 1}"
+                )
+        for agent, i, field, problem in inconsistencies(run, system.n_agents):
+            if field == "clock":
+                problems.append(f"run {run.id!r}: agent {agent} {problem}")
+            else:
+                t = run.timeline[agent][i][0]
+                problems.append(f"run {run.id!r}, agent {agent}, time {t}: {problem}")
     return problems

@@ -24,11 +24,14 @@ from .runs import (
     System,
     UnknownAgentError,
     canonical_timeline,
+    inconsistencies,
     make_system,
 )
 from .views import policy_from_name
 
 SCHEMA_VERSION = 1
+
+_INTEGERS_ONLY = {int}
 
 
 class SchemaError(ModelError):
@@ -71,6 +74,20 @@ def _need_tick(obj: dict, key: str, path: str, horizon: int) -> int:
     return value
 
 
+def _event_error(ev: Any, raw_events: list, path: str, horizon: int) -> NoReturn:
+    """Raise the schema error of the first bad field, in documented order,
+    of ``ev``, an entry of ``raw_events`` that the decoder rejected."""
+    where = f"{path}.events[{next(j for j, x in enumerate(raw_events) if x is ev)}]"
+    _expect(ev, dict, where)
+    kind = _need(ev, "kind", where)
+    if kind not in EVENT_KINDS:
+        raise SchemaError(f"{where}.kind: {kind!r} is not send or receive")
+    _need_tick(ev, "time", where, horizon)
+    _need(ev, "agent", where, int)
+    _need(ev, "peer", where, int)
+    raise SchemaError(f"{where}.message: missing")
+
+
 def _need_count(obj: dict, key: str, path: str) -> int:
     value = _need(obj, key, path)
     if type(value) is not int or value < 0:
@@ -79,9 +96,10 @@ def _need_count(obj: dict, key: str, path: str) -> int:
 
 
 def parse_point(text: str) -> Point:
-    """Points are addressed as ``run_id@time``; the last @ separates."""
+    """Points are addressed as ``run_id@time``; the last @ separates and
+    the time is ASCII digits."""
     run_id, sep, t = text.rpartition("@")
-    if not sep or not t.isdigit():
+    if not sep or not (t.isascii() and t.isdigit()):
         raise SchemaError(f"point {text!r} is not of the form run_id@time")
     return Point(run_id, int(t))
 
@@ -111,38 +129,44 @@ def run_to_dict(run: Run) -> dict:
     return out
 
 
-def run_from_dict(
-    obj: dict, n_agents: int, horizon: int, path: str, interned: dict | None = None
-) -> Run:
+def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: dict) -> Run:
     """A run from its JSON object, decoded in one loop over its events.
 
     ``interned`` maps (kind, peer, message, clock stamp) to an ``Event``,
-    so equal events decoded with one table are one object. Every check is
-    made inline; only once one fails does ``_run_error`` walk the object
-    again with the field helpers to name the first bad field.
+    so equal events decoded with one table are one object. The first bad
+    field raises a ``SchemaError`` that starts with its path, formatted
+    only then; a bad clock length or agent is reported after every field
+    check, and a break of ``runs.inconsistencies`` after that.
     """
-    if interned is None:
-        interned = {}
     keys = [str(a) for a in range(n_agents)]
-    wake_raw = obj.get("wake_up") if type(obj) is dict else None
-    init_raw = obj.get("initial_state") if type(obj) is dict else None
-    if type(wake_raw) is not dict or type(init_raw) is not dict or "id" not in obj:
-        _run_error(obj, n_agents, horizon, path)
+    _expect(obj, dict, path)
+    run_id = str(_need(obj, "id", path))
+    wake_raw = _need(obj, "wake_up", path, dict)
+    init_raw = _need(obj, "initial_state", path, dict)
     wake = tuple(wake_raw.get(k) for k in keys)
-    raw_events = obj.get("events", [])
-    raw_clock = obj.get("clock")
-    if (
-        not all(type(w) is int and 0 <= w <= horizon for w in wake)
-        or not all(k in init_raw for k in keys)
-        or type(raw_events) is not list
-        or not (raw_clock is None or _is_clock_table(raw_clock, keys))
-    ):
-        _run_error(obj, n_agents, horizon, path)
-    run_id = str(obj["id"])
+    for k, w in zip(keys, wake):
+        if type(w) is not int or not 0 <= w <= horizon:
+            _need_tick(wake_raw, k, f"{path}.wake_up", horizon)
+    for k in keys:
+        if k not in init_raw:
+            raise SchemaError(f"{path}.initial_state.{k}: missing")
     init = tuple(str(init_raw[k]) for k in keys)
-    clock = None if raw_clock is None else tuple(tuple(raw_clock[k]) for k in keys)
-    short_clock = None
-    if clock is not None:
+    raw_events = obj.get("events", [])
+    if type(raw_events) is not list:
+        raise _type_error(f"{path}.events", list, raw_events)
+    raw_clock = obj.get("clock")
+    clock = short_clock = None
+    if raw_clock is not None:
+        if type(raw_clock) is not dict:
+            raise _type_error(f"{path}.clock", dict, raw_clock)
+        for k in keys:
+            readings = raw_clock.get(k)
+            if type(readings) is not list:
+                _need(raw_clock, k, f"{path}.clock", list)
+            if not _INTEGERS_ONLY.issuperset(map(type, readings)):
+                t = next(t for t, v in enumerate(readings) if type(v) is not int)
+                raise _type_error(f"{path}.clock.{k}[{t}]", int, readings[t])
+        clock = tuple(tuple(raw_clock[k]) for k in keys)
         short_clock = next(
             (a for a in range(n_agents) if len(clock[a]) != horizon - wake[a] + 1), None
         )
@@ -154,13 +178,11 @@ def run_from_dict(
     append = [entries.append for entries in per_agent]
     known = interned.get
     for ev in raw_events:
-        if type(ev) is not dict:
-            _run_error(obj, n_agents, horizon, path)
         try:
             t, agent, kind = ev["time"], ev["agent"], ev["kind"]
             peer, message = ev["peer"], ev["message"]
-        except KeyError:
-            _run_error(obj, n_agents, horizon, path)
+        except (KeyError, TypeError):  # a missing field, or not an object
+            _event_error(ev, raw_events, path, horizon)
         receive = kind == RECEIVE
         if (
             type(t) is not int
@@ -169,7 +191,7 @@ def run_from_dict(
             or not 0 <= t <= horizon
             or not (receive or kind == SEND)
         ):
-            _run_error(obj, n_agents, horizon, path)
+            _event_error(ev, raw_events, path, horizon)
         if not 0 <= agent < n_agents:
             if bad_agent is None:
                 bad_agent = agent
@@ -193,48 +215,18 @@ def run_from_dict(
         )
     if bad_agent is not None:
         raise UnknownAgentError(f"run {run_id!r}: event names agent {bad_agent}")
-    return Run(run_id, wake, init, tuple(map(canonical_timeline, per_agent)), clock)
-
-
-_INTEGERS_ONLY = {int}
-
-
-def _is_clock_table(raw: Any, keys: list[str]) -> bool:
-    return type(raw) is dict and all(
-        type(raw.get(k)) is list and set(map(type, raw[k])) <= _INTEGERS_ONLY
-        for k in keys
-    )
-
-
-def _run_error(obj: Any, n_agents: int, horizon: int, path: str) -> NoReturn:
-    """Raise the schema error of the first bad field of a run, checking
-    fields in the order they are documented."""
-    _expect(obj, dict, path)
-    _need(obj, "id", path)
-    wake_raw = _need(obj, "wake_up", path, dict)
-    init_raw = _need(obj, "initial_state", path, dict)
-    for a in range(n_agents):
-        _need_tick(wake_raw, str(a), f"{path}.wake_up", horizon)
-    for a in range(n_agents):
-        _need(init_raw, str(a), f"{path}.initial_state")
-    for i, ev in enumerate(_expect(obj.get("events", []), list, f"{path}.events")):
-        ev_path = f"{path}.events[{i}]"
-        _expect(ev, dict, ev_path)
-        kind = _need(ev, "kind", ev_path)
-        if kind not in EVENT_KINDS:
-            raise SchemaError(f"{ev_path}.kind: {kind!r} is not send or receive")
-        _need_tick(ev, "time", ev_path, horizon)
-        _need(ev, "agent", ev_path, int)
-        _need(ev, "peer", ev_path, int)
-        _need(ev, "message", ev_path)
-    if obj.get("clock") is not None:
-        raw = _need(obj, "clock", path, dict)
-        clock = [_need(raw, str(a), f"{path}.clock", list) for a in range(n_agents)]
-        for a, readings in enumerate(clock):
-            for t, value in enumerate(readings):
-                if type(value) is not int:
-                    raise _type_error(f"{path}.clock.{a}[{t}]", int, value)
-    raise AssertionError(f"{path}: run_from_dict rejected a run whose fields all pass")
+    run = Run(run_id, wake, init, tuple(map(canonical_timeline, per_agent)), clock)
+    for agent, i, field, problem in inconsistencies(run, n_agents):
+        if field == "clock":
+            raise SchemaError(f"{path}.clock.{agent}[{i}]: {problem}")
+        t, ev = run.timeline[agent][i]
+        j = next(
+            j for j, raw in enumerate(raw_events)
+            if (raw["time"], raw["agent"], raw["kind"], raw["peer"], str(raw["message"]))
+            == (t, agent, ev.kind, ev.peer, ev.message)
+        )
+        raise SchemaError(f"{path}.events[{j}]{'.peer' if field == 'peer' else ''}: {problem}")
+    return run
 
 
 def system_to_dict(system: System) -> dict:
@@ -350,7 +342,7 @@ def manifest_from_dict(obj: dict) -> ScenarioManifest:
                 raise SchemaError(f"{path}.point: {point} is not in the system") from None
         expectations.append(
             Expectation(
-                str(_need(e, "formula", path)),
+                _need(e, "formula", path, str),
                 point,
                 _need(e, "expected", path, bool),
                 str(e.get("note", "")),

@@ -149,6 +149,33 @@ def test_manifest_point_outside_the_system_exits_two(attack_files, tmp_path, cap
     assert "zz@9 is not in the system" in capsys.readouterr().err
 
 
+_GHOST = {
+    "schema": 1, "agents": 2, "horizon": 1,
+    "runs": [{"id": "r", "wake_up": {"0": 0, "1": 0}, "initial_state": {"0": "a", "1": "b"},
+              "events": [{"time": 1, "agent": 1, "kind": "receive", "peer": 0,
+                          "message": "ghost"}]}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--formula", "true", "--all"], ["check", "--which", "ng1"], ["axioms"],
+     ["graph"], ["verify"]],
+    ids=lambda argv: argv[0],
+)
+def test_inconsistent_system_exits_two_on_every_command(tmp_path, capsys, argv):
+    path = tmp_path / "ghost.json"
+    if argv[0] == "verify":
+        path.write_text(json.dumps({"schema": 1, "system": _GHOST, "expectations": []}))
+        argv = argv + ["--manifest", str(path)]
+    else:
+        path.write_text(json.dumps(_GHOST))
+        argv = argv + ["--system", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "system.runs[0].events[0]: receive of 'ghost' has no matching send" in err
+
+
 def test_eval_malformed_point_exits_two(attack_files, capsys):
     system, _ = attack_files
     code = main(["eval", "--system", str(system), "--formula", "prefav", "--point", "bogus"])

@@ -166,6 +166,12 @@ def test_shift_run_respects_delivery_bounds():
     assert [t for t, _ in shifted.timeline[0]] == [1]
     with pytest.raises(ModelError):
         shift_run(run, 0, 2, horizon=5, delivery=bounds)  # delay would hit 0
+    ghost = make_run(
+        "g", horizon=5, wake_up=[0, 0], initial_state=["a", "b"],
+        events=[(2, 1, "receive", 0, "m")],
+    )
+    with pytest.raises(ModelError, match="no matching send"):
+        shift_run(ghost, 0, 1, horizon=5, delivery=bounds)
 
 
 def test_shift_run_rejects_horizon_overflow():

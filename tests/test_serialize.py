@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from epimc.evaluate import Model, evaluate, make_valuation, verify_manifest
 from epimc.formulas import parse
-from epimc.runs import ModelError, Point
+from epimc.runs import ModelError, Point, make_run, make_system, validate_system
 from epimc.views import ViewPolicy
 from epimc.scenarios import coordinated_attack, timestamped_demo
 from epimc.serialize import (
@@ -77,6 +77,8 @@ def test_point_syntax():
     assert parse_point("c0:hs1>1@2@3") == Point("c0:hs1>1@2", 3)
     with pytest.raises(SchemaError):
         parse_point("no-time-here")
+    with pytest.raises(SchemaError):
+        parse_point("d111111@\u00b2")  # a digit to str.isdigit, not to int
 
 
 def test_schema_errors_name_the_field():
@@ -164,6 +166,8 @@ def test_bad_numbers_and_foreign_points_are_schema_errors(changes, field):
         ({"point": 3}, "manifest.expectations[0].point"),
         ({"point": "bogus"}, "manifest.expectations[0].point"),
         ({"expected": "false"}, "manifest.expectations[0].expected"),
+        ({"point": "c1@\u00b2"}, "manifest.expectations[0].point"),
+        ({"formula": 5}, "manifest.expectations[0].formula"),
     ],
 )
 def test_manifest_expectations_are_checked_against_the_system(change, field):
@@ -172,6 +176,116 @@ def test_manifest_expectations_are_checked_against_the_system(change, field):
     with pytest.raises(SchemaError) as err:
         manifest_from_dict(doc)
     assert str(err.value).startswith(field + ":")
+
+
+_SEND = {"time": 0, "agent": 0, "kind": "send", "peer": 1, "message": "m"}
+_RECEIVE = {"time": 1, "agent": 1, "kind": "receive", "peer": 0, "message": "m"}
+
+
+@pytest.mark.parametrize(
+    "events, changes, field",
+    [
+        ([_SEND, _RECEIVE, dict(_RECEIVE, message="ghost")], {}, "system.runs[1].events[2]"),
+        ([dict(_SEND, time=2), _RECEIVE], {}, "system.runs[1].events[1]"),
+        ([_SEND, dict(_RECEIVE, time=0)], {"wake_up": {"0": 0, "1": 1}},
+         "system.runs[1].events[1]"),
+        ([_SEND, _RECEIVE, dict(_SEND, peer=2)], {}, "system.runs[1].events[2].peer"),
+        ([dict(_SEND, peer=-1), _RECEIVE], {}, "system.runs[1].events[0].peer"),
+        ([_SEND, _RECEIVE], {"clock": {"0": [0, 2, 1], "1": [0, 1, 2]}},
+         "system.runs[1].clock.0[2]"),
+        # a bad type or range is reported before any consistency problem
+        ([dict(_RECEIVE, message="ghost"), dict(_SEND, time="a")], {},
+         "system.runs[1].events[1].time"),
+    ],
+    ids=["unmatched", "before-send", "before-wake", "peer", "negative-peer", "clock",
+         "type-first"],
+)
+def test_inconsistent_runs_are_schema_errors(events, changes, field):
+    good = {"id": "a", "wake_up": {"0": 0, "1": 0}, "initial_state": {"0": "s", "1": "t"},
+            "events": [_SEND, _RECEIVE]}
+    doc = {"schema": 1, "agents": 2, "horizon": 2, "runs": [good, dict(good, id="b")]}
+    model_from_dict(doc)
+    doc["runs"][1] = dict(good, id="b", events=events, **changes)
+    with pytest.raises(SchemaError) as err:
+        model_from_dict(doc)
+    assert str(err.value).startswith(field + ":")
+
+
+def _mutants(rng: random.Random, doc: dict):
+    """(run index, copy of ``doc`` with one mutation of that run) for each
+    of: drop a send, move an event earlier, bump a peer, swap two clock
+    readings; a mutation with nothing to act on is skipped."""
+    for mutation in ("drop", "earlier", "peer", "clock"):
+        mutant = json.loads(json.dumps(doc))
+        i = rng.randrange(len(mutant["runs"]))
+        run = mutant["runs"][i]
+        events = run["events"]
+        if mutation == "drop":
+            sends = [j for j, ev in enumerate(events) if ev["kind"] == "send"]
+            if not sends:
+                continue
+            del events[rng.choice(sends)]
+        elif mutation == "earlier":
+            late = [ev for ev in events if ev["time"] > 0]
+            if not late:
+                continue
+            ev = rng.choice(late)
+            ev["time"] = rng.randrange(ev["time"])
+        elif mutation == "peer":
+            if not events:
+                continue
+            rng.choice(events)["peer"] += 1
+        else:
+            rows = [row for row in run.get("clock", {}).values() if len(row) >= 2]
+            if not rows:
+                continue
+            readings = rng.choice(rows)
+            a, b = rng.sample(range(len(readings)), 2)
+            readings[a], readings[b] = readings[b], readings[a]
+        yield i, mutant
+
+
+def _built_in_process(doc: dict):
+    """``doc``'s system built with ``make_run`` and ``make_system``, which
+    check no consistency rule."""
+    n, horizon = doc["agents"], doc["horizon"]
+    return make_system(n, horizon, [
+        make_run(
+            run["id"], horizon=horizon,
+            wake_up=[run["wake_up"][str(a)] for a in range(n)],
+            initial_state=[run["initial_state"][str(a)] for a in range(n)],
+            events=[(e["time"], e["agent"], e["kind"], e["peer"], e["message"])
+                    for e in run["events"]],
+            clock=[run["clock"][str(a)] for a in range(n)] if "clock" in run else None,
+        )
+        for run in doc["runs"]
+    ])
+
+
+def test_the_loader_rejects_exactly_the_mutants_that_validate_system_flags():
+    rng = random.Random(811)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for k in range(60):
+        system = random_system(rng)
+        if k % 3 == 0:
+            system = clock_variants(system)
+        doc = system_to_dict(system)
+        assert validate_system(system_from_dict(doc)) == []
+        for i, mutant in _mutants(rng, doc):
+            built = _built_in_process(mutant)
+            try:
+                loaded = system_from_dict(mutant)
+            except SchemaError as exc:
+                assert str(exc).startswith(f"system.runs[{i}]."), str(exc)
+                assert validate_system(built) != []
+                outcomes["rejected"] += 1
+                continue
+            assert [r.content_key() for r in loaded.runs] == [
+                r.content_key() for r in built.runs
+            ]
+            assert validate_system(built) == []
+            outcomes["loaded"] += 1
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_in_process_valuations_ignore_points_outside_the_system():
