@@ -540,10 +540,6 @@ def agents_mentioned(f: Formula) -> frozenset[int]:
     return frozenset(out)
 
 
-def props_mentioned(f: Formula) -> frozenset[str]:
-    return frozenset(node.name for node in walk(f) if isinstance(node, Prop))
-
-
 # ---------------------------------------------------------------------------
 # Positivity
 

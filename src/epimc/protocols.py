@@ -14,9 +14,7 @@ which is the discrete rendering of delivery within one time unit.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from math import inf
 from typing import Callable, Iterable, Sequence
 
 from .runs import (
@@ -386,20 +384,6 @@ def ok_protocol(stop_time: int) -> JointProtocol:
     return JointProtocol(f"ok_protocol(stop={stop_time})", rule)
 
 
-def broadcast_once(body: str = "m", sender: int = 0, n_agents: int = 2) -> JointProtocol:
-    """The sender broadcasts one message to every agent (itself included)
-    at its wake-up tick."""
-
-    def rule(agent: int, hist: LocalHistory):
-        if agent != sender or not hist.awake:
-            return ()
-        if any(e.kind == SEND for e in hist.events):
-            return ()
-        return tuple((r, body) for r in range(n_agents))
-
-    return JointProtocol(f"broadcast_once({body!r})", rule)
-
-
 def ping_once(body: str = "m") -> JointProtocol:
     """Agent 0 sends one message to agent 1 at its wake-up tick."""
 
@@ -411,15 +395,6 @@ def ping_once(body: str = "m") -> JointProtocol:
         return ((1, body),)
 
     return JointProtocol("ping_once", rule)
-
-
-BUILTIN_PROTOCOLS: dict[str, Callable[..., JointProtocol]] = {
-    "silent": silent_protocol,
-    "handshake": handshake,
-    "ok_protocol": ok_protocol,
-    "broadcast_once": broadcast_once,
-    "ping_once": ping_once,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +418,7 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _receive_times(run: Run, agents: Iterable[int]) -> tuple[int, ...]:
-    """When any of ``agents`` receives in ``run``, ascending."""
-    return tuple(
-        sorted(t for a in agents for t, ev in run.timeline[a] if ev.kind == RECEIVE)
-    )
-
-
-def _silent(times: Sequence[int], lo: int, hi: float) -> bool:
-    """No time in the ascending ``times`` lies in [lo, hi)."""
-    i = bisect_left(times, lo)
-    return i == len(times) or times[i] >= hi
+_WINDOW_NOTES = ("quantifiers range over times 0..horizon only",)
 
 
 def _history_rows(system: System) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -465,28 +430,43 @@ def _history_rows(system: System) -> dict[str, tuple[tuple[int, ...], ...]]:
     }
 
 
-def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
-    """How many leading entries of ``a`` and ``b`` are equal."""
-    return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
-
-
-def _candidates(system: System):
-    """Each run with its candidate extensions: the runs sharing its
-    wake-ups, initial states and clock tables, itself included. Per
-    candidate come the agreement prefixes (for how many ticks from 0 on
-    all agents' histories, and each agent's, equal the run's) and when
-    anyone receives in it."""
+def _extensions(system: System) -> list[tuple[Run, tuple, list[int]]]:
+    """Each run with its history-id rows and, per time t, the id of its
+    extension key at t. The runs extending it at t are exactly those with
+    the same key: the same wake-ups, initial states and clocks, and every
+    agent's histories equal at times 0..t."""
     rows = _history_rows(system)
-    groups: dict[tuple, list[Run]] = {}
+    h = system.horizon
+    ids: dict[tuple, int] = {}
+    out = []
     for run in system.runs:
-        groups.setdefault((run.wake_up, run.initial_state, run.clock), []).append(run)
-    for run in system.runs:
-        cands = []
-        for cand in groups[(run.wake_up, run.initial_state, run.clock)]:
-            agree = [_common_prefix(x, y) for x, y in zip(rows[run.id], rows[cand.id])]
-            rx = _receive_times(cand, system.agents)
-            cands.append((cand, min(agree, default=inf), agree, rx))
-        yield run, cands
+        start, mine = (run.wake_up, run.initial_state, run.clock), rows[run.id]
+        keys = [(start, tuple(row[: t + 1] for row in mine)) for t in range(h + 1)]
+        out.append((run, mine, [ids.setdefault(key, len(ids)) for key in keys]))
+    return out
+
+
+def _first_receives(run: Run, agents: Iterable[int], horizon: int) -> list[int]:
+    """For t = 0..horizon+1, the first tick from t to the horizon at which
+    one of ``agents`` receives in ``run``; horizon + 1 if there is none."""
+    ticks = {t for a in agents for t, ev in run.timeline[a] if ev.kind == RECEIVE}
+    first = [horizon + 1] * (horizon + 2)
+    for t in range(horizon, -1, -1):
+        first[t] = t if t in ticks else first[t + 1]
+    return first
+
+
+def _silence(system: System) -> list[tuple[Run, list[int]]]:
+    """Each run with, per time t, the latest first receive at or after t
+    over the runs extending it at t: horizon + 1 when one of them
+    receives nothing from t on."""
+    exts = _extensions(system)
+    latest: dict[int, int] = {}
+    for run, _, keys in exts:
+        first = _first_receives(run, system.agents, system.horizon)
+        for t, key in enumerate(keys):
+            latest[key] = max(latest.get(key, 0), first[t])
+    return [(run, [latest[key] for key in keys]) for run, _, keys in exts]
 
 
 def check_ng1(system: System) -> CheckReport:
@@ -494,15 +474,11 @@ def check_ng1(system: System) -> CheckReport:
     no receives from that time on."""
     violations = [
         f"({run.id}@{t}): no silent extension with the same configuration and clocks"
-        for run, cands in _candidates(system)
-        for t in range(system.horizon + 1)
-        if not any(t < joint and _silent(rx, t, inf) for _, joint, _, rx in cands)
+        for run, silence in _silence(system)
+        for t, first in enumerate(silence)
+        if first <= system.horizon
     ]
-    return CheckReport(
-        "ng1",
-        tuple(violations),
-        ("quantifiers range over times 0..horizon only",),
-    )
+    return CheckReport("ng1", tuple(violations), _WINDOW_NOTES)
 
 
 def check_ng2(system: System) -> CheckReport:
@@ -510,49 +486,45 @@ def check_ng2(system: System) -> CheckReport:
     agent's history while everyone else receives nothing in it."""
     if system.n_agents < 2:
         raise ModelError("the condition concerns systems of two or more agents")
-    violations = []
-    for run, cands in _candidates(system):
-        for agent in system.agents:
-            rec = _receive_times(run, (agent,))
-            others = [a for a in system.agents if a != agent]
-            witnesses = [
-                (joint, agree[agent], _receive_times(cand, others))
-                for cand, joint, agree, _ in cands
-            ]
-            for t_lo in range(system.horizon + 1):
-                live = [(own, rx) for joint, own, rx in witnesses if t_lo < joint]
-                for t_hi in range(t_lo + 1, system.horizon + 1):
-                    if _silent(rec, t_lo + 1, t_hi) and not any(
-                        t_hi < own and _silent(rx, t_lo, t_hi) for own, rx in live
-                    ):
-                        violations.append(
-                            f"run {run.id!r}, agent {agent}, interval "
-                            f"({t_lo},{t_hi}): no witness extension"
-                        )
-    return CheckReport(
-        "ng2",
-        tuple(violations),
-        ("quantifiers range over times 0..horizon only",),
-    )
+    h = system.horizon
+    exts = _extensions(system)
+
+    def intervals():
+        # per run, agent and interval (t_lo, t_hi): the key of the runs
+        # that extend the run at t_lo and keep the agent's history through
+        # t_hi, whether the agent receives in (t_lo, t_hi), and when anyone
+        # else first receives from t_lo on
+        for run, rows, keys in exts:
+            for agent in system.agents:
+                own = _first_receives(run, (agent,), h)
+                others = _first_receives(run, set(system.agents) - {agent}, h)
+                for t_lo in range(h + 1):
+                    for t_hi in range(t_lo + 1, h + 1):
+                        key = (agent, keys[t_lo], rows[agent][: t_hi + 1])
+                        quiet = own[t_lo + 1] >= t_hi
+                        yield run, agent, t_lo, t_hi, key, quiet, others[t_lo]
+
+    latest: dict[tuple, int] = {}
+    for _, _, _, _, key, _, first in intervals():
+        latest[key] = max(latest.get(key, 0), first)
+    violations = [
+        f"run {run.id!r}, agent {agent}, interval ({t_lo},{t_hi}): no witness extension"
+        for run, agent, t_lo, t_hi, key, quiet, _ in intervals()
+        if quiet and latest[key] < t_hi
+    ]
+    return CheckReport("ng2", tuple(violations), _WINDOW_NOTES)
 
 
 def check_ng1prime(system: System) -> CheckReport:
     """For every point and later time, some extension is silent on the
     whole closed interval between them."""
-    violations = []
-    for run, cands in _candidates(system):
-        for t in range(system.horizon + 1):
-            live = [rx for _, joint, _, rx in cands if t < joint]
-            violations += [
-                f"({run.id}@{t}): no extension silent on [{t},{u}]"
-                for u in range(t, system.horizon + 1)
-                if not any(_silent(rx, t, u + 1) for rx in live)
-            ]
-    return CheckReport(
-        "ng1prime",
-        tuple(violations),
-        ("quantifiers range over times 0..horizon only",),
-    )
+    violations = [
+        f"({run.id}@{t}): no extension silent on [{t},{u}]"
+        for run, silence in _silence(system)
+        for t, first in enumerate(silence)
+        for u in range(first, system.horizon + 1)
+    ]
+    return CheckReport("ng1prime", tuple(violations), _WINDOW_NOTES)
 
 
 def check_temporal_imprecision(system: System, delta: int = 1) -> CheckReport:
@@ -570,26 +542,22 @@ def check_temporal_imprecision(system: System, delta: int = 1) -> CheckReport:
         raise ModelError("the condition concerns systems of two or more agents")
     rows = _history_rows(system)
     pairs = [(i, j) for i in system.agents for j in system.agents if i != j]
-    violations = []
-    for run in system.runs:
-        # reach[(i, j)]: the latest probe time t at which some run shows
-        # agent i's first t histories shifted by delta and agent j's
-        # first t histories unchanged
-        reach = dict.fromkeys(pairs, 0)
-        mine = rows[run.id]
-        for cand in system.runs:
-            theirs = rows[cand.id]
-            shifted = [_common_prefix(x, y[delta:]) for x, y in zip(mine, theirs)]
-            fixed = [_common_prefix(x, y) for x, y in zip(mine, theirs)]
-            for i, j in pairs:
-                reach[(i, j)] = max(reach[(i, j)], min(shifted[i], fixed[j]))
-        for t in range(system.horizon - delta + 1):
-            for i, j in pairs:
-                if t > reach[(i, j)]:
-                    violations.append(
-                        f"({run.id}@{t}): no run shifts agent {i} by "
-                        f"{delta} while fixing agent {j}"
-                    )
+    probes = range(system.horizon - delta + 1)
+    # what some run shows at each probe t: agent i's histories at times
+    # delta..delta+t-1 and agent j's at times 0..t-1
+    shown = {
+        (i, j, theirs[i][delta : delta + t], theirs[j][:t])
+        for theirs in rows.values()
+        for t in probes
+        for i, j in pairs
+    }
+    violations = [
+        f"({run.id}@{t}): no run shifts agent {i} by {delta} while fixing agent {j}"
+        for run in system.runs
+        for t in probes
+        for i, j in pairs
+        if (i, j, rows[run.id][i][:t], rows[run.id][j][:t]) not in shown
+    ]
     return CheckReport(
         "temporal_imprecision",
         tuple(violations),
@@ -626,11 +594,11 @@ def shift_run(
     if new_wake[agent] > horizon:
         raise ModelError(f"shift pushes agent {agent} wake-up past the horizon")
 
-    send_times: dict[tuple[int, int, str], int] = {}
+    send_times: dict[tuple[int, int, str], list[int]] = {}
     for a in range(n):
         for tt, ev in run.timeline[a]:
             if ev.kind == SEND:
-                send_times[(a, ev.peer, ev.message)] = tt
+                send_times.setdefault((a, ev.peer, ev.message), []).append(tt)
 
     new_timeline: list[tuple[tuple[int, Event], ...]] = []
     for a in range(n):
@@ -650,15 +618,18 @@ def shift_run(
 
     if delivery is not None:
         for a in range(n):
+            lag = delta if a == agent else 0
             for tt, ev in new_timeline[a]:
                 if ev.kind != RECEIVE:
                     continue
-                key = (ev.peer, a, ev.message)
-                if key not in send_times:
+                times = send_times.get((ev.peer, a, ev.message), ())
+                # the latest send at or before the receive's unshifted tick
+                sent = max((s for s in times if s <= tt - lag), default=None)
+                if sent is None:
                     raise ModelError(
                         f"receive of {ev.message!r} by agent {a} has no matching send"
                     )
-                delay = tt - send_times[key] - (delta if ev.peer == agent else 0)
+                delay = tt - sent - (delta if ev.peer == agent else 0)
                 if not delivery.admits_delay(delay):
                     raise ModelError(
                         f"shift gives message {ev.message!r} delay {delay}, "

@@ -503,7 +503,7 @@ def validate_system(system: System) -> list[str]:
                     problems.append(f"{where}: unknown event kind {ev.kind!r}")
                 if not 0 <= t <= system.horizon:
                     problems.append(f"{where}: event time outside 0..{system.horizon}")
-                if run.clock is not None and t >= w:
+                if run.clock is not None and w <= t < w + len(run.clock[agent]):
                     expected = run.clock[agent][t - w]
                     if ev.clock_stamp != expected:
                         problems.append(

@@ -31,9 +31,10 @@ from epimc.views import VIEW_PROJECTIONS, ViewPolicy
 
 
 def random_system(rng: random.Random, max_runs: int = 4, max_horizon: int = 4,
-                  max_agents: int = 3) -> System:
-    """A small well-formed system with random message traffic."""
-    n = rng.randint(2, max_agents)
+                  max_agents: int = 3, min_agents: int = 2) -> System:
+    """A small well-formed system with random message traffic; a lone
+    agent messages itself."""
+    n = rng.randint(min_agents, max_agents)
     horizon = rng.randint(1, max_horizon)
     n_runs = rng.randint(1, max_runs)
     clocked = rng.random() < 0.3
@@ -45,7 +46,7 @@ def random_system(rng: random.Random, max_runs: int = 4, max_horizon: int = 4,
         events = []
         for k in range(rng.randint(0, 4)):
             sender = rng.randrange(n)
-            recipient = rng.choice([a for a in range(n) if a != sender])
+            recipient = rng.choice([a for a in range(n) if a != sender] or [sender])
             st = rng.randint(wake[sender], horizon)
             body = f"m{ri}_{k}"
             events.append((st, sender, "send", recipient, body))

@@ -172,6 +172,15 @@ def test_shift_run_respects_delivery_bounds():
     )
     with pytest.raises(ModelError, match="no matching send"):
         shift_run(ghost, 0, 1, horizon=5, delivery=bounds)
+    # a message sent twice: the receive's delay runs from the latest send
+    # at or before it, not from the later resend
+    resent = make_run(
+        "d", horizon=6, wake_up=[0, 0], initial_state=["a", "b"],
+        events=[(0, 0, "send", 1, "m"), (3, 0, "send", 1, "m"),
+                (1, 1, "receive", 0, "m")],
+    )
+    shifted = shift_run(resent, 1, 1, horizon=6, delivery=bounds)
+    assert [t for t, _ in shifted.timeline[1]] == [2]
 
 
 def test_shift_run_rejects_horizon_overflow():
@@ -241,8 +250,9 @@ def test_ok_protocol_requires_clock_histories():
 @lru_cache(maxsize=None)
 def differential_systems():
     """Random systems, clocked ones included, some with runs that differ
-    only in their clocks, plus a shift-closed image and drop-generated,
-    clocked and delivered-only handshakes."""
+    only in their clocks, plus a shift-closed image, drop-generated,
+    clocked and delivered-only handshakes, and two runs whose clocks part
+    after their first tick."""
     rng = random.Random(404)
     systems = [random_system(rng) for _ in range(200)]
     assert sum(s.has_clocks for s in systems) >= 40
@@ -255,7 +265,38 @@ def differential_systems():
         handshake(2), DeliveryModel.not_guaranteed((0, 1)), cfgs, 3, global_clock=True
     )
     delivered = make_system(2, 4, [r for r in dropping.runs if "!" not in r.id])
-    return systems + [closed, dropping, clocked, delivered]
+    # both runs read clock 0 at tick 0 and part from tick 1 on, so at
+    # tick 0 the quiet run has the loud run's histories but not its clocks
+    common = dict(horizon=2, wake_up=[0, 0], initial_state=["a", "b"])
+    send = (0, 0, "send", 1, "m")
+    loud = make_run("loud", **common, clock=[[0, 1, 2]] * 2,
+                    events=[send, (1, 1, "receive", 0, "m")])
+    quiet = make_run("quiet", **common, clock=[[0, 0, 1]] * 2, events=[send])
+    parted = make_system(2, 2, [loud, quiet])
+    return systems + [closed, dropping, clocked, delivered, parted]
+
+
+def test_one_agent_silence_checks_match_their_transcriptions():
+    rng = random.Random(505)
+    for _ in range(20):
+        system = random_system(rng, min_agents=1, max_agents=1)
+        assert system.n_agents == 1
+        assert check_ng1(system).violations == oracle_ng1(system)
+        assert check_ng1prime(system).violations == oracle_ng1prime(system)
+
+
+def test_ng1_flags_the_points_where_ng1prime_flags_the_horizon():
+    flagged = 0
+    for system in differential_systems():
+        ng1 = [v.rpartition("): ")[0] for v in check_ng1(system).violations]
+        last = [
+            v.rpartition("): ")[0]
+            for v in check_ng1prime(system).violations
+            if v.endswith(f",{system.horizon}]")
+        ]
+        assert ng1 == last
+        flagged += len(ng1)
+    assert flagged
 
 
 @pytest.mark.parametrize(

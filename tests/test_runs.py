@@ -9,6 +9,7 @@ from epimc.runs import (
     Event,
     ModelError,
     Point,
+    Run,
     UnknownAgentError,
     UnknownRunError,
     extends,
@@ -162,6 +163,13 @@ def test_validate_flags_decreasing_clock():
                    clock=[[5, 4, 3]])
     problems = validate_system(make_system(1, 2, [run]))
     assert any("monotone" in p for p in problems)
+
+
+def test_validate_reports_a_short_clock_table():
+    # built directly, so no constructor checks the table against the stamp
+    run = Run("s", (0,), ("a",), (((2, Event("send", 0, "m", 0)),),), ((0, 1),))
+    problems = validate_system(make_system(1, 2, [run]))
+    assert any("clock table length 2, expected 3" in p for p in problems)
 
 
 def test_validate_flags_unmatched_receive():
