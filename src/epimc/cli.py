@@ -3,8 +3,9 @@
 Subcommands: eval, scenario, axioms, check, graph, verify. Exit codes:
 0 on success, 1 when an evaluation-level expectation or check fails (bad
 formula, failed manifest expectation, failed structural check), 2 on I/O,
-schema or run-consistency problems and on a malformed --point or --group,
-and 141 when standard output is closed before the report is written.
+schema or run-consistency problems and on a malformed --point, --group,
+--param or --max-k, and 141 when standard output is closed before the
+report is written.
 Reports are deterministic; --no-timing suppresses the timing line.
 """
 
@@ -115,14 +116,25 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _coerce(value: str):
-    lowered = value.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(value)
-    except ValueError:
+#: ``--param`` value readers by the scenario parameter's annotation, with
+#: what each accepts; a value it rejects exits 2.
+_PARAM_TYPES = {
+    "bool": (lambda text: {"true": True, "false": False}[text.lower()], "true or false"),
+    "int": (int, "an integer"),
+    "int | None": (lambda text: int(text) if text else None, "an integer or nothing"),
+}
+
+
+def _coerce(scenario, key: str, value: str):
+    """``value`` read as the type ``scenario`` declares for ``key``; an
+    undeclared key is passed through, for the call to reject."""
+    read, accepts = _PARAM_TYPES.get(scenario.__annotations__.get(key), (None, ""))
+    if read is None:
         return value
+    try:
+        return read(value)
+    except (KeyError, ValueError):
+        raise CliError(f"--param {key}: expected {accepts}, got {value!r}", 2) from None
 
 
 def _cmd_scenario(args) -> int:
@@ -139,7 +151,7 @@ def _cmd_scenario(args) -> int:
         if "=" not in item:
             raise CliError(f"--param expects key=value, got {item!r}", 2)
         key, value = item.split("=", 1)
-        params[key] = _coerce(value)
+        params[key] = _coerce(SCENARIOS[args.name], key, value)
     try:
         manifest = SCENARIOS[args.name](**params)
     except TypeError as exc:
@@ -163,6 +175,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    if args.max_k < 1:  # E^k needs k >= 1
+        raise CliError(f"--max-k must be at least 1, got {args.max_k}", 2)
     model = _read_model(args.system)
     props = args.props.split(",") if args.props else list(model.valuation.names)
     if not props:

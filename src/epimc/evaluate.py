@@ -26,9 +26,8 @@ needs neither the run generators nor the scenario builders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import formulas as fm
 from .formulas import Formula, parse
@@ -56,7 +55,6 @@ class UnboundVariableError(EvalError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class Valuation:
     """Truth sets per proposition name; absent points are false.
 
@@ -64,7 +62,8 @@ class Valuation:
     formula cannot silently pass.
     """
 
-    truth: Mapping[str, PointSet]
+    def __init__(self, truth: Mapping[str, PointSet]) -> None:
+        self.truth = truth
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -83,13 +82,11 @@ def make_valuation(pairs: Mapping[str, Iterable[Point]]) -> Valuation:
     return Valuation({name: frozenset(pts) for name, pts in pairs.items()})
 
 
-@dataclass(frozen=True, eq=False)
 class Model:
     """A system with a valuation and a view policy; the index is derived."""
 
-    system: System
-    valuation: Valuation
-    policy: ViewPolicy
+    def __init__(self, system: System, valuation: Valuation, policy: ViewPolicy) -> None:
+        self.system, self.valuation, self.policy = system, valuation, policy
 
     @cached_property
     def index(self) -> IndistIndex:
@@ -418,8 +415,7 @@ def check_validity(model: Model, f: Formula) -> tuple[bool, Point | None]:
 # ---------------------------------------------------------------------------
 # Manifest replay
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):
     """One checkable claim: a formula, a point (or None for all points),
     and the expected outcome. With ``point=None`` and ``expected=True``
     the formula must be valid; with ``expected=False`` it must hold
@@ -431,16 +427,14 @@ class Expectation:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ScenarioManifest:
+class ScenarioManifest(NamedTuple):
     name: str
     parameters: Mapping[str, object]
     model: Model
     expectations: tuple[Expectation, ...]
 
 
-@dataclass(frozen=True)
-class ExpectationFailure:
+class ExpectationFailure(NamedTuple):
     expectation: Expectation
     detail: str
 
@@ -478,8 +472,7 @@ def verify_manifest(manifest: ScenarioManifest) -> tuple[ExpectationFailure, ...
 # ---------------------------------------------------------------------------
 # Axiom and rule reports
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     name: str
     formula: str
     status: str  # "pass" | "fail" | "info" | "vacuous"
@@ -487,8 +480,7 @@ class AxiomCheck:
     counterexample: Point | None = None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     entries: tuple[AxiomCheck, ...]
 
     @property
@@ -509,8 +501,7 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class InductionReport:
+class InductionReport(NamedTuple):
     premise_valid: bool
     conclusion_valid: bool
     vacuous: bool

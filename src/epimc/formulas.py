@@ -25,8 +25,7 @@ extends as far right as possible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator, NamedTuple
 
 AgentSet = tuple[int, ...]
 
@@ -52,9 +51,48 @@ class PositivityError(FormulaError):
 
 
 class Formula:
-    """Base class; all nodes are frozen and hashable."""
+    """Base class of every node. A node class lists its fields in
+    ``__slots__``, and they drive its constructor (positional or keyword),
+    equality (class and fields: ``Prop('X') != Var('X')``), hash and
+    repr. Nodes are frozen: assigning a field raises ``AttributeError``,
+    and ``_replace`` copies a node with some fields changed."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        rest = names[len(args):]
+        if len(args) > len(names) or kwargs.keys() != set(rest):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in zip(names, (*args, *map(kwargs.get, rest))):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes) -> Formula:
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = zip(self.__slots__, self._values())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _group(agents: Iterable[int]) -> AgentSet:
@@ -64,23 +102,22 @@ def _group(agents: Iterable[int]) -> AgentSet:
     return members
 
 
-@dataclass(frozen=True)
 class Prop(Formula):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class TrueConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Not(Formula):
+    __slots__ = ("child",)
     child: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
@@ -103,7 +140,8 @@ class Modal(Formula):
       the operator is (``C G f`` is ``nu X. E G (f & X)``); a C-form has
       the fields of its E-form.
 
-    Every subclass lists its fields in the order index, integer, child.
+    Every subclass lists its fields in ``__slots__`` in the order index,
+    integer, child.
     """
 
     __slots__ = ()
@@ -129,7 +167,8 @@ class Modal(Formula):
         cls.least = least
         cls.unfolds = unfolds
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.param is None:
             return
         value = getattr(self, self.param)
@@ -139,85 +178,85 @@ class Modal(Formula):
             )
 
 
-@dataclass(frozen=True)
 class K(Modal, head="K", by_agent=True):
+    __slots__ = ("agent", "child")
     agent: int
     child: Formula
 
 
-@dataclass(frozen=True)
 class S(Modal, head="S"):
+    __slots__ = ("group", "child")
     group: AgentSet
     child: Formula
 
 
-@dataclass(frozen=True)
 class E(Modal, head="E"):
+    __slots__ = ("group", "child")
     group: AgentSet
     child: Formula
 
 
-@dataclass(frozen=True)
 class EPow(Modal, head="E^", param="power", least=1):
+    __slots__ = ("group", "power", "child")
     group: AgentSet
     power: int
     child: Formula
 
 
-@dataclass(frozen=True)
 class D(Modal, head="D"):
+    __slots__ = ("group", "child")
     group: AgentSet
     child: Formula
 
 
-@dataclass(frozen=True)
 class C(Modal, head="C", unfolds=E):
+    __slots__ = ("group", "child")
     group: AgentSet
     child: Formula
 
 
-@dataclass(frozen=True)
 class EEps(Modal, head="Eeps", param="eps"):
+    __slots__ = ("group", "eps", "child")
     group: AgentSet
     eps: int
     child: Formula
 
 
-@dataclass(frozen=True)
 class CEps(Modal, head="Ceps", param="eps", unfolds=EEps):
+    __slots__ = ("group", "eps", "child")
     group: AgentSet
     eps: int
     child: Formula
 
 
-@dataclass(frozen=True)
 class EDiamond(Modal, head="Ev"):
+    __slots__ = ("group", "child")
     group: AgentSet
     child: Formula
 
 
-@dataclass(frozen=True)
 class CDiamond(Modal, head="Cv", unfolds=EDiamond):
+    __slots__ = ("group", "child")
     group: AgentSet
     child: Formula
 
 
-@dataclass(frozen=True)
 class KTime(Modal, head="Kt", by_agent=True, param="stamp"):
+    __slots__ = ("agent", "stamp", "child")
     agent: int
     stamp: int
     child: Formula
 
 
-@dataclass(frozen=True)
 class ETime(Modal, head="Et", param="stamp"):
+    __slots__ = ("group", "stamp", "child")
     group: AgentSet
     stamp: int
     child: Formula
 
 
-@dataclass(frozen=True)
 class CTime(Modal, head="Ct", param="stamp", unfolds=ETime):
+    __slots__ = ("group", "stamp", "child")
     group: AgentSet
     stamp: int
     child: Formula
@@ -227,13 +266,13 @@ class CTime(Modal, head="Ct", param="stamp", unfolds=ETime):
 MODALS: dict[str, type[Modal]] = {cls.head: cls for cls in Modal.__subclasses__()}
 
 
-@dataclass(frozen=True)
 class Var(Formula):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class Nu(Formula):
+    __slots__ = ("var", "body")
     var: str
     body: Formula
 
@@ -277,8 +316,7 @@ def _modal_of(name: str) -> tuple[type[Modal], int | None] | None:
     return None
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -634,7 +672,7 @@ def expand_fixpoints(f: Formula) -> Formula:
             params = [getattr(node, node.param)] if node.param else []
             return Nu(x, node.unfolds(node.group, *params, And(go(node.child), Var(x))))
         if isinstance(node, (Not, Modal)):
-            return replace(node, child=go(node.child))
+            return node._replace(child=go(node.child))
         if isinstance(node, And):
             return And(go(node.left), go(node.right))
         if isinstance(node, Nu):

@@ -14,8 +14,7 @@ which is the discrete rendering of delivery within one time unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .runs import (
     Event,
@@ -38,37 +37,52 @@ class ScheduleExplosionError(ModelError):
     """The admissible schedule count exceeded the configured cap."""
 
 
-@dataclass(frozen=True)
-class InitialConfiguration:
-    """Per-agent wake-up times and initial states."""
-
+class _Configuration(NamedTuple):
     wake_up: tuple[int, ...]
     initial_state: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.wake_up) != len(self.initial_state):
+
+class InitialConfiguration(_Configuration):
+    """Per-agent wake-up times and initial states, of equal lengths."""
+
+    __slots__ = ()
+
+    def __new__(cls, wake_up: tuple[int, ...], initial_state: tuple[str, ...]):
+        if len(wake_up) != len(initial_state):
             raise ModelError("configuration field lengths differ")
+        return super().__new__(cls, wake_up, initial_state)
+
+    @classmethod
+    def _make(cls, iterable) -> InitialConfiguration:  # so _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class JointProtocol:
+class JointProtocol(NamedTuple):
     """A deterministic send rule per agent.
 
     ``rule(agent, history)`` returns the (recipient, body) pairs the agent
     sends now. Histories exclude the current tick, so actions depend only
     on the past; with clocks, the current reading is the last entry of the
-    history's clock range.
+    history's clock range. Protocols compare and hash by name only.
     """
 
     name: str
-    rule: Callable[[int, LocalHistory], Iterable[tuple[int, str]]] = field(compare=False)
+    rule: Callable[[int, LocalHistory], Iterable[tuple[int, str]]]
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:1] == other[:1]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:1])
 
     def sends(self, agent: int, history: LocalHistory) -> tuple[tuple[int, str], ...]:
         return tuple(sorted({(int(r), str(b)) for r, b in self.rule(agent, history)}))
 
 
-@dataclass(frozen=True)
-class DeliveryModel:
+class DeliveryModel(NamedTuple):
     """Admissible delivery outcomes for each sent message.
 
     Variants:
@@ -156,8 +170,7 @@ class DeliveryModel:
         return hi is None or delay <= hi
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(NamedTuple):
     """One delivery decision: a sent message and its outcome for a recipient."""
 
     sender: int
@@ -210,7 +223,7 @@ def enumerate_runs(
                 f"shrink the horizon or raise max_schedules"
             )
         tags = ",".join(_outcome_tag(e) for e in schedule)
-        results.append((replace(run, id=f"c{ci}" + (f":{tags}" if tags else "")), schedule))
+        results.append((run._replace(id=f"c{ci}" + (f":{tags}" if tags else "")), schedule))
 
     for ci, cfg in enumerate(configs):
         _explore(ci, cfg, n, protocol, delivery, horizon, global_clock, finish)
@@ -400,8 +413,7 @@ def ping_once(body: str = "m") -> JointProtocol:
 # ---------------------------------------------------------------------------
 # Structural checks
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     violations: tuple[str, ...]
     notes: tuple[str, ...] = ()

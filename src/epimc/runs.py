@@ -23,15 +23,15 @@ are one object. The index, the structural checks and ``history_cover``
 compare those ids. ``run_history`` is the definition the table is built
 to agree with, and the one used for runs outside any system.
 
-``Point`` and ``Event`` are named tuples, so hashing, equality and
-ordering run in C. A consequence: a ``Point`` compares equal to the plain
-tuple ``(run_id, time)``, and an ``Event`` to ``(kind, peer, message,
-clock_stamp)``.
+``Point``, ``Event``, ``LocalHistory``, ``AgentHistories`` and ``Run``
+are named tuples, so hashing, equality and ordering run in C, and
+``_replace`` copies one with some fields changed. A consequence: each
+compares equal to the plain tuple of its fields, so a ``Point`` equals
+``(run_id, time)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -94,8 +94,7 @@ def canonical_timeline(entries: list[tuple]) -> tuple[tuple[int, Event], ...]:
     return tuple(map(_TICK_AND_EVENT, entries))
 
 
-@dataclass(frozen=True)
-class LocalHistory:
+class LocalHistory(NamedTuple):
     """What one agent has observed so far.
 
     ``initial_state`` is None before the agent wakes up; such histories
@@ -129,8 +128,7 @@ class LocalHistory:
 EMPTY_HISTORY = LocalHistory(None)
 
 
-@dataclass(frozen=True)
-class AgentHistories:
+class AgentHistories(NamedTuple):
     """One agent's histories over a system, each distinct one stored once:
     ``ids[i]`` is the id of its history at dense point i and
     ``distinct[id]`` that history."""
@@ -139,8 +137,7 @@ class AgentHistories:
     distinct: tuple[LocalHistory, ...]
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """A complete execution up to the system horizon.
 
     ``timeline[a]`` is agent a's canonically ordered tuple of
@@ -313,15 +310,11 @@ def _intern_histories(runs: Sequence[Run], horizon: int, agent: int) -> AgentHis
     return AgentHistories(tuple(ids), tuple(distinct))
 
 
-@dataclass(frozen=True, eq=False)
 class System:
     """A finite set of runs over shared agents and horizon."""
 
-    n_agents: int
-    horizon: int
-    runs: tuple[Run, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, n_agents: int, horizon: int, runs: tuple[Run, ...]) -> None:
+        self.n_agents, self.horizon, self.runs = n_agents, horizon, runs
         seen: set[str] = set()
         for r in self.runs:
             if r.n_agents != self.n_agents:

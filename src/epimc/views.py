@@ -18,10 +18,9 @@ in the number of points instead of a walk of a whole class per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, or_
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, NamedTuple
 
 from .runs import LocalHistory, ModelError, Point, System
 
@@ -52,20 +51,27 @@ def ids_of(mask: int) -> list[int]:
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-@dataclass(frozen=True)
-class ViewPolicy:
+class ViewPolicy(NamedTuple):
     """How an agent's view is derived from its local history.
 
     ``complete`` keeps the whole history (finest distinctions),
     ``trivial`` maps everything to one view (coarsest), and
-    ``projection`` applies a user function of the history.
+    ``projection`` applies a user function of the history. Policies
+    compare and hash by kind and name only, not by the function.
     """
 
     kind: str
     name: str
-    projection: Callable[[LocalHistory], Hashable] | None = field(
-        default=None, compare=False
-    )
+    projection: Callable[[LocalHistory], Hashable] | None = None
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     @staticmethod
     def complete_history() -> "ViewPolicy":
@@ -119,7 +125,6 @@ def policy_from_name(name: str) -> ViewPolicy:
     raise ModelError(f"unknown view policy {name!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class IndistIndex:
     """Per-agent partition of all points into view-equivalence classes.
 
@@ -129,9 +134,13 @@ class IndistIndex:
     are numbered by ``system``.
     """
 
-    system: System
-    class_masks: tuple[tuple[int, ...], ...]
-    class_ids: tuple[tuple[int, ...], ...]
+    def __init__(
+        self,
+        system: System,
+        class_masks: tuple[tuple[int, ...], ...],
+        class_ids: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.system, self.class_masks, self.class_ids = system, class_masks, class_ids
 
     @property
     def points(self) -> tuple[Point, ...]:

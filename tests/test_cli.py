@@ -239,6 +239,10 @@ def test_axioms_subcommand(attack_files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "INFO" in out
+    # E^k needs k >= 1, so the hierarchy chain needs at least one rung
+    for bad in ("0", "-1"):
+        assert main(["axioms", "--system", str(system), "--max-k", bad]) == 2
+        assert capsys.readouterr().err == f"--max-k must be at least 1, got {bad}\n"
 
 
 def test_output_is_deterministic(attack_files, capsys):
@@ -258,7 +262,7 @@ _SMALL_SCENARIOS = {
     "r2d2": ["eps=1", "t_S=4", "k_max=3"],
     "ok_protocol": ["horizon=3"],
     "broadcast_channel": ["L=1", "eps=1", "n=3", "horizon=4", "clocked=true"],
-    "timestamped_demo": ["delta=1", "eps=1"],
+    "timestamped_demo": ["delta=1", "eps=1", "horizon="],  # an optional int left empty
 }
 
 
@@ -309,6 +313,24 @@ def test_scenario_bad_params_exit_two(tmp_path, capsys):
     assert main(
         ["scenario", "muddy_children", "--param", "bogus=1", "--out", str(tmp_path)]
     ) == 2
+    assert "unexpected keyword argument 'bogus'" in capsys.readouterr().err
+    # each value is read as the type the scenario declares for it
+    for name, params, named in [
+        ("muddy_children", ["n=2", "announce=no", "rounds=2"],
+         "announce: expected true or false, got 'no'"),
+        ("coordinated_attack", ["k_legs=2", "horizon=2.5"],
+         "horizon: expected an integer, got '2.5'"),
+        ("coordinated_attack", ["k_legs=true", "horizon=3"],
+         "k_legs: expected an integer, got 'true'"),
+        ("r2d2", ["eps=1", "t_S=4", "k_max=2", "horizon=x"],
+         "horizon: expected an integer or nothing, got 'x'"),
+    ]:
+        argv = ["scenario", name, "--out", str(tmp_path)]
+        for param in params:
+            argv += ["--param", param]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"--param {named}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_scenario_negative_broadcast_delays_exit_two(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from epimc import formulas as fm
@@ -14,6 +16,9 @@ from epimc.formulas import (
 
 def test_parse_individual_knowledge():
     assert parse("K1 m") == fm.K(1, fm.Prop("m"))
+    assert parse("K1 m") == fm.K(agent=1, child=fm.Prop(name="m"))
+    assert repr(parse("K0 p")) == "K(agent=0, child=Prop(name='p'))"
+    assert repr(parse("true")) == "TrueConst()"
 
 
 def test_parse_nu_binding():
@@ -71,6 +76,9 @@ def test_parse_errors_carry_positions():
 def test_free_variables_must_be_declared():
     assert parse("X", free_vars=["X"]) == fm.Var("X")
     assert parse("X") == fm.Prop("X")
+    # nodes compare by class as well as fields
+    assert fm.Prop("X") != fm.Var("X") and not fm.Prop("X") == fm.Var("X")
+    assert parse("X") != parse("X", free_vars=["X"])
 
 
 def test_positivity_accepts_even_negations():
@@ -155,6 +163,15 @@ def test_every_modal_head_parses_prints_reserves_and_unfolds(head):
     params = [cls.least + 2] if cls.param else []
     f = cls(index, *params, p)
     assert parse(print_formula(f)) == f
+    same = cls(index, *params, fm.Prop("p"))
+    assert f == same and f is not same and hash(f) == hash(same)
+    assert f._replace(child=fm.Var("p")) == cls(index, *params, fm.Var("p")) != f
+    twins = [c for c in fm.MODALS.values() if c is not cls and c.__slots__ == cls.__slots__]
+    assert all(twin(index, *params, p) != f for twin in twins)
+    with pytest.raises(AttributeError):
+        f.child = fm.Var("p")
+    with pytest.raises(TypeError):
+        cls(index)
     name = head + ("1" if cls.by_agent else "")
     with pytest.raises(ParseError):
         parse(name)
@@ -164,7 +181,8 @@ def test_every_modal_head_parses_prints_reserves_and_unfolds(head):
     other = head if cls.by_agent else head.rstrip("^") + "1"
     assert parse(other) == fm.Prop(other)
     if cls.param:
-        with pytest.raises(FormulaError):
+        least = f"{cls.param} of {head} must be at least {cls.least}"
+        with pytest.raises(FormulaError, match=re.escape(least)):
             cls(index, cls.least - 1, p)
     if cls.unfolds:
         x = fm.Var("X0")

@@ -54,8 +54,11 @@ def test_cli_import_leaves_evaluate_the_function_and_defers_scenario_modules():
         "import sys, epimc.cli, epimc\n"
         "assert epimc.evaluate is sys.modules['epimc.evaluate'].evaluate\n"
         "print(sorted(m for m in sys.modules if m.startswith('epimc')))\n"
+        "heavy = {'dataclasses', 'inspect'}\n"
+        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))\n"
         "assert epimc.scenarios is sys.modules['epimc.scenarios']\n"
         "assert epimc.protocols.generate_runs is epimc.generate_runs\n"
+        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,

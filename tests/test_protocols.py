@@ -64,6 +64,19 @@ def test_generation_is_deterministic():
     b = generate_runs(handshake(3), DeliveryModel.not_guaranteed((0,)), [CFG], 4)
     assert [r.id for r in a.runs] == [r.id for r in b.runs]
     assert [r.content_key() for r in a.runs] == [r.content_key() for r in b.runs]
+    # protocols compare by name, configurations and models by value
+    assert handshake(3) == handshake(3) and hash(handshake(3)) == hash(handshake(3))
+    assert handshake(3) != handshake(4)
+    assert CFG == InitialConfiguration((0, 0), ("favor", "await"))
+    assert repr(CFG) == "InitialConfiguration(wake_up=(0, 0), initial_state=('favor', 'await'))"
+    assert DeliveryModel.not_guaranteed((0,)) == DeliveryModel("not_guaranteed", (0,))
+    for bad in (lambda: InitialConfiguration((0, 0), ("favor",)),
+                lambda: CFG._replace(initial_state=("favor",))):
+        with pytest.raises(ModelError, match="configuration field lengths differ"):
+            bad()
+    assert CFG._replace(wake_up=(1, 0)) == InitialConfiguration((1, 0), ("favor", "await"))
+    with pytest.raises(AttributeError):
+        CFG.wake_up = (1, 1)
 
 
 def test_generated_runs_validate():

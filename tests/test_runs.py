@@ -7,6 +7,7 @@ from epimc.runs import (
     EMPTY_HISTORY,
     AgentSetMismatchError,
     Event,
+    LocalHistory,
     ModelError,
     Point,
     Run,
@@ -196,6 +197,11 @@ def test_lookup_errors():
         system.history(7, Point("del", 0))
     with pytest.raises(ModelError):
         system.history(0, Point("del", system.horizon + 1))
+    run = system.run("del")
+    with pytest.raises(ModelError, match="duplicate run id 'del'"):
+        make_system(2, 3, [run, run])
+    with pytest.raises(AgentSetMismatchError, match="run 'del' has 2 agents, system has 3"):
+        make_system(3, 3, [run])
 
 
 def test_system_history_matches_run_history():
@@ -255,6 +261,19 @@ def test_points_and_events_are_values():
         point.time = 2
     with pytest.raises(AttributeError):
         event.peer = 0
+
+    history = LocalHistory("a", (event,))
+    assert history == LocalHistory("a", (event,), None)
+    assert hash(history) == hash(LocalHistory("a", (event,)))
+    assert history._replace(events=()) == LocalHistory("a") != history
+    assert repr(EMPTY_HISTORY) == (
+        "LocalHistory(initial_state=None, events=(), clock_range=None)"
+    )
+    run = two_run_pair().run("del")
+    renamed = run._replace(id="x")
+    assert renamed != run and renamed.content_key() == run.content_key()
+    with pytest.raises(AttributeError):
+        run.id = "x"
 
 
 def test_a_point_equals_its_plain_tuple():

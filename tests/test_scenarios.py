@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 
 import pytest
@@ -249,7 +248,7 @@ def test_verify_parses_each_distinct_formula_once(monkeypatch):
         evaluate_module, "parse", lambda text: parsed.append(text) or parse(text)
     )
     once = coordinated_attack(3, 4)  # pointed and whole-system claims
-    manifest = dataclasses.replace(once, expectations=once.expectations * 2)
+    manifest = once._replace(expectations=once.expectations * 2)
     assert not verify_manifest(manifest)
     assert sorted(parsed) == sorted({e.formula for e in manifest.expectations})
 
@@ -257,10 +256,9 @@ def test_verify_parses_each_distinct_formula_once(monkeypatch):
 @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
 def test_verify_failures_match_the_per_expectation_transcription(name):
     manifest = SCENARIOS[name](**SMALL_PARAMS[name])
-    flipped = dataclasses.replace(
-        manifest,
+    flipped = manifest._replace(
         expectations=tuple(
-            dataclasses.replace(e, expected=not e.expected) if i % 4 == 0 else e
+            e._replace(expected=not e.expected) if i % 4 == 0 else e
             for i, e in enumerate(manifest.expectations)
         ),
     )

@@ -102,6 +102,13 @@ def test_inconsistent_projection_is_rejected_naming_two_points():
     with pytest.raises(ViewPolicyError) as err:
         build_index(system, ViewPolicy.local_state("unstable", unstable))
     assert "@" in str(err.value)
+    # a policy is its kind and name; the function is not compared
+    same = ViewPolicy.local_state("unstable", len)
+    assert same == ViewPolicy.local_state("unstable", unstable)
+    assert not same != ViewPolicy.local_state("unstable", unstable)
+    assert hash(same) == hash(ViewPolicy.local_state("unstable", unstable))
+    assert same != ViewPolicy.local_state("other", len)
+    assert same != ("projection", "unstable", len)
 
 
 def test_g_reachable_zero_steps_and_singleton_group():
