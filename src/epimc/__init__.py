@@ -1,71 +1,34 @@
 """Model checking for knowledge, common knowledge, and its attainable
 variants over finite run-based models of distributed systems.
 
-The modules every query needs are imported here. The names of
-``protocols`` and ``scenarios`` (run generation, structural checks and
-the built-in scenarios) are resolved on first use, so a command that
-only loads and evaluates a model never imports those modules.
+Every public name, and each module that defines one, is resolved from
+``_LAZY`` on first use, so ``import epimc`` loads no submodule and a
+command imports only the modules it runs. ``epimc.evaluate`` is the
+function; the evaluator's module is ``epimc.semantics``.
 """
 
 __version__ = "0.1.0"
 
-from .runs import (
-    EMPTY_HISTORY,
-    Event,
-    LocalHistory,
-    ModelError,
-    Point,
-    Run,
-    System,
-    extends,
-    history_cover,
-    make_run,
-    make_system,
-    validate_system,
-)
-from .views import (
-    IndistIndex,
-    ViewPolicy,
-    build_index,
-    export_graph,
-    g_reachable,
-    reachable_set,
-)
-from .formulas import Formula, check_positivity, expand_fixpoints, parse, print_formula
-from .evaluate import (
-    Model,
-    ScenarioManifest,
-    Valuation,
-    axiom_suite,
-    check_induction_rule,
-    check_validity,
-    eval_C_reach,
-    evaluate,
-    gfp,
-    holds,
-    make_valuation,
-    verify_manifest,
-)
-
 #: Name -> the module that defines it, imported on first use; a module
 #: name maps to itself.
 _LAZY = {
-    name: "protocols"
-    for name in (
-        "protocols",
-        "DeliveryModel",
-        "InitialConfiguration",
-        "JointProtocol",
-        "check_ng1",
-        "check_ng1prime",
-        "check_ng2",
-        "check_temporal_imprecision",
-        "close_under_shifts",
-        "generate_runs",
-        "shift_run",
+    name: module
+    for module, names in (
+        ("runs", "EMPTY_HISTORY Event LocalHistory ModelError Point Run System extends "
+                 "history_cover make_run make_system validate_system"),
+        ("views", "IndistIndex ViewPolicy build_index export_graph g_reachable "
+                  "reachable_set"),
+        ("formulas", "Formula check_positivity expand_fixpoints parse print_formula"),
+        ("semantics", "Model ScenarioManifest Valuation axiom_suite check_induction_rule "
+                      "check_validity eval_C_reach evaluate gfp holds make_valuation "
+                      "verify_manifest"),
+        ("protocols", "DeliveryModel InitialConfiguration JointProtocol check_ng1 "
+                      "check_ng1prime check_ng2 check_temporal_imprecision "
+                      "close_under_shifts generate_runs shift_run"),
+        ("scenarios", "SCENARIOS"),
     )
+    for name in (module, *names.split())
 }
-_LAZY.update(scenarios="scenarios", SCENARIOS="scenarios")
 
 
 def __getattr__(name: str):

@@ -19,8 +19,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .evaluate import EvalError, axiom_suite, truth_mask, verify_manifest
-from .formulas import FormulaError, parse
 from .runs import ModelError
 from .serialize import (
     SchemaError,
@@ -31,8 +29,8 @@ from .serialize import (
     manifest_to_dict,
     model_from_dict,
     parse_point,
+    system_from_dict,
 )
-from .views import export_graph
 
 
 #: Exit status when the reader of standard output goes away before the
@@ -51,18 +49,21 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _read_model(path: str):
+def _read(path: str, decode):
+    """The document in file ``path``, decoded by ``decode``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", 2) from None
     try:
-        return model_from_dict(load_json(text))
+        return decode(load_json(text))
     except ModelError as exc:
         raise CliError(f"{path}: {exc}", 2) from None
 
 
 def _parse_formula(text: str):
+    from .formulas import FormulaError, parse
+
     try:
         return parse(text)
     except FormulaError as exc:
@@ -85,7 +86,9 @@ def _emit(report: dict, fmt: str, timing: float | None) -> None:
 
 
 def _cmd_eval(args) -> int:
-    model = _read_model(args.system)
+    from .semantics import EvalError, truth_mask
+
+    model = _read(args.system, model_from_dict)
     formula = _parse_formula(args.formula)
     try:
         point = None if args.all else parse_point(args.point)
@@ -175,9 +178,11 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from .semantics import EvalError, axiom_suite
+
     if args.max_k < 1:  # E^k needs k >= 1
         raise CliError(f"--max-k must be at least 1, got {args.max_k}", 2)
-    model = _read_model(args.system)
+    model = _read(args.system, model_from_dict)
     props = args.props.split(",") if args.props else list(model.valuation.names)
     if not props:
         raise CliError("the model declares no propositions", 1)
@@ -222,10 +227,10 @@ def _cmd_check(args) -> int:
         "ng1prime": check_ng1prime,
         "timp": check_temporal_imprecision,
     }[args.which]
-    model = _read_model(args.system)
+    system = _read(args.system, system_from_dict)
     started = time.monotonic()
     try:
-        report = run_check(model.system)
+        report = run_check(system)
     except ModelError as exc:
         raise CliError(str(exc), 1) from None
     doc = {
@@ -240,7 +245,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    model = _read_model(args.system)
+    from .views import export_graph
+
+    model = _read(args.system, model_from_dict)
     try:
         group = [int(x) for x in args.group.split(",")] if args.group else []
     except ValueError:
@@ -262,14 +269,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        text = Path(args.manifest).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {args.manifest}: {exc}", 2) from None
-    try:
-        manifest = manifest_from_dict(load_json(text))
-    except ModelError as exc:
-        raise CliError(f"{args.manifest}: {exc}", 2) from None
+    from .formulas import FormulaError
+    from .semantics import verify_manifest
+
+    manifest = _read(args.manifest, manifest_from_dict)
     started = time.monotonic()
     try:
         failures = verify_manifest(manifest)

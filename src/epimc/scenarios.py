@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Iterable
 
-from .evaluate import Expectation, Model, ScenarioManifest, make_valuation
+from .semantics import Expectation, Model, ScenarioManifest, make_valuation
 from .protocols import (
     DROPPED,
     DeliveryModel,

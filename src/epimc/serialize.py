@@ -2,7 +2,9 @@
 
 Top level of a system file: ``schema`` (currently 1), ``agents`` (count),
 ``horizon``, ``runs``, and optionally ``valuation`` and ``policy``.
-Details and examples live in docs/file-formats.md.
+Details and examples live in docs/file-formats.md. ``system_from_dict``
+decodes the run part alone; the model and manifest decoders import the
+evaluator and the view policies when called.
 """
 
 from __future__ import annotations
@@ -10,9 +12,8 @@ from __future__ import annotations
 import functools
 import json
 from itertools import chain
-from typing import Any, NoReturn
+from typing import TYPE_CHECKING, Any, NoReturn
 
-from .evaluate import Expectation, Model, ScenarioManifest, Valuation, make_valuation
 from .runs import (
     EVENT_KINDS,
     RECEIVE,
@@ -27,7 +28,9 @@ from .runs import (
     inconsistencies,
     make_system,
 )
-from .views import policy_from_name
+
+if TYPE_CHECKING:
+    from .semantics import Model, ScenarioManifest, Valuation
 
 SCHEMA_VERSION = 1
 
@@ -263,6 +266,8 @@ def valuation_from_dict(obj: dict, system: System, path: str = "valuation") -> V
     """Truth sets of ``system``'s points; an entry naming a point outside
     the system is a schema error. Each entry's dense id is worked out
     inline and the set holds the system's own ``Point`` at that id."""
+    from .semantics import make_valuation
+
     slots = system.run_slots
     width = system.horizon + 1
     points = system.points
@@ -294,6 +299,9 @@ def model_to_dict(model: Model) -> dict:
 
 
 def model_from_dict(obj: dict, path: str = "system") -> Model:
+    from .semantics import Model
+    from .views import policy_from_name
+
     system = system_from_dict(obj, path)
     valuation = valuation_from_dict(obj.get("valuation", {}), system, f"{path}.valuation")
     policy = policy_from_name(obj.get("policy", "complete"))
@@ -321,6 +329,8 @@ def manifest_to_dict(manifest: ScenarioManifest) -> dict:
 def manifest_from_dict(obj: dict) -> ScenarioManifest:
     """A manifest; an expectation at a point outside its system is a
     schema error."""
+    from .semantics import Expectation, ScenarioManifest
+
     schema = obj.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise SchemaError(f"manifest.schema: unsupported version {schema!r}")

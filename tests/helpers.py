@@ -15,7 +15,7 @@ from itertools import combinations
 from pathlib import Path
 
 import epimc
-from epimc.evaluate import (
+from epimc.semantics import (
     Expectation,
     Model,
     PointSet,

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from epimc import formulas as fm
-from epimc.evaluate import (
+from epimc.semantics import (
     Model,
     check_validity,
     eval_C_reach,

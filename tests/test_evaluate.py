@@ -3,7 +3,7 @@ import random
 import pytest
 
 from epimc import formulas as fm
-from epimc.evaluate import (
+from epimc.semantics import (
     EvalError,
     Model,
     UnboundVariableError,

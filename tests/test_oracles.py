@@ -8,7 +8,7 @@ the evaluator's class-based fast paths is checked on random models.
 import random
 
 from epimc import formulas as fm
-from epimc.evaluate import Model, evaluate, make_valuation
+from epimc.semantics import Model, evaluate, make_valuation
 from epimc.formulas import parse
 from epimc.runs import Point, make_run, make_system
 from epimc.views import ViewPolicy

@@ -22,7 +22,7 @@ EXPORTS = {
     "epimc.formulas": (
         "Formula", "check_positivity", "expand_fixpoints", "parse", "print_formula",
     ),
-    "epimc.evaluate": (
+    "epimc.semantics": (
         "Model", "ScenarioManifest", "Valuation", "axiom_suite",
         "check_induction_rule", "check_validity", "eval_C_reach", "evaluate", "gfp",
         "holds", "make_valuation", "verify_manifest",
@@ -48,24 +48,45 @@ def test_unknown_names_are_attribute_errors():
         epimc.nope
 
 
-def test_cli_import_leaves_evaluate_the_function_and_defers_scenario_modules():
-    # a fresh interpreter, so that import order is the CLI's own
-    script = (
-        "import sys, epimc.cli, epimc\n"
-        "assert epimc.evaluate is sys.modules['epimc.evaluate'].evaluate\n"
-        "print(sorted(m for m in sys.modules if m.startswith('epimc')))\n"
-        "heavy = {'dataclasses', 'inspect'}\n"
-        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))\n"
-        "assert epimc.scenarios is sys.modules['epimc.scenarios']\n"
-        "assert epimc.protocols.generate_runs is epimc.generate_runs\n"
-        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))\n"
-    )
+def _fresh(script: str) -> list[str]:
+    """The lines ``script`` prints in a fresh interpreter, so that import
+    order is the script's own."""
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env=child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[0] == str([
-        "epimc", "epimc.cli", "epimc.evaluate", "epimc.formulas", "epimc.runs",
-        "epimc.serialize", "epimc.views",
-    ])
+    return proc.stdout.splitlines()
+
+
+_LOADED = "print(sorted(m for m in sys.modules if m.startswith('epimc')))\n"
+
+
+def test_cli_import_loads_only_runs_and_serialize_and_defers_the_rest():
+    script = (
+        "import sys, epimc.cli, epimc\n"
+        + _LOADED
+        + "heavy = {'dataclasses', 'inspect'}\n"
+        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))\n"
+        "assert epimc.evaluate is sys.modules['epimc.semantics'].evaluate\n"
+        "assert epimc.scenarios is sys.modules['epimc.scenarios']\n"
+        "assert epimc.protocols.generate_runs is epimc.generate_runs\n"
+        "assert not heavy & set(sys.modules), sorted(heavy & set(sys.modules))\n"
+    )
+    assert _fresh(script)[0] == str(["epimc", "epimc.cli", "epimc.runs", "epimc.serialize"])
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh("import sys, epimc\n" + _LOADED) == [str(["epimc"])]
+
+
+@pytest.mark.parametrize("first", ["epimc", "epimc.cli", "epimc.semantics", "epimc.serialize"])
+def test_evaluate_is_the_function_in_every_import_order(first):
+    script = (
+        f"import sys, {first}, epimc\n"
+        "from epimc import evaluate\n"
+        "import epimc.semantics as semantics\n"
+        "assert evaluate is epimc.evaluate is semantics.evaluate\n"
+        "assert callable(evaluate) and type(semantics).__name__ == 'module'\n"
+    )
+    _fresh(script)

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from epimc import formulas as fm
-from epimc.evaluate import evaluate
+from epimc.semantics import evaluate
 from epimc.formulas import check_positivity, expand_fixpoints, parse, print_formula
 from epimc.runs import run_history
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epimc.evaluate import Model, evaluate, make_valuation, verify_manifest
+from epimc.semantics import Model, evaluate, make_valuation, verify_manifest
 from epimc.formulas import parse
 from epimc.runs import ModelError, Point, make_run, make_system, validate_system
 from epimc.views import ViewPolicy

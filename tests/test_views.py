@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from epimc import formulas as fm
-from epimc.evaluate import evaluate
+from epimc.semantics import evaluate
 from epimc.runs import ModelError, Point, make_run, make_system
 from epimc.views import (
     ViewPolicy,
