@@ -102,7 +102,7 @@ def _cmd_eval(args) -> int:
     except RecursionError:
         raise CliError(TOO_DEEP, 1) from None
     if point is None:
-        points = model.point_order
+        points = model.system.points
         bits = bin(sat)[:1:-1].ljust(len(points), "0")
         rows = [(str(pt), bit == "1") for pt, bit in zip(points, bits)]
     else:
@@ -188,7 +188,10 @@ def _cmd_axioms(args) -> int:
         raise CliError("the model declares no propositions", 1)
     started = time.monotonic()
     try:
-        report = axiom_suite(model, props, max_k=args.max_k)
+        # the interval rows need a width inside the horizon
+        report = axiom_suite(
+            model, props, max_k=args.max_k, eps=min(1, model.system.horizon)
+        )
     except (EvalError, ModelError) as exc:
         raise CliError(str(exc), 1) from None
     doc = {

@@ -366,6 +366,8 @@ def r2d2(
     """
     if eps < 1:
         raise ModelError("the delivery uncertainty must be at least one tick")
+    if k_max < 1:
+        raise ModelError(f"the tested knowledge depth k_max must be at least 1, got {k_max}")
     if t_S < k_max * eps + 1:
         raise ModelError(
             "the nominal send time must leave room below it for the tested "

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import formulas as fm
 from .formulas import Formula, parse
-from .runs import ModelError, Point, System, UnknownAgentError
+from .runs import ModelError, Point, System
 from .views import (
     IndistIndex,
     ViewPolicy,
@@ -97,10 +97,6 @@ class Model:
         return frozenset(self.system.points)
 
     @cached_property
-    def point_order(self) -> tuple[Point, ...]:
-        return self.system.points
-
-    @cached_property
     def _prop_masks(self) -> dict[str, int]:
         return {}
 
@@ -133,11 +129,7 @@ class Model:
 
 def _validate_formula(model: Model, f: Formula) -> None:
     for agent in fm.agents_mentioned(f):
-        if not 0 <= agent < model.system.n_agents:
-            raise UnknownAgentError(
-                f"agent {agent} out of range for a "
-                f"{model.system.n_agents}-agent system"
-            )
+        model.system.check_agent(agent)
     if model.system.runs and not model.system.has_clocks:
         for node in fm.walk(f):
             if isinstance(node, fm.Modal) and node.param == "stamp":

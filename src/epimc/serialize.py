@@ -23,7 +23,6 @@ from .runs import (
     Point,
     Run,
     System,
-    UnknownAgentError,
     canonical_timeline,
     inconsistencies,
     make_system,
@@ -212,12 +211,15 @@ def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: d
 
     if short_clock is not None:
         a = short_clock
-        raise ModelError(
-            f"run {run_id!r}: agent {a} clock table has {len(clock[a])} "
-            f"entries, expected {horizon - wake[a] + 1}"
+        raise SchemaError(
+            f"{path}.clock.{a}: run {run_id!r}: agent {a} clock table has "
+            f"{len(clock[a])} entries, expected {horizon - wake[a] + 1}"
         )
     if bad_agent is not None:
-        raise UnknownAgentError(f"run {run_id!r}: event names agent {bad_agent}")
+        j = next(j for j, raw in enumerate(raw_events) if raw["agent"] == bad_agent)
+        raise SchemaError(
+            f"{path}.events[{j}].agent: run {run_id!r}: event names agent {bad_agent}"
+        )
     run = Run(run_id, wake, init, tuple(map(canonical_timeline, per_agent)), clock)
     for agent, i, field, problem in inconsistencies(run, n_agents):
         if field == "clock":
@@ -252,7 +254,12 @@ def system_from_dict(obj: dict, path: str = "system") -> System:
         run_from_dict(r, n, horizon, f"{path}.runs[{i}]", interned)
         for i, r in enumerate(_need(obj, "runs", path, list))
     ]
-    return make_system(n, horizon, runs)
+    try:
+        return make_system(n, horizon, runs)
+    except ModelError as exc:  # a duplicate run id; the decoder fixes the agents
+        seen: set[str] = set()
+        i = next(i for i, run in enumerate(runs) if run.id in seen or seen.add(run.id))
+        raise SchemaError(f"{path}.runs[{i}].id: {exc}") from None
 
 
 def valuation_to_dict(valuation: Valuation) -> dict:
@@ -304,7 +311,10 @@ def model_from_dict(obj: dict, path: str = "system") -> Model:
 
     system = system_from_dict(obj, path)
     valuation = valuation_from_dict(obj.get("valuation", {}), system, f"{path}.valuation")
-    policy = policy_from_name(obj.get("policy", "complete"))
+    try:
+        policy = policy_from_name(obj.get("policy", "complete"))
+    except ModelError as exc:
+        raise SchemaError(f"{path}.policy: {exc}") from None
     return Model(system, valuation, policy)
 
 

@@ -186,16 +186,10 @@ class IndistIndex:
         pts = self.points
         return frozenset(pts[i] for i in ids_of(mask))
 
-    def class_of(self, agent: int, point: Point) -> frozenset[Point]:
-        if not 0 <= agent < self.n_agents:
-            raise ModelError(f"agent {agent} not in index")
-        return self.classes_by_agent[agent][self.class_ids[agent][self.point_id(point)]]
-
     def _members(self, group: Iterable[int]) -> AgentSet:
         members = normalize_group(group)
         for agent in members:
-            if not 0 <= agent < self.n_agents:
-                raise ModelError(f"agent {agent} not in index")
+            self.system.check_agent(agent)
         return members
 
     def component_masks(self, group: Iterable[int]) -> tuple[int, ...]:
@@ -356,10 +350,7 @@ def export_graph(index: IndistIndex, group: Iterable[int]) -> str:
     """
     members = tuple(sorted(set(int(a) for a in group)))
     for agent in members:
-        if not 0 <= agent < index.n_agents:
-            raise ModelError(
-                f"agent {agent} out of range for a {index.n_agents}-agent system"
-            )
+        index.system.check_agent(agent)
     lines = ["graph indistinguishability {"]
     for pt in index.points:
         lines.append(f'  "{pt}";')

@@ -47,7 +47,7 @@ def test_eval_all_rows_follow_the_truth_set(attack_files, capsys):
     )
     assert code == 0
     rows = json.loads(capsys.readouterr().out)["results"]
-    assert rows == [{"point": str(p), "holds": p in sat} for p in model.point_order]
+    assert rows == [{"point": str(p), "holds": p in sat} for p in model.system.points]
     assert 0 < len(sat) < len(rows)
 
 
@@ -246,6 +246,17 @@ def test_axioms_subcommand(attack_files, capsys):
         assert capsys.readouterr().err == f"--max-k must be at least 1, got {bad}\n"
 
 
+def test_axioms_on_a_horizon_zero_system_exits_zero(tmp_path, capsys):
+    system = tmp_path / "still.system.json"
+    system.write_text(json.dumps(
+        {"schema": 1, "agents": 1, "horizon": 0, "valuation": {"p": [["r", 0]]},
+         "runs": [{"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "s"}}]}
+    ))
+    assert main(["axioms", "--system", str(system), "--format", "json", "--no-timing"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert entries and not [e for e in entries if e["status"] == "fail"]
+
+
 def test_output_is_deterministic(attack_files, capsys):
     system, _ = attack_files
     argv = ["eval", "--system", str(system), "--formula", "E{0,1} prefav",
@@ -331,6 +342,12 @@ def test_scenario_bad_params_exit_two(tmp_path, capsys):
             argv += ["--param", param]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"--param {named}\n"
+    # a depth below 1 would leave the send past the horizon
+    argv = ["scenario", "r2d2", "--out", str(tmp_path)]
+    for param in ["eps=1", "t_S=4", "k_max=-2"]:
+        argv += ["--param", param]
+    assert main(argv) == 2
+    assert "k_max must be at least 1, got -2" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

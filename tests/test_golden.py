@@ -55,6 +55,33 @@ FORMULAS = (
 CHECKS = ("ng1", "ng1prime", "ng2", "timp")
 FORMATS = (["--format", "table"], ["--format", "json"])
 
+_RUN = {"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "s"}}
+
+#: Hand-written system files, by name: a valid horizon-0 system and one
+#: file per decoding error that names its field.
+FILES = {
+    "horizon_zero": {"agents": 1, "horizon": 0, "runs": [_RUN], "valuation": {"p": [["r", 0]]}},
+    "short_clock": {"agents": 1, "horizon": 1, "runs": [dict(_RUN, clock={"0": [0]})]},
+    "unknown_agent": {"agents": 1, "horizon": 1, "runs": [dict(_RUN, events=[
+        {"time": 0, "agent": 5, "kind": "send", "peer": 0, "message": "m"}])]},
+    "duplicate_run": {"agents": 1, "horizon": 1, "runs": [_RUN, _RUN]},
+    "unknown_policy": {"agents": 1, "horizon": 1, "runs": [_RUN], "policy": "nope"},
+}
+
+#: Commands on the ``FILES`` and on bad scenario parameters.
+INPUT_COMMANDS = [
+    ["scenario", "r2d2", "--out", ".", "--param", "eps=1", "--param", "t_S=4",
+     "--param", "k_max=-2"],
+    *(["axioms", "--system", "horizon_zero.json", *fmt, "--no-timing"] for fmt in FORMATS),
+    *(
+        ["eval", "--system", f"{name}.json", "--formula", "true", "--all", "--no-timing"]
+        for name in FILES
+        if name != "horizon_zero"
+    ),
+    # check reads only the runs of a system file
+    ["check", "--system", "unknown_policy.json", "--which", "ng1", "--no-timing"],
+]
+
 
 def _scenario_commands(name: str) -> list[list[str]]:
     """The commands run on scenario ``name``'s files, after the
@@ -90,7 +117,12 @@ def _run(argv: list[str]) -> dict:
 
 def digests(name: str) -> dict[str, dict]:
     """Command line -> result, for every command run on scenario
-    ``name``; the working directory must be empty of its files."""
+    ``name``, or on the ``FILES`` when ``name`` is "inputs"; the working
+    directory must be empty of their files."""
+    if name == "inputs":
+        for file, doc in FILES.items():
+            Path(f"{file}.json").write_text(json.dumps(dict(doc, schema=1)))
+        return {shlex.join(argv): _run(argv) for argv in INPUT_COMMANDS}
     argv = ["scenario", name, "--out", "."]
     params, prop = SCENARIOS[name]
     for param in params:
@@ -124,8 +156,11 @@ def golden() -> dict[str, dict]:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_outputs_match_the_golden_digests(golden, tmp_path, name):
+GROUPS = [*sorted(SCENARIOS), "inputs"]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_outputs_match_the_golden_digests(golden, tmp_path, name):
     with _inside(tmp_path):
         got = digests(name)
     want = golden[name]
@@ -133,13 +168,13 @@ def test_scenario_outputs_match_the_golden_digests(golden, tmp_path, name):
     assert not moved, moved
 
 
-def test_golden_file_has_one_table_per_scenario(golden):
-    assert sorted(golden) == sorted(SCENARIOS)
+def test_golden_file_has_one_table_per_group(golden):
+    assert list(golden) == GROUPS
 
 
 def write() -> None:
     table: dict[str, dict] = {}
-    for name in sorted(SCENARIOS):
+    for name in GROUPS:
         with tempfile.TemporaryDirectory() as scratch, _inside(scratch):
             table[name] = digests(name)
     GOLDEN.write_text(json.dumps(table, indent=1) + "\n")

@@ -143,6 +143,10 @@ def _run(**changes):
          "system.runs[0].events[1].time"),
         (_run(events=[dict(_EVENT, agent=5)], clock={"0": [0, "1"]}),
          "system.runs[0].clock.0[1]"),
+        (_run(clock={"0": [0]}), "system.runs[0].clock.0"),
+        (_run(events=[dict(_EVENT, agent=5)]), "system.runs[0].events[0].agent"),
+        ({"runs": [_RUN, _RUN]}, "system.runs[1].id"),
+        ({"policy": "nope"}, "system.policy"),
     ],
 )
 def test_bad_numbers_and_foreign_points_are_schema_errors(changes, field):

@@ -82,9 +82,11 @@ def test_complete_history_refines_every_policy():
     for _ in range(15):
         model = random_model(rng)
         complete = build_index(model.system, ViewPolicy.complete_history())
+        index = model.index
         for agent in model.system.agents:
             for cls in complete.classes_by_agent[agent]:
-                target = model.index.class_of(agent, min(cls))
+                i = model.system.point_id(min(cls))
+                target = index.points_of(index.class_masks[agent][index.class_ids[agent][i]])
                 assert cls <= target
 
 
@@ -150,13 +152,15 @@ def test_reachable_set_contains_start_and_is_a_fixed_point():
     for _ in range(10):
         model = random_model(rng)
         group = tuple(model.system.agents)
+        index = model.index
         for start in model.system.points[:3]:
-            closure = reachable_set(model.index, start, group)
+            closure = reachable_set(index, start, group)
             assert start in closure
             expanded = set(closure)
             for pt in closure:
+                i = model.system.point_id(pt)
                 for agent in group:
-                    expanded |= model.index.class_of(agent, pt)
+                    expanded |= index.points_of(index.class_masks[agent][index.class_ids[agent][i]])
             assert expanded == set(closure)
 
 
@@ -169,7 +173,8 @@ def test_reachable_set_monotone_in_group():
         small = reachable_set(model.index, start, agents[:1])
         large = reachable_set(model.index, start, agents)
         assert small <= large
-        one_step = model.index.class_of(agents[0], start)
+        index, i = model.index, model.system.point_id(start)
+        one_step = index.points_of(index.class_masks[agents[0]][index.class_ids[agents[0]][i]])
         assert one_step <= small
 
 
