@@ -311,8 +311,9 @@ def model_from_dict(obj: dict, path: str = "system") -> Model:
 
     system = system_from_dict(obj, path)
     valuation = valuation_from_dict(obj.get("valuation", {}), system, f"{path}.valuation")
+    name = _expect(obj.get("policy", "complete"), str, f"{path}.policy")
     try:
-        policy = policy_from_name(obj.get("policy", "complete"))
+        policy = policy_from_name(name)
     except ModelError as exc:
         raise SchemaError(f"{path}.policy: {exc}") from None
     return Model(system, valuation, policy)

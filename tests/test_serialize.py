@@ -147,6 +147,7 @@ def _run(**changes):
         (_run(events=[dict(_EVENT, agent=5)]), "system.runs[0].events[0].agent"),
         ({"runs": [_RUN, _RUN]}, "system.runs[1].id"),
         ({"policy": "nope"}, "system.policy"),
+        ({"policy": []}, "system.policy"),
     ],
 )
 def test_bad_numbers_and_foreign_points_are_schema_errors(changes, field):
