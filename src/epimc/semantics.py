@@ -29,8 +29,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import formulas as fm
 from .formulas import Formula, parse
+from . import formulas as fm
 from .runs import ModelError, Point, System
 from .views import (
     IndistIndex,
@@ -38,6 +38,7 @@ from .views import (
     build_index,
     mask_from_ids,
     normalize_group,
+    partition,
 )
 
 PointSet = frozenset[Point]
@@ -109,21 +110,16 @@ class Model:
     @cached_property
     def _stamp_masks(self) -> tuple[dict[int, int], ...]:
         """Per agent, clock reading -> the points at or after the agent's
-        wake-up where its clock shows that reading."""
-        width = self.system.horizon + 1
-        n = len(self.system.points)
-        runs = self.system.runs_in_point_order
+        wake-up where its clock shows that reading: the last entry of its
+        history's clock range."""
         out = []
-        for agent in self.system.agents:
-            by_stamp: dict[int, list[int]] = {}
-            for r, run in enumerate(runs):
-                if run.clock is None:
-                    continue
-                wake = run.wake_up[agent]
-                readings = run.clock[agent][: width - wake]
-                for t, stamp in enumerate(readings, start=wake):
-                    by_stamp.setdefault(stamp, []).append(r * width + t)
-            out.append({s: mask_from_ids(ids, n) for s, ids in by_stamp.items()})
+        for table in self.system.history_table:
+            class_of, _, masks = partition(
+                table, lambda h: h.clock_range[-1] if h.clock_range else None
+            )
+            out.append(
+                {stamp: masks[cls] for stamp, cls in class_of.items() if stamp is not None}
+            )
         return tuple(out)
 
 
@@ -379,9 +375,7 @@ def eval_C_reach(
 ) -> PointSet:
     """Common knowledge via reachability: points whose whole reachable set
     satisfies the argument. Agrees with the nu-form on every model."""
-    members = normalize_group(group)
-    for agent in members:
-        model.system.check_agent(agent)
+    members = model.index._members(group)
     arg = _eval(model, f, _env_masks(model, env))
     return model.index.points_of(_common(model, members, arg))
 

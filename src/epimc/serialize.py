@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 from itertools import chain
-from typing import TYPE_CHECKING, Any, NoReturn
+from typing import TYPE_CHECKING, Any, NamedTuple, NoReturn
 
 from .runs import (
     EVENT_KINDS,
@@ -401,11 +401,14 @@ def dump_manifest(doc: dict) -> tuple[str, str]:
     text one level down is its own text with every newline indented.
     """
     system = dump_json(doc["system"])
-    return dump_json(dict(doc, system=_Encoded(system[:-1]))), system
+    return dump_json(dict(doc, system=_Encoded(system))), system
 
 
-class _Encoded(str):
-    """JSON text already written by ``dump_json`` at the top level."""
+class _Encoded(NamedTuple):
+    """Text already written by ``dump_json`` at the top level, held
+    without a copy; ``_encode`` drops its final newline."""
+
+    text: str
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -434,7 +437,7 @@ def _encode(value: Any, depth: int, out: list[str]) -> None:
     """Append the text of ``value``, whose first line is already indented
     to ``depth``."""
     if type(value) is _Encoded:
-        out.append(value.replace("\n", "\n" + "  " * depth))
+        out.append(value.text[:-1].replace("\n", "\n" + "  " * depth))
         return
     opener = _opener(value)
     if opener is None:

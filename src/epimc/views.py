@@ -5,7 +5,9 @@ indistinguishable to an agent when its views there are equal. The index
 partitions the point set per agent by view and is the edge structure all
 knowledge operators are evaluated against: group-labelled reachability in
 this graph is what common knowledge quantifies over. Histories come from
-the system's history table, ``System.history_table``.
+the system's history table, ``System.history_table``, and ``partition``
+groups points by any key of the history, calling it once per distinct
+history; the index is that partition by view.
 
 Point ``i`` of the system's dense numbering (see ``runs``) is bit ``i`` of
 a Python ``int``, so each run owns a contiguous slice of bits. Inside
@@ -22,13 +24,9 @@ from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, NamedTuple
 
-from .runs import LocalHistory, ModelError, Point, System
+from .runs import AgentHistories, LocalHistory, ModelError, Point, System
 
 AgentSet = tuple[int, ...]
-
-
-class ViewPolicyError(ModelError):
-    """A policy assigned different views to equal histories."""
 
 
 def normalize_group(group: Iterable[int]) -> AgentSet:
@@ -143,16 +141,12 @@ class IndistIndex:
         self.system, self.class_masks, self.class_ids = system, class_masks, class_ids
 
     @property
-    def points(self) -> tuple[Point, ...]:
-        return self.system.points
-
-    @property
     def n_agents(self) -> int:
         return len(self.class_masks)
 
     @cached_property
     def full(self) -> int:
-        return (1 << len(self.points)) - 1
+        return (1 << len(self.system.points)) - 1
 
     @cached_property
     def classes_by_agent(self) -> tuple[tuple[frozenset[Point], ...], ...]:
@@ -164,11 +158,6 @@ class IndistIndex:
     def _group_cache(self) -> dict[tuple[str, AgentSet], tuple[int, ...]]:
         return {}
 
-    def point_id(self, point: Point) -> int:
-        """The system's dense id of ``point``; a ModelError if it is not in
-        the system."""
-        return self.system.point_id(point)
-
     def mask_of(self, points: Iterable[Point]) -> int:
         """Mask of ``points``; points outside the index are ignored."""
         slots = self.system.run_slots
@@ -179,11 +168,11 @@ class IndistIndex:
                 for run_id, t in points
                 if run_id in slots and 0 <= t < width
             ),
-            len(self.points),
+            len(self.system.points),
         )
 
     def points_of(self, mask: int) -> frozenset[Point]:
-        pts = self.points
+        pts = self.system.points
         return frozenset(pts[i] for i in ids_of(mask))
 
     def _members(self, group: Iterable[int]) -> AgentSet:
@@ -252,49 +241,41 @@ class IndistIndex:
 
     def component_of(self, point: Point, group: Iterable[int]) -> int:
         """Mask of the ``group`` component containing ``point``."""
-        bit = 1 << self.point_id(point)
+        bit = 1 << self.system.point_id(point)
         return next(m for m in self.component_masks(group) if m & bit)
+
+
+def partition(
+    table: AgentHistories, key: Callable[[LocalHistory], Hashable]
+) -> tuple[dict[Hashable, int], tuple[int, ...], tuple[int, ...]]:
+    """The points grouped by ``key`` of an agent's history, with ``key``
+    called once per entry of ``table.distinct``.
+
+    Returns the class number of each key, the class id at each dense
+    point, and the mask of each class. History ids are numbered in order
+    of first appearance, so classes numbered in order of their first key
+    are ordered by least member.
+    """
+    class_of: dict[Hashable, int] = {}
+    of_history = [class_of.setdefault(key(h), len(class_of)) for h in table.distinct]
+    ids = tuple(map(of_history.__getitem__, table.ids))
+    members: list[list[int]] = [[] for _ in class_of]
+    for i, cls in enumerate(ids):
+        members[cls].append(i)
+    return class_of, ids, tuple(mask_from_ids(m, len(ids)) for m in members)
 
 
 def build_index(system: System, policy: ViewPolicy) -> IndistIndex:
     """Group every point by view, per agent.
 
-    Histories come from the system's history table. ``policy.view_of``
-    is still called at every point. Raises ViewPolicyError, naming two
-    witnessing points, if the policy maps equal histories to different
-    views; that can only happen for a misbehaving custom projection.
+    Histories come from the system's history table, and ``policy.view_of``
+    is called once per distinct history: equal histories are one entry
+    there, so they get one view by construction.
     """
-    pts = system.points
-    class_masks = []
-    class_ids = []
-    for agent, table in enumerate(system.history_table):
-        # per history id: (its first view, the point it was first seen at, class)
-        seen: list[tuple[Hashable, int, int] | None] = [None] * len(table.distinct)
-        class_of_view: dict[Hashable, int] = {}
-        members: list[list[int]] = []
-        ids: list[int] = []
-        for i, hid in enumerate(table.ids):
-            view = policy.view_of(table.distinct[hid])
-            entry = seen[hid]
-            if entry is None:
-                cls = class_of_view.get(view)
-                if cls is None:
-                    cls = class_of_view[view] = len(members)
-                    members.append([])
-                seen[hid] = (view, i, cls)
-            else:
-                first_view, first, cls = entry
-                if view is not first_view and view != first_view:
-                    raise ViewPolicyError(
-                        f"policy {policy.name!r} gives different views to agent "
-                        f"{agent} at {pts[first]} and {pts[i]}, whose histories "
-                        f"are equal"
-                    )
-            members[cls].append(i)
-            ids.append(cls)
-        class_masks.append(tuple(mask_from_ids(m, len(pts)) for m in members))
-        class_ids.append(tuple(ids))
-    return IndistIndex(system, tuple(class_masks), tuple(class_ids))
+    parts = [partition(table, policy.view_of) for table in system.history_table]
+    return IndistIndex(
+        system, tuple(masks for _, _, masks in parts), tuple(ids for _, ids, _ in parts)
+    )
 
 
 def g_reachable(
@@ -311,13 +292,13 @@ def g_reachable(
     """
     members = normalize_group(group)
     try:
-        target = index.point_id(to)
+        target = index.system.point_id(to)
     except ModelError:
         target = None
     if max_steps is None:
         reached = index.component_of(frm, members)
         return target is not None and bool(reached >> target & 1)
-    seen = 1 << index.point_id(frm)
+    seen = 1 << index.system.point_id(frm)
     if target is None:
         return False
     classes = [index.class_masks[a] for a in index._members(members)]
@@ -343,22 +324,23 @@ def reachable_set(index: IndistIndex, frm: Point, group: Iterable[int]) -> froze
 def export_graph(index: IndistIndex, group: Iterable[int]) -> str:
     """Render the indistinguishability graph as deterministic DOT text.
 
-    Nodes are all points ordered by (run id, time); one undirected edge
-    per indistinguishable pair per agent of ``group``, labelled p<i>.
+    Nodes are all points in dense order, which is (run id, time); one
+    undirected edge per indistinguishable pair per agent of ``group``,
+    labelled p<i>, class by class and each pair in that order.
     An empty group yields nodes only; an agent outside the index is a
     ModelError.
     """
     members = tuple(sorted(set(int(a) for a in group)))
     for agent in members:
         index.system.check_agent(agent)
+    labels = [f'"{pt}"' for pt in index.system.points]
     lines = ["graph indistinguishability {"]
-    for pt in index.points:
-        lines.append(f'  "{pt}";')
+    lines += [f"  {label};" for label in labels]
     for agent in members:
-        for cls in index.classes_by_agent[agent]:
-            ordered = sorted(cls)
+        edge = f' [label="p{agent}"];'
+        for cls in index.class_masks[agent]:
+            ordered = [labels[i] for i in ids_of(cls)]
             for i, a in enumerate(ordered):
-                for b in ordered[i + 1 :]:
-                    lines.append(f'  "{a}" -- "{b}" [label="p{agent}"];')
+                lines += [f"  {a} -- {b}{edge}" for b in ordered[i + 1 :]]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -150,14 +150,15 @@ def bfs_reachable(model: Model, start: Point, group) -> frozenset[Point]:
     return frozenset(seen)
 
 
-def singleton_class_pairs(model: Model, agent: int):
-    """All point pairs with equal histories for ``agent``: the pairwise
-    comparison oracle for index classes."""
-    pts = model.system.points
+def equal_view_pairs(model: Model, agent: int):
+    """All point pairs, in point order, at which the model's policy gives
+    ``agent`` equal views of its histories: the pairwise comparison oracle
+    for index classes and graph edges."""
+    view = model.policy.view_of
     return {
         (a, b)
-        for a, b in combinations(pts, 2)
-        if model.system.history(agent, a) == model.system.history(agent, b)
+        for a, b in combinations(model.system.points, 2)
+        if view(model.system.history(agent, a)) == view(model.system.history(agent, b))
     }
 
 

@@ -13,7 +13,7 @@ from epimc.formulas import parse
 from epimc.runs import Point, make_run, make_system
 from epimc.views import ViewPolicy
 
-from tests.helpers import random_model, random_valuation
+from tests.helpers import clock_variants, random_model, random_valuation
 
 
 def same_view(model: Model, agent, a, b) -> bool:
@@ -147,12 +147,19 @@ def test_stamped_knowledge_matches_the_quantifier_transcription():
         if not model.system.has_clocks:
             continue
         done += 1
-        arg = evaluate(model, fm.Prop("p"))
-        for agent in model.system.agents:
-            for stamp in (0, 1, 2):
-                assert evaluate(
-                    model, fm.KTime(agent, stamp, fm.Prop("p"))
-                ) == oracle_stamped_know(model, agent, stamp, arg)
+        # the same runs again with stuttering clocks (readings t // 2)
+        system = clock_variants(model.system)
+        system = make_system(
+            system.n_agents, system.horizon, [r for r in system.runs if r.clock is not None]
+        )
+        stuttering = Model(system, random_valuation(rng, system), model.policy)
+        for checked in (model, stuttering):
+            arg = evaluate(checked, fm.Prop("p"))
+            for agent in checked.system.agents:
+                for stamp in (0, 1, 2):
+                    assert evaluate(
+                        checked, fm.KTime(agent, stamp, fm.Prop("p"))
+                    ) == oracle_stamped_know(checked, agent, stamp, arg)
 
 
 def test_common_knowledge_on_a_hand_built_chain():

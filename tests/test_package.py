@@ -89,3 +89,15 @@ def test_evaluate_is_the_function_in_every_import_order(first):
     loaded = _fresh(script)
     if first == "epimc":  # the package alone loads no submodule
         assert loaded == [str(["epimc"])]
+
+
+def test_import_profile_lists_every_module_semantics_loads():
+    # a module bound through the package's __getattr__ loads outside the
+    # import statement that -X importtime reports
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import epimc.semantics"],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {"epimc.formulas", "epimc.runs", "epimc.views"} <= names

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from epimc.semantics import Model, evaluate, make_valuation, verify_manifest
 from epimc.formulas import parse
 from epimc.runs import ModelError, Point, make_run, make_system, validate_system
 from epimc.views import ViewPolicy
-from epimc.scenarios import coordinated_attack, timestamped_demo
+from epimc.scenarios import coordinated_attack, muddy_children, timestamped_demo
 from epimc.serialize import (
     SchemaError,
     dump_json,
@@ -356,6 +357,20 @@ def test_dump_json_matches_the_indented_stdlib_encoder(value):
 def test_dump_manifest_writes_the_system_once_into_the_manifest(doc, system):
     doc["system"] = system
     assert dump_manifest(doc) == (_indented(doc), _indented(system))
+
+
+def test_dump_manifest_holds_the_system_text_once():
+    # the joined manifest and its parts, plus one system text; a copy of
+    # the system text made to splice it would add another |system|
+    doc = manifest_to_dict(muddy_children(4, True, 4, staggered_announcement=True))
+    tracemalloc.start()
+    try:
+        manifest, system = dump_manifest(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert manifest == _indented(doc)
+    assert peak <= 2 * len(manifest) + 1.5 * len(system)
 
 
 def test_load_json_rejects_non_objects():

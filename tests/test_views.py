@@ -7,15 +7,15 @@ from epimc import formulas as fm
 from epimc.semantics import evaluate
 from epimc.runs import ModelError, Point, make_run, make_system
 from epimc.views import (
+    VIEW_PROJECTIONS,
     ViewPolicy,
-    ViewPolicyError,
     build_index,
     export_graph,
     g_reachable,
     reachable_set,
 )
 
-from tests.helpers import bfs_reachable, random_model, singleton_class_pairs
+from tests.helpers import bfs_reachable, equal_view_pairs, random_model
 
 
 def small_system():
@@ -52,7 +52,7 @@ def test_classes_match_pairwise_history_comparison():
         if model.policy.kind != "complete":
             continue
         for agent in model.system.agents:
-            expected_pairs = singleton_class_pairs(model, agent)
+            expected_pairs = equal_view_pairs(model, agent)
             got_pairs = set()
             for cls in model.index.classes_by_agent[agent]:
                 members = sorted(cls)
@@ -90,27 +90,66 @@ def test_complete_history_refines_every_policy():
                 assert cls <= target
 
 
-def test_inconsistent_projection_is_rejected_naming_two_points():
-    # an eventless run repeats the same history at every time, so a
-    # projection that is not a function of the history gets caught
+def test_a_projection_is_called_once_per_distinct_history():
+    # an eventless run repeats the same history at every time; with a
+    # different answer at every call, each distinct history is its own class
     quiet = make_run("q", horizon=2, wake_up=[0], initial_state=["s"])
-    system = make_system(1, 2, [quiet])
-    calls = []
+    rng = random.Random(29)
+    for system in [make_system(1, 2, [quiet])] + [random_model(rng).system for _ in range(10)]:
+        calls = []
 
-    def unstable(history):
-        calls.append(history)
-        return len(calls)  # different answer every call
+        def counting(history):
+            calls.append(history)
+            return len(calls)
 
-    with pytest.raises(ViewPolicyError) as err:
-        build_index(system, ViewPolicy.local_state("unstable", unstable))
-    assert "@" in str(err.value)
+        index = build_index(system, ViewPolicy.local_state("counting", counting))
+        tables = system.history_table
+        assert len(calls) == sum(len(table.distinct) for table in tables)
+        assert index.class_ids == tuple(table.ids for table in tables)
     # a policy is its kind and name; the function is not compared
-    same = ViewPolicy.local_state("unstable", len)
-    assert same == ViewPolicy.local_state("unstable", unstable)
-    assert not same != ViewPolicy.local_state("unstable", unstable)
-    assert hash(same) == hash(ViewPolicy.local_state("unstable", unstable))
+    same = ViewPolicy.local_state("counting", len)
+    assert same == ViewPolicy.local_state("counting", counting)
+    assert not same != ViewPolicy.local_state("counting", counting)
+    assert hash(same) == hash(ViewPolicy.local_state("counting", counting))
     assert same != ViewPolicy.local_state("other", len)
-    assert same != ("projection", "unstable", len)
+    assert same != ("projection", "counting", len)
+
+
+EVERY_POLICY = [ViewPolicy.complete_history(), ViewPolicy.trivial()] + [
+    ViewPolicy.local_state(name, fn) for name, fn in sorted(VIEW_PROJECTIONS.items())
+]
+
+
+def test_classes_are_ordered_by_least_member_and_hold_their_points():
+    rng = random.Random(31)
+    for _ in range(10):
+        system = random_model(rng).system
+        for policy in EVERY_POLICY:
+            index = build_index(system, policy)
+            for masks, ids in zip(index.class_masks, index.class_ids):
+                least = [(m & -m).bit_length() for m in masks]
+                assert least == sorted(least)
+                assert all(masks[cls] >> i & 1 for i, cls in enumerate(ids))
+
+
+def test_export_graph_lists_points_in_order_and_equal_view_pairs_as_edges():
+    rng = random.Random(37)
+    for _ in range(15):
+        model = random_model(rng)
+        system = model.system
+        agents = tuple(system.agents)
+        lines = export_graph(model.index, agents).splitlines()
+        nodes = [line for line in lines if line.endswith('";')]
+        assert nodes == [f'  "{pt}";' for pt in system.points]
+        labels = {str(pt): pt for pt in system.points}
+        for agent in agents:
+            edges = [
+                tuple(labels[s.strip(' "')] for s in line.split(" [")[0].split("--"))
+                for line in lines
+                if line.endswith(f'[label="p{agent}"];')
+            ]
+            assert len(edges) == len(set(edges))
+            assert set(edges) == equal_view_pairs(model, agent)
 
 
 def test_g_reachable_zero_steps_and_singleton_group():
