@@ -19,18 +19,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .runs import ModelError
-from .serialize import (
-    SchemaError,
-    dump_json,
-    dump_manifest,
-    load_json,
-    manifest_from_dict,
-    manifest_to_dict,
-    model_from_dict,
-    parse_point,
-    system_from_dict,
-)
 
 
 #: Exit status when the reader of standard output goes away before the
@@ -50,13 +38,19 @@ class CliError(Exception):
 
 
 def _read(path: str, decode):
-    """The document in file ``path``, decoded by ``decode``."""
+    """The document in file ``path``, decoded by ``decode``; the file's
+    text is dropped once it is parsed, before ``decode`` runs."""
+    from .runs import ModelError
+    from .serialize import load_json
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", 2) from None
     try:
-        return decode(load_json(text))
+        doc = load_json(text)
+        del text
+        return decode(doc)
     except ModelError as exc:
         raise CliError(f"{path}: {exc}", 2) from None
 
@@ -74,6 +68,8 @@ def _parse_formula(text: str):
 
 def _emit(report: dict, fmt: str, timing: float | None) -> None:
     if fmt == "json":
+        from .serialize import dump_json
+
         if timing is not None:
             report = dict(report, seconds=round(timing, 3))
         sys.stdout.write(dump_json(report))
@@ -86,7 +82,9 @@ def _emit(report: dict, fmt: str, timing: float | None) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from .runs import ModelError
     from .semantics import EvalError, truth_mask
+    from .serialize import SchemaError, model_from_dict, parse_point
 
     model = _read(args.system, model_from_dict)
     formula = _parse_formula(args.formula)
@@ -141,7 +139,9 @@ def _coerce(scenario, key: str, value: str):
 
 
 def _cmd_scenario(args) -> int:
+    from .runs import ModelError
     from .scenarios import SCENARIOS
+    from .serialize import write_manifest
 
     if args.name not in SCENARIOS:
         raise CliError(
@@ -162,13 +162,12 @@ def _cmd_scenario(args) -> int:
     except ModelError as exc:
         raise CliError(str(exc), 2) from None
     out = Path(args.out)
+    manifest_path = out / f"{args.name}.manifest.json"
+    system_path = out / f"{args.name}.system.json"
     try:
         out.mkdir(parents=True, exist_ok=True)
-        manifest_text, system_text = dump_manifest(manifest_to_dict(manifest))
-        manifest_path = out / f"{args.name}.manifest.json"
-        system_path = out / f"{args.name}.system.json"
-        manifest_path.write_text(manifest_text)
-        system_path.write_text(system_text)
+        with manifest_path.open("w") as manifest_file, system_path.open("w") as system_file:
+            write_manifest(manifest, manifest_file, system_file)
     except OSError as exc:
         raise CliError(f"cannot write under {out}: {exc}", 2) from None
     print(f"wrote {system_path}")
@@ -178,7 +177,9 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from .runs import ModelError
     from .semantics import EvalError, axiom_suite
+    from .serialize import model_from_dict
 
     if args.max_k < 1:  # E^k needs k >= 1
         raise CliError(f"--max-k must be at least 1, got {args.max_k}", 2)
@@ -223,6 +224,8 @@ def _cmd_check(args) -> int:
         check_ng2,
         check_temporal_imprecision,
     )
+    from .runs import ModelError
+    from .serialize import system_from_dict
 
     run_check = {
         "ng1": check_ng1,
@@ -248,7 +251,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .views import export_graph
+    from .runs import ModelError
+    from .serialize import model_from_dict
+    from .views import graph_chunks
 
     model = _read(args.system, model_from_dict)
     try:
@@ -257,23 +262,26 @@ def _cmd_graph(args) -> int:
         raise CliError(f"--group: {args.group!r} is not a list of agent ids", 2) from None
     index = model.index
     try:
-        text = export_graph(index, group)
+        chunks = graph_chunks(index, group)
     except ModelError as exc:
         raise CliError(f"--group: {exc}", 2) from None
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as out:
+                out.writelines(chunks)
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc}", 2) from None
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 
 def _cmd_verify(args) -> int:
     from .formulas import FormulaError
+    from .runs import ModelError
     from .semantics import verify_manifest
+    from .serialize import manifest_from_dict
 
     manifest = _read(args.manifest, manifest_from_dict)
     started = time.monotonic()

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import json
-from itertools import chain
-from typing import TYPE_CHECKING, Any, NamedTuple, NoReturn
+from itertools import chain, repeat
+from types import FunctionType
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, TextIO
 
 from .runs import (
     EVENT_KINDS,
@@ -299,10 +300,19 @@ def valuation_from_dict(obj: dict, system: System, path: str = "valuation") -> V
 
 
 def model_to_dict(model: Model) -> dict:
-    out = system_to_dict(model.system)
-    out["valuation"] = valuation_to_dict(model.valuation)
-    out["policy"] = model.policy.name
-    return out
+    return _model_doc(model, [run_to_dict(r) for r in model.system.runs])
+
+
+def _model_doc(model: Model, runs: Any) -> dict:
+    """``model_to_dict(model)`` with ``runs`` as its ``runs`` value."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "agents": model.system.n_agents,
+        "horizon": model.system.horizon,
+        "runs": runs,
+        "valuation": valuation_to_dict(model.valuation),
+        "policy": model.policy.name,
+    }
 
 
 def model_from_dict(obj: dict, path: str = "system") -> Model:
@@ -320,11 +330,16 @@ def model_from_dict(obj: dict, path: str = "system") -> Model:
 
 
 def manifest_to_dict(manifest: ScenarioManifest) -> dict:
+    return _manifest_doc(manifest, model_to_dict(manifest.model))
+
+
+def _manifest_doc(manifest: ScenarioManifest, system: Any) -> dict:
+    """``manifest_to_dict(manifest)`` with ``system`` as its ``system`` value."""
     return {
         "schema": SCHEMA_VERSION,
         "scenario": manifest.name,
         "parameters": dict(manifest.parameters),
-        "system": model_to_dict(manifest.model),
+        "system": system,
         "expectations": [
             {
                 "formula": e.formula,
@@ -388,27 +403,53 @@ def dump_json(obj: Any) -> str:
     Python. Keys are strings, as in every document epimc writes.
     """
     out: list[str] = []
-    _encode(obj, 0, out)
+    _encode(obj, 0, out.append)
     out.append("\n")
     return "".join(out)
 
 
-def dump_manifest(doc: dict) -> tuple[str, str]:
-    """The texts of a manifest document and of its ``system`` value, as
-    ``dump_json`` writes them; the system is encoded once.
+def write_manifest(
+    manifest: ScenarioManifest, manifest_file: TextIO, system_file: TextIO
+) -> None:
+    """Write ``manifest_to_dict(manifest)`` to ``manifest_file`` and
+    ``model_to_dict(manifest.model)`` to ``system_file``, each byte for
+    byte as ``dump_json`` writes it, while the texts are made.
 
-    Indented JSON holds no raw newline inside a string, so the system's
-    text one level down is its own text with every newline indented.
+    Each run's document is made, encoded and dropped in turn, so neither
+    file's text, nor the list of run documents, is ever held whole.
     """
-    system = dump_json(doc["system"])
-    return dump_json(dict(doc, system=_Encoded(system))), system
+    runs = manifest.model.system.runs
+
+    def encode_runs(depth: int, write: Callable[[str], Any]) -> None:
+        _encode_items("[", zip(repeat(""), map(run_to_dict, runs)), depth, write)
+
+    doc = _manifest_doc(manifest, _model_doc(manifest.model, encode_runs))
+    _write_split(doc, manifest_file, system_file)
 
 
-class _Encoded(NamedTuple):
-    """Text already written by ``dump_json`` at the top level, held
-    without a copy; ``_encode`` drops its final newline."""
+def _write_split(doc: dict, manifest_file: TextIO, system_file: TextIO) -> None:
+    """Write ``doc`` to ``manifest_file`` and its ``system`` value to
+    ``system_file``, each as ``dump_json`` writes it; the system is
+    encoded once.
 
-    text: str
+    Each piece of the system's text goes to both files: as it is to the
+    system file, and with every newline indented one level to the
+    manifest, which holds the system one level down. Indented JSON holds
+    no raw newline inside a string, so that is the system's text there.
+    """
+
+    def system(depth: int, write: Callable[[str], Any]) -> None:
+        indent = "\n" + "  " * depth
+
+        def both(piece: str) -> None:
+            system_file.write(piece)
+            write(piece.replace("\n", indent))
+
+        _encode(doc["system"], 0, both)
+        system_file.write("\n")
+
+    _encode(dict(doc, system=system), 0, manifest_file.write)
+    manifest_file.write("\n")
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -433,24 +474,27 @@ def _opener(value: Any) -> str | None:
     return "{" if isinstance(value, dict) else None
 
 
-def _encode(value: Any, depth: int, out: list[str]) -> None:
-    """Append the text of ``value``, whose first line is already indented
-    to ``depth``."""
-    if type(value) is _Encoded:
-        out.append(value.text[:-1].replace("\n", "\n" + "  " * depth))
+def _encode(value: Any, depth: int, write: Callable[[str], Any]) -> None:
+    """Write the text of ``value``, whose first line is already indented
+    to ``depth``, in pieces through ``write``. A function in place of a
+    value writes that value's text itself, called as ``value(depth, write)``."""
+    if type(value) is FunctionType:
+        value(depth, write)
         return
     opener = _opener(value)
     if opener is None:
-        out.append(_scalar(value))
+        write(_scalar(value))
         return
     closer = _CLOSERS[opener]
     if not value:
-        out.append(opener + closer)
+        write(opener + closer)
         return
     here = "\n" + "  " * depth
     inner = here + "  "
     if _SCALARS.issuperset(map(type, value.values() if opener == "{" else value)):
-        out += (opener, inner, _flat_encoder(depth + 1)(value)[1:-1], here, closer)
+        write(opener + inner)
+        write(_flat_encoder(depth + 1)(value)[1:-1])
+        write(here + closer)
         return
     if opener == "[":
         kind = type(value[0])
@@ -468,21 +512,32 @@ def _encode(value: Any, depth: int, out: list[str]) -> None:
             # items, which no flat item can contain: a string holds no raw
             # newline and no value inside a flat item is a bracket.
             i_close = _CLOSERS[first]
-            body = _flat_encoder(depth + 2)(value)[2:-2].replace(
+            write("[" + inner + first + inner + "  ")
+            write(_flat_encoder(depth + 2)(value)[2:-2].replace(
                 i_close + "," + inner + "  " + first,
                 inner + i_close + "," + inner + first + inner + "  ",
-            )
-            out += ("[", inner, first, inner, "  ", body, inner, i_close, here, "]")
+            ))
+            write(inner + i_close + here + "]")
             return
-        items = [("", item) for item in value]
+        items = zip(repeat(""), value)
     else:
-        items = [(_key(key) + ": ", item) for key, item in sorted(value.items())]
-    sep = opener + inner
+        items = ((_key(key) + ": ", item) for key, item in sorted(value.items()))
+    _encode_items(opener, items, depth, write)
+
+
+def _encode_items(opener: str, items: Iterable[tuple[str, Any]], depth: int,
+                  write: Callable[[str], Any]) -> None:
+    """Write a container opened by ``opener`` whose items, each a prefix
+    (a key and its colon, or nothing) and a value, come from ``items``;
+    each value is encoded as it comes."""
+    here = "\n" + "  " * depth
+    sep = opener + here + "  "
     for prefix, item in items:
-        out += (sep, prefix)
-        _encode(item, depth + 1, out)
-        sep = "," + inner
-    out += (here, closer)
+        write(sep + prefix)
+        _encode(item, depth + 1, write)
+        sep = "," + here + "  "
+    closer = _CLOSERS[opener]
+    write(here + closer if sep[0] == "," else opener + closer)
 
 
 def load_json(text: str) -> dict:

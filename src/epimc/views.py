@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from operator import and_, or_
-from typing import Callable, Hashable, Iterable, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from .runs import AgentHistories, LocalHistory, ModelError, Point, System
 
@@ -330,17 +330,28 @@ def export_graph(index: IndistIndex, group: Iterable[int]) -> str:
     An empty group yields nodes only; an agent outside the index is a
     ModelError.
     """
+    return "".join(graph_chunks(index, group))
+
+
+def graph_chunks(index: IndistIndex, group: Iterable[int]) -> Iterator[str]:
+    """The text of ``export_graph(index, group)`` in whole lines, made as
+    they are read: the node lines, then the edges from each point to the
+    later points of its class. The group is checked by this call, before
+    the first line is made."""
     members = tuple(sorted(set(int(a) for a in group)))
     for agent in members:
         index.system.check_agent(agent)
+    return _dot_lines(index, members)
+
+
+def _dot_lines(index: IndistIndex, members: AgentSet) -> Iterator[str]:
     labels = [f'"{pt}"' for pt in index.system.points]
-    lines = ["graph indistinguishability {"]
-    lines += [f"  {label};" for label in labels]
+    yield "graph indistinguishability {\n"
+    yield "".join(f"  {label};\n" for label in labels)
     for agent in members:
-        edge = f' [label="p{agent}"];'
+        edge = f' [label="p{agent}"];\n'
         for cls in index.class_masks[agent]:
             ordered = [labels[i] for i in ids_of(cls)]
             for i, a in enumerate(ordered):
-                lines += [f"  {a} -- {b}{edge}" for b in ordered[i + 1 :]]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                yield "".join([f"  {a} -- {b}{edge}" for b in ordered[i + 1 :]])
+    yield "}\n"

@@ -1,15 +1,24 @@
 import ast
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from epimc.cli import EXIT_BROKEN_PIPE, main
+from epimc.cli import EXIT_BROKEN_PIPE, _read, main
 from epimc.semantics import evaluate
 from epimc.formulas import parse
-from epimc.serialize import model_from_dict
-from tests.helpers import child_env
+from epimc.serialize import (
+    dump_json,
+    load_json,
+    manifest_from_dict,
+    model_from_dict,
+    model_to_dict,
+)
+from epimc.views import export_graph
+from tests.helpers import child_env, random_model
 
 
 @pytest.fixture()
@@ -229,6 +238,58 @@ def test_check_and_graph(attack_files, tmp_path, capsys):
     dot = tmp_path / "g.dot"
     assert main(["graph", "--system", str(system), "--group", "0,1", "--out", str(dot)]) == 0
     assert dot.read_text().startswith("graph indistinguishability")
+
+
+def test_graph_streams_the_export_graph_text(tmp_path, capsys):
+    rng = random.Random(3061)
+    for i in range(12):
+        model = random_model(rng)
+        path = tmp_path / f"m{i}.json"
+        path.write_text(dump_json(model_to_dict(model)))
+        index = model_from_dict(json.loads(path.read_text())).index
+        n = model.system.n_agents
+        group = sorted(rng.sample(range(n), rng.randint(0, n)))
+        spec = ",".join(map(str, group))
+        dot = tmp_path / f"g{i}.dot"
+        assert main(["graph", "--system", str(path), "--group", spec, "--out", str(dot)]) == 0
+        assert dot.read_text() == export_graph(index, group)
+        capsys.readouterr()
+        assert main(["graph", "--system", str(path), "--group", spec]) == 0
+        assert capsys.readouterr().out == export_graph(index, group)
+        # an agent outside the system is rejected before the file is made
+        bad = tmp_path / f"bad{i}.dot"
+        assert main(["graph", "--system", str(path), "--group", str(n), "--out", str(bad)]) == 2
+        assert f"agent {n}" in capsys.readouterr().err
+        assert not bad.exists()
+
+
+def test_unwritable_outputs_exit_two(attack_files, tmp_path, capsys):
+    system, _ = attack_files
+    taken = tmp_path / "taken"
+    (taken / "coordinated_attack.manifest.json").mkdir(parents=True)
+    argv = ["scenario", "coordinated_attack", "--param", "k_legs=2", "--param", "horizon=3"]
+    assert main(argv + ["--out", str(taken)]) == 2
+    assert "cannot write under" in capsys.readouterr().err
+    assert main(["graph", "--system", str(system), "--group", "0", "--out", str(taken)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_read_drops_the_file_text_before_decoding(tmp_path, capsys):
+    assert main(["scenario", "broadcast_channel", "--param", "L=1", "--param", "eps=1",
+                 "--param", "n=4", "--param", "horizon=6", "--param", "clocked=true",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "broadcast_channel.manifest.json"
+    tracemalloc.start()
+    try:
+        _read(str(path), manifest_from_dict)
+        dropped = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        text = path.read_text()
+        manifest_from_dict(load_json(text))
+        kept = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dropped < kept - len(text) // 2
 
 
 def test_axioms_subcommand(attack_files, capsys):

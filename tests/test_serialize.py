@@ -1,3 +1,4 @@
+import io
 import json
 import random
 import tracemalloc
@@ -9,11 +10,15 @@ from epimc.semantics import Model, evaluate, make_valuation, verify_manifest
 from epimc.formulas import parse
 from epimc.runs import ModelError, Point, make_run, make_system, validate_system
 from epimc.views import ViewPolicy
-from epimc.scenarios import coordinated_attack, muddy_children, timestamped_demo
+from epimc.scenarios import (
+    broadcast_channel,
+    coordinated_attack,
+    timestamped_demo,
+)
 from epimc.serialize import (
     SchemaError,
+    _write_split,
     dump_json,
-    dump_manifest,
     load_json,
     manifest_from_dict,
     manifest_to_dict,
@@ -22,6 +27,7 @@ from epimc.serialize import (
     parse_point,
     system_from_dict,
     system_to_dict,
+    write_manifest,
 )
 from tests.helpers import clock_variants, random_system, random_valuation
 
@@ -354,23 +360,32 @@ def test_dump_json_matches_the_indented_stdlib_encoder(value):
 
 @settings(max_examples=30, deadline=None)
 @given(st.dictionaries(_KEY, _JSON, max_size=4), _JSON)
-def test_dump_manifest_writes_the_system_once_into_the_manifest(doc, system):
+def test_write_split_writes_the_system_once_into_the_manifest(doc, system):
     doc["system"] = system
-    assert dump_manifest(doc) == (_indented(doc), _indented(system))
+    manifest_file, system_file = io.StringIO(), io.StringIO()
+    _write_split(doc, manifest_file, system_file)
+    assert (manifest_file.getvalue(), system_file.getvalue()) == (
+        _indented(doc), _indented(system)
+    )
 
 
-def test_dump_manifest_holds_the_system_text_once():
-    # the joined manifest and its parts, plus one system text; a copy of
-    # the system text made to splice it would add another |system|
-    doc = manifest_to_dict(muddy_children(4, True, 4, staggered_announcement=True))
-    tracemalloc.start()
-    try:
-        manifest, system = dump_manifest(doc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert manifest == _indented(doc)
-    assert peak <= 2 * len(manifest) + 1.5 * len(system)
+def test_write_manifest_holds_neither_text_whole(tmp_path):
+    # the writer streams: no file's text, nor the list of run documents,
+    # is held while the two files are written; the files' own buffers are
+    # made before tracing starts
+    manifest = broadcast_channel(L=1, eps=1, n=4, horizon=6, clocked=True)
+    manifest_path, system_path = tmp_path / "m.json", tmp_path / "s.json"
+    with manifest_path.open("w") as manifest_file, system_path.open("w") as system_file:
+        tracemalloc.start()
+        try:
+            write_manifest(manifest, manifest_file, system_file)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    system = system_path.read_text()
+    assert manifest_path.read_text() == _indented(manifest_to_dict(manifest))
+    assert system == _indented(model_to_dict(manifest.model))
+    assert peak < 2 * len(system)
 
 
 def test_load_json_rejects_non_objects():
