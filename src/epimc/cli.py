@@ -3,9 +3,9 @@
 Subcommands: eval, scenario, axioms, check, graph, verify. Exit codes:
 0 on success, 1 when an evaluation-level expectation or check fails (bad
 formula, failed manifest expectation, failed structural check), 2 on I/O,
-schema or run-consistency problems and on a malformed --point, --group,
---param or --max-k, and 141 when standard output is closed before the
-report is written.
+schema or run-consistency problems, a malformed --point, --group, --param
+or --max-k and an oversized scenario, and 141 when standard output is
+closed before the report is written.
 Reports are deterministic; --no-timing suppresses the timing line.
 """
 

@@ -17,11 +17,11 @@ Points are numbered densely: ``System.runs_in_point_order`` lists the
 runs by id, and point ``r*(horizon+1) + t`` is time ``t`` of the ``r``-th
 of them, which is also its position in ``System.points``. A system
 interns its agents' histories once, on first use, in
-``System.history_table``: per agent, the history id at every dense point
-and the list of distinct histories, so equal histories have equal ids and
-are one object. The index, the structural checks and ``history_cover``
-compare those ids. ``run_history`` is the definition the table is built
-to agree with, and the one used for runs outside any system.
+``System.history_table``: per agent, ``run_history`` at every dense
+point, interned by value into an id at each point and the list of
+distinct histories, so equal histories have equal ids and are one
+object. The index, the structural checks and ``history_cover`` compare
+those ids.
 
 ``Point``, ``Event``, ``LocalHistory``, ``AgentHistories`` and ``Run``
 are named tuples, so hashing, equality and ordering run in C, and
@@ -243,71 +243,28 @@ def run_history(run: Run, agent: int, time: int) -> LocalHistory:
 
 
 def _intern_histories(runs: Sequence[Run], horizon: int, agent: int) -> AgentHistories:
-    """Agent's history table over ``runs``, at times 0..horizon of each.
-
-    Each run's timeline is walked once, and histories are hash-consed: an
-    event sequence is keyed on (id of its prefix, last event), a clock
-    range likewise, and a history on (initial state, event-sequence id,
-    clock-range id), so equal histories are found without comparing them
-    element by element. A run whose (wake-up, initial state, timeline,
-    clock) for the agent matches one already walked reuses that run's row
-    of ids. The walk relies on the canonical timeline order that ``Run``
-    documents.
+    """Agent's history table over ``runs``: ``run_history`` at times
+    0..horizon of each, interned by value, so ids number the distinct
+    histories in order of first appearance. A run whose (wake-up, initial
+    state, timeline, clock) for the agent matches one already read reuses
+    that run's row of ids.
     """
-    seq_of: dict[tuple, int] = {}
-    seqs: list[tuple] = [()]
-    hid_of: dict[tuple | None, int] = {}
-    distinct: list[LocalHistory] = []
+    hid_of: dict[LocalHistory, int] = {}
     row_of: dict[tuple, list[int]] = {}
     ids: list[int] = []
-
-    def extend(prefix: int, item: Event | int) -> int:
-        key = (prefix, item)
-        sid = seq_of.get(key)
-        if sid is None:
-            sid = seq_of[key] = len(seqs)
-            seqs.append(seqs[prefix] + (item,))
-        return sid
-
     for run in runs:
-        wake = run.wake_up[agent]
-        timeline = run.timeline[agent]
         readings = run.clock[agent] if run.clock is not None else None
-        signature = (wake, run.initial_state[agent], timeline, readings)
+        signature = (
+            run.wake_up[agent], run.initial_state[agent], run.timeline[agent], readings
+        )
         row = row_of.get(signature)
-        if row is not None:
-            ids += row
-            continue
-        row = row_of[signature] = []
-        events = 0
-        clock = None
-        k = 0
-        for t in range(horizon + 1):
-            while k < len(timeline) and timeline[k][0] < t:
-                events = extend(events, timeline[k][1])
-                k += 1
-            key = None
-            if t >= wake:
-                if readings is not None:
-                    reading = readings[t - wake]
-                    if t == wake:
-                        clock = extend(0, reading)
-                    elif reading != readings[t - wake - 1]:
-                        clock = extend(clock, reading)
-                key = (run.initial_state[agent], events, clock)
-            hid = hid_of.get(key)
-            if hid is None:
-                hid = hid_of[key] = len(distinct)
-                distinct.append(
-                    EMPTY_HISTORY
-                    if key is None
-                    else LocalHistory(
-                        key[0], seqs[events], None if clock is None else seqs[clock]
-                    )
-                )
-            row.append(hid)
+        if row is None:
+            row = row_of[signature] = [
+                hid_of.setdefault(run_history(run, agent, t), len(hid_of))
+                for t in range(horizon + 1)
+            ]
         ids += row
-    return AgentHistories(tuple(ids), tuple(distinct))
+    return AgentHistories(tuple(ids), tuple(hid_of))
 
 
 class System:

@@ -48,6 +48,21 @@ def _group(agents: Iterable[int]) -> str:
     return "{" + ",".join(str(a) for a in sorted(agents)) + "}"
 
 
+#: Most points plus events a builder makes. The bench models (1,024 +
+#: 47,592 for muddy, 6,561 + 8,748 for broadcast) and a broadcast over
+#: eight agents (59,049 + 104,976) fit.
+MAX_MODEL_SIZE = 1_000_000
+
+
+def _check_size(points: int, events: int) -> None:
+    """Refuse, before building it, a model larger than MAX_MODEL_SIZE."""
+    if points + events > MAX_MODEL_SIZE:
+        raise ModelError(
+            f"these parameters give at least {points:,} points and {events:,} "
+            f"events; a scenario has at most {MAX_MODEL_SIZE:,} in all"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Muddy children
 
@@ -76,6 +91,13 @@ def muddy_children(
     horizon = rounds + 1
     vectors = list(itertools.product((0, 1), repeat=n))
     variants = [False, True] if (staggered_announcement and announce) else [False]
+    n_runs = len(vectors) * len(variants)
+    # 2 events per ordered pair of children per round, 2n for an announcement
+    _check_size(
+        n_runs * (horizon + 1),
+        n_runs * rounds * n * (n - 1) * 2
+        + (2 * n * (len(vectors) - 1) * len(variants) if announce else 0),
+    )
 
     meta: dict[str, tuple[tuple[int, ...], bool]] = {}
     events: dict[str, list[tuple[int, int, str, int, str]]] = {}
@@ -377,6 +399,12 @@ def r2d2(
         horizon = t_S + (k_max + 1) * eps
     if horizon < t_S + (k_max + 1) * eps:
         raise ModelError("the horizon is too small for the tested depths")
+    # Send ticks step by eps from (t_S - 1) % eps. The first ``late`` pairs
+    # deliver both copies in-window (4 events); the open window adds the
+    # pair whose late copy misses it (3) and the pair that never sends (0).
+    late = (horizon - eps - (t_S - 1) % eps) // eps + 1
+    pairs, events = (late, 4 * late) if closed_window else (late + 2, 4 * late + 3)
+    _check_size(2 * pairs * (horizon + 1), events)
 
     runs = []
     send_tick_of: dict[str, int] = {}
@@ -578,6 +606,12 @@ def broadcast_channel(
     send_tick = t_send - 1
     if send_tick < 0:
         raise ModelError("the nominal send time must be at least one")
+    # (eps + 1) ** n runs; a power past the 64th is over the limit anyway
+    n_runs = (eps + 1) ** min(n, 64)
+    in_window = max(0, min(L + eps, horizon - send_tick) - L + 1)
+    _check_size(
+        n_runs * (horizon + 1), n * n_runs + n * n_runs // (eps + 1) * in_window
+    )
     runs = []
     arrivals: dict[str, tuple[int, ...]] = {}
     for combo in itertools.product(range(L, L + eps + 1), repeat=n):
@@ -659,6 +693,8 @@ def timestamped_demo(delta: int, eps: int, horizon: int | None = None) -> Scenar
         horizon = T0 + delta + 1
     if horizon < T0 + delta:
         raise ModelError("every clock must reach the timestamp in-window")
+    n_runs = (delta + 1) * (eps + 1)
+    _check_size(n_runs * (horizon + 1), 2 * n_runs)
     send_tick = t_S - 1
     body = f"m@{t_S}"
     runs = []

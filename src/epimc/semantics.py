@@ -252,8 +252,13 @@ def _stamped_everyone(model: Model, group: Sequence[int], stamp: int, arg: int) 
 
 
 def _power(model: Model, f: fm.EPow, arg: int) -> int:
+    """E applied ``power`` times; E never adds points, so once one
+    application leaves the mask unchanged, so does every later one."""
     for _ in range(f.power):
-        arg = _everyone(model, f.group, arg)
+        nxt = _everyone(model, f.group, arg)
+        if nxt == arg:
+            break
+        arg = nxt
     return arg
 
 

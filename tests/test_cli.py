@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -420,6 +421,32 @@ def test_scenario_negative_broadcast_delays_exit_two(tmp_path, capsys):
         assert main(argv) == 2
         assert "nonnegative" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1_200_000_000, 1_200_000_000))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("broadcast_channel", ["L=1", "eps=2", "n=12", "horizon=8"]),  # 531,441 runs
+    ("timestamped_demo", ["delta=3000", "eps=3000"]),
+    ("muddy_children", ["n=2", "announce=true", "rounds=3000000"]),
+])
+def test_oversized_scenarios_exit_two_before_building(tmp_path, name, params):
+    """A child with bounded memory and time, so that a builder that does
+    start on such a model fails the test instead of hanging it."""
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "epimc.cli", "scenario", name, "--out", str(out)]
+    for param in params:
+        argv += ["--param", param]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, env=child_env(), timeout=20,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "a scenario has at most 1,000,000 in all" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def _epimc_modules_imported(argv: list[str]) -> tuple[int, set[str]]:

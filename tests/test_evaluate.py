@@ -3,6 +3,7 @@ import random
 import pytest
 
 from epimc import formulas as fm
+from epimc import semantics
 from epimc.semantics import (
     EvalError,
     Model,
@@ -159,6 +160,31 @@ def test_bounded_conjunction_identity_for_common_knowledge():
         for k in range(1, limit + 1):
             inter &= evaluate(model, fm.EPow(group, k, p))
         assert c == inter
+
+
+def test_e_power_stops_where_the_chain_is_stable(monkeypatch):
+    # E never adds points, so the chain p, E p, E^2 p, ... is stable after
+    # at most |points| steps, and E^k for any larger k is its last link
+    rng = random.Random(31)
+    for _ in range(25):
+        model = random_model(rng)
+        group = tuple(model.system.agents)
+        p = fm.Prop("p")
+        chain = [evaluate(model, p)]
+        while (link := evaluate(model, fm.EPow(group, len(chain), p))) != chain[-1]:
+            chain.append(link)
+        calls = []
+        limit = len(model.all_points) + 1
+
+        def counted(*args, real=semantics._everyone):
+            calls.append(args)
+            assert len(calls) <= limit, "E^k went on past its fixed point"
+            return real(*args)
+
+        monkeypatch.setattr(semantics, "_everyone", counted)
+        assert evaluate(model, fm.EPow(group, 10**6, p)) == chain[-1]
+        monkeypatch.undo()
+        assert len(calls) == len(chain) <= limit
 
 
 def test_interval_and_eventual_variants_bound_the_conjunctions():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import epimc.runs as runs
 from epimc.runs import (
     EMPTY_HISTORY,
     AgentSetMismatchError,
@@ -20,6 +21,7 @@ from epimc.runs import (
     run_history,
     validate_system,
 )
+from epimc.scenarios import broadcast_channel
 from tests.helpers import clock_variants, random_system
 
 
@@ -231,6 +233,29 @@ def test_history_table_interns_equal_histories_to_equal_ids():
                 assert system.point_id(pt) == i
                 history = run_history(system.run(pt.run_id), agent, pt.time)
                 assert table.distinct[table.ids[i]] == history
+
+
+def test_history_table_reads_one_row_per_distinct_agent_run(monkeypatch):
+    # run_history is read at every tick of each distinct (wake-up, initial
+    # state, timeline, clock) of an agent; runs sharing one reuse its row
+    system = broadcast_channel(1, 2, 3, 6, clocked=True).model.system
+    expected = system.history_table
+    fresh = make_system(system.n_agents, system.horizon, system.runs)
+    calls = []
+
+    def counted(run, agent, time, real=runs.run_history):
+        calls.append((run.id, agent, time))
+        return real(run, agent, time)
+
+    monkeypatch.setattr(runs, "run_history", counted)
+    assert fresh.history_table == expected
+    rows = sum(
+        len({(r.wake_up[a], r.initial_state[a], r.timeline[a], r.clock[a])
+             for r in system.runs})
+        for a in system.agents
+    )
+    assert rows < len(system.runs) * system.n_agents
+    assert len(calls) == rows * (system.horizon + 1)
 
 
 def test_points_and_events_are_values():

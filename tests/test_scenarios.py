@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from epimc import semantics
+from epimc import scenarios, semantics
 from epimc.semantics import evaluate, holds, verify_manifest
 from epimc.formulas import parse
 from epimc.runs import ModelError, Point, validate_system
@@ -215,6 +217,59 @@ def test_scenario_builders_are_deterministic():
     assert {n: sorted(a.model.valuation.truth_set(n)) for n in a.model.valuation.names} == {
         n: sorted(b.model.valuation.truth_set(n)) for n in b.model.valuation.names
     }
+
+
+def _built_size(manifest):
+    system = manifest.model.system
+    return len(system.points), sum(len(line) for run in system.runs for line in run.timeline)
+
+
+def test_capped_builders_check_the_size_they_build(monkeypatch):
+    checked = []
+    real = scenarios._check_size
+    monkeypatch.setattr(
+        scenarios, "_check_size", lambda *size: checked.append(size) or real(*size)
+    )
+    cases = [
+        (muddy_children, dict(n=n, announce=a, rounds=q, staggered_announcement=s))
+        for n, a, q, s in itertools.product((1, 2, 3), (False, True), (1, 2), (False, True))
+    ] + [
+        (r2d2, dict(eps=e, t_S=k * e + 1 + d, k_max=k, horizon=h, closed_window=c))
+        for e, k, d, h, c in itertools.product(
+            (1, 2, 3), (1, 2), (0, 2), (None, 20), (False, True)
+        )
+    ] + [
+        (broadcast_channel, dict(L=L, eps=e, n=n, horizon=h, t_send=t))
+        for L, e, n, h, t in itertools.product((0, 2), (0, 1, 2), (2, 3), (2, 5, 7), (1, 2))
+        if e == 0 or h >= t + L + 2 * e
+    ] + [
+        (timestamped_demo, dict(delta=d, eps=e, horizon=h))
+        for d, e, h in itertools.product((0, 1, 2), (0, 1, 2), (None, 9))
+    ]
+    for build, params in cases:
+        built = _built_size(build(**params))
+        assert checked.pop() == built, (build.__name__, params)
+
+
+class _Sized(Exception):
+    pass
+
+
+def test_size_limit_admits_the_bench_models_and_an_eight_agent_broadcast(monkeypatch):
+    def stop(points, events):
+        raise _Sized(points, events)
+
+    monkeypatch.setattr(scenarios, "_check_size", stop)
+    for build, params, size in [
+        (muddy_children, dict(n=6, announce=True, rounds=6, staggered_announcement=True),
+         (1_024, 47_592)),
+        (broadcast_channel, dict(L=1, eps=2, n=6, horizon=8, clocked=True), (6_561, 8_748)),
+        (broadcast_channel, dict(L=1, eps=2, n=8, horizon=8), (59_049, 104_976)),
+    ]:
+        with pytest.raises(_Sized) as checked:
+            build(**params)
+        assert checked.value.args == size
+        assert sum(size) <= scenarios.MAX_MODEL_SIZE
 
 
 def test_registry_contains_all_builders():
