@@ -20,7 +20,7 @@ _LAZY = {
                   "reachable_set"),
         ("formulas", "Formula check_positivity expand_fixpoints parse print_formula"),
         ("semantics", "Model ScenarioManifest Valuation axiom_suite check_induction_rule "
-                      "check_validity eval_C_reach evaluate gfp holds make_valuation "
+                      "check_validity evaluate gfp holds make_valuation "
                       "verify_manifest"),
         ("protocols", "DeliveryModel InitialConfiguration JointProtocol check_ng1 "
                       "check_ng1prime check_ng2 check_temporal_imprecision "

@@ -559,17 +559,6 @@ def walk(f: Formula) -> Iterator[Formula]:
         yield from walk(c)
 
 
-def free_variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, Var):
-        return frozenset([f.name])
-    if isinstance(f, Nu):
-        return free_variables(f.body) - {f.var}
-    out: frozenset[str] = frozenset()
-    for c in children(f):
-        out |= free_variables(c)
-    return out
-
-
 def agents_mentioned(f: Formula) -> frozenset[int]:
     out: set[int] = set()
     for node in walk(f):

@@ -14,6 +14,7 @@ which is the discrete rendering of delivery within one time unit.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .runs import (
@@ -212,112 +213,90 @@ def enumerate_runs(
             raise ModelError("wake-up times must not exceed the horizon")
 
     results: list[tuple[Run, tuple[ScheduleEntry, ...]]] = []
-    count = 0
-
-    def finish(ci: int, run: Run, schedule: tuple[ScheduleEntry, ...]) -> None:
-        nonlocal count
-        count += 1
-        if count > max_schedules:
-            raise ScheduleExplosionError(
-                f"schedule enumeration yields more than {max_schedules} runs; "
-                f"shrink the horizon or raise max_schedules"
-            )
-        tags = ",".join(_outcome_tag(e) for e in schedule)
-        results.append((run._replace(id=f"c{ci}" + (f":{tags}" if tags else "")), schedule))
-
     for ci, cfg in enumerate(configs):
-        _explore(ci, cfg, n, protocol, delivery, horizon, global_clock, finish)
-
+        for run, schedule in _explore(cfg, n, protocol, delivery, horizon, global_clock):
+            if len(results) == max_schedules:
+                raise ScheduleExplosionError(
+                    f"schedule enumeration yields more than {max_schedules} runs; "
+                    f"shrink the horizon or raise max_schedules"
+                )
+            tags = ",".join(_outcome_tag(e) for e in schedule)
+            results.append((run._replace(id=f"c{ci}" + (f":{tags}" if tags else "")), schedule))
     return tuple(results)
 
 
-def _explore(ci, cfg, n, protocol, delivery, horizon, global_clock, finish) -> None:
-    """Depth-first enumeration; branch state is passed down immutably.
+def _explore(cfg, n, protocol, delivery, horizon, global_clock):
+    """Each run of one configuration, with an empty id, and its schedule,
+    depth first over an explicit stack.
 
-    The state holds the run so far: each agent's canonical timeline of
-    the ticks before the current one, so a tick sorts only its own events
-    and the agents' histories come from ``run_history``.
+    A frame of the stack is a tick of the current branch: the tick, each
+    agent's canonical timeline of the ticks before it, the schedule so
+    far, per (agent, body) the number of ticks at which the agent has sent
+    that body (a repeated body is numbered by it), and an iterator over
+    the tick's branches. The sends are computed once per tick, from the
+    histories before it. The branches are ``itertools.product`` over the
+    delivery options of each message in send order, the first message
+    varying slowest, and each is followed to the horizon before the next
+    is taken. A frame leaves the stack when its branches are spent or it
+    takes its only one, so the stack holds only ticks with a choice, and
+    never all of a tick's branches at once.
     """
-    clk = None
-    if global_clock:
-        clk = tuple(tuple(range(w, horizon + 1)) for w in cfg.wake_up)
-
-    def go(t: int, timelines: tuple, schedule: tuple, minted: tuple) -> None:
+    clk = tuple(tuple(range(w, horizon + 1)) for w in cfg.wake_up) if global_clock else None
+    # the root frame is tick -1, with no events and one branch
+    stack = [(-1, ((),) * n, (), {}, iter([()]), True)]
+    while stack:
+        t, timelines, schedule, counts, branches, single = stack[-1]
+        choice = next(branches, None)
+        if single or choice is None:
+            stack.pop()
+        if choice is None:
+            continue
+        # the tick's sends, then what lands in it, same-tick deliveries included
+        schedule += choice
+        stamp = t if global_clock else None
+        mine: list[list[tuple]] = [[] for _ in range(n)]
+        for e in choice:
+            ev = Event(SEND, e.recipient, e.message, stamp)
+            mine[e.sender].append((t, False, e.recipient, e.message, ev))
+        for e in schedule:
+            if e.outcome == t:
+                ev = Event(RECEIVE, e.sender, e.message, stamp)
+                mine[e.recipient].append((t, True, e.sender, e.message, ev))
+        timelines = tuple(
+            line + canonical_timeline(m) if m else line for line, m in zip(timelines, mine)
+        )
+        t += 1
         so_far = Run("", cfg.wake_up, cfg.initial_state, timelines, clk)
         if t > horizon:
-            finish(ci, so_far, schedule)
-            return
-        stamp = t if global_clock else None
-        # (agent, event) pairs of tick t
-        now = [
-            (entry.recipient, Event(RECEIVE, entry.sender, entry.message, stamp))
-            for entry in schedule
-            if entry.outcome == t
-        ]
+            yield so_far, schedule
+            continue
         # sends are a function of history strictly before t, so nothing
         # landing at t itself can influence them
-        outgoing: list[tuple[int, int, str]] = []
-        mint_state: dict[tuple[int, str], list[int]] = {}
-        for (sender, body), times in minted:
-            mint_state[(sender, body)] = list(times)
+        counts, options = dict(counts), []
         for agent in range(n):
             if t < cfg.wake_up[agent]:
                 continue
-            hist = run_history(so_far, agent, t)
-            for recipient, body in protocol.sends(agent, hist):
+            sends = protocol.sends(agent, run_history(so_far, agent, t))
+            for body in {body for _, body in sends}:
+                counts[agent, body] = counts.get((agent, body), 0) + 1
+            for recipient, body in sends:
                 if not 0 <= recipient < n:
                     raise ModelError(
                         f"protocol {protocol.name!r} sends to unknown agent "
                         f"{recipient}"
                     )
-                times = mint_state.setdefault((agent, body), [])
-                if t not in times:
-                    times.append(t)
-                ordinal = times.index(t) + 1
+                ordinal = counts[agent, body]
                 token = body if ordinal == 1 else f"{body}#{ordinal}"
-                outgoing.append((agent, recipient, token))
-        for sender, recipient, token in outgoing:
-            now.append((sender, Event(SEND, recipient, token, stamp)))
-        new_minted = tuple(
-            (key, tuple(times)) for key, times in sorted(mint_state.items())
-        )
-
-        def options_for(recipient: int) -> tuple:
-            # a sleeping recipient observes the message at its wake-up;
-            # outcomes that collapse to the same effective tick are one branch
-            wake = cfg.wake_up[recipient]
-            seen: list = []
-            for outcome in delivery.outcomes(t, horizon):
-                if isinstance(outcome, int):
-                    outcome = max(outcome, wake)
-                if outcome not in seen:
-                    seen.append(outcome)
-            return tuple(seen)
-
-        def assign(i: int, sched: tuple) -> None:
-            if i == len(outgoing):
-                # same-tick deliveries land after the sends of this tick
-                settled = now + [
-                    (entry.recipient, Event(RECEIVE, entry.sender, entry.message, stamp))
-                    for entry in sched[len(schedule):]
-                    if entry.outcome == t
-                ]
-                mine: list[list[tuple]] = [[] for _ in range(n)]
-                for agent, ev in settled:
-                    mine[agent].append((t, ev.kind != SEND, ev.peer, ev.message, ev))
-                grown = tuple(
-                    line + canonical_timeline(m) if m else line
-                    for line, m in zip(timelines, mine)
+                # a sleeping recipient observes the message at its wake-up;
+                # outcomes that collapse to the same effective tick are one branch
+                wake = cfg.wake_up[recipient]
+                seen = dict.fromkeys(
+                    max(o, wake) if isinstance(o, int) else o
+                    for o in delivery.outcomes(t, horizon)
                 )
-                go(t + 1, grown, sched, new_minted)
-                return
-            sender, recipient, token = outgoing[i]
-            for outcome in options_for(recipient):
-                assign(i + 1, sched + (ScheduleEntry(sender, t, recipient, token, outcome),))
-
-        assign(0, schedule)
-
-    go(0, ((),) * n, (), ())
+                options.append([ScheduleEntry(agent, t, recipient, token, o) for o in seen])
+        single = max(map(len, options), default=1) == 1
+        stack.append((t, timelines, schedule, counts, itertools.product(*options), single))
 
 
 def generate_runs(

@@ -63,6 +63,18 @@ def _check_size(points: int, events: int) -> None:
         )
 
 
+def _enumerate(protocol, delivery, configs, horizon, **options):
+    """``enumerate_runs`` under the size limit: refused before it starts
+    when one run per configuration is already too large, and after it,
+    before a system is built, when the runs are."""
+    _check_size(len(configs) * (horizon + 1), 0)
+    pairs = enumerate_runs(protocol, delivery, configs, horizon, **options)
+    _check_size(
+        len(pairs) * (horizon + 1), sum(len(line) for run, _ in pairs for line in run.timeline)
+    )
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Muddy children
 
@@ -273,9 +285,7 @@ def coordinated_attack(k_legs: int, horizon: int) -> ScenarioManifest:
         InitialConfiguration((0, 0), ("favor", "await")),
         InitialConfiguration((0, 0), ("neutral", "await")),
     ]
-    pairs = enumerate_runs(
-        handshake(k_legs), DeliveryModel.not_guaranteed((0,)), configs, horizon
-    )
+    pairs = _enumerate(handshake(k_legs), DeliveryModel.not_guaranteed((0,)), configs, horizon)
     system = make_system(2, horizon, [r for r, _ in pairs])
 
     favor = {r.id: r.initial_state[0] == "favor" for r, _ in pairs}
@@ -520,7 +530,7 @@ def ok_protocol_scenario(horizon: int) -> ScenarioManifest:
     stop = horizon - 1
     drop_deadline = horizon - 3
     config = InitialConfiguration((0, 0), ("left", "right"))
-    pairs = enumerate_runs(
+    pairs = _enumerate(
         ok_protocol(stop),
         DeliveryModel.not_guaranteed((0,), drop_deadline=drop_deadline),
         [config],
@@ -601,8 +611,8 @@ def broadcast_channel(
         raise ModelError("a broadcast needs at least two agents")
     if L < 0 or eps < 0:
         raise ModelError("the delay L and the spread eps are nonnegative")
-    if eps > 0 and horizon < t_send + L + 2 * eps:
-        raise ModelError("the horizon leaves no slack for the spread")
+    if horizon < t_send + L + 2 * eps:
+        raise ModelError("the horizon leaves no room for the delay and the spread")
     send_tick = t_send - 1
     if send_tick < 0:
         raise ModelError("the nominal send time must be at least one")

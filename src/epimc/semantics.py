@@ -372,19 +372,6 @@ def gfp(
     return model.index.points_of(_gfp(model, var, body, _env_masks(model, env)))
 
 
-def eval_C_reach(
-    model: Model,
-    group: Iterable[int],
-    f: Formula,
-    env: Mapping[str, PointSet] | None = None,
-) -> PointSet:
-    """Common knowledge via reachability: points whose whole reachable set
-    satisfies the argument. Agrees with the nu-form on every model."""
-    members = model.index._members(group)
-    arg = _eval(model, f, _env_masks(model, env))
-    return model.index.points_of(_common(model, members, arg))
-
-
 def least_point(model: Model, mask: int) -> Point:
     """The least point of a nonempty mask."""
     return model.system.points[(mask & -mask).bit_length() - 1]

@@ -263,9 +263,16 @@ def system_from_dict(obj: dict, path: str = "system") -> System:
         raise SchemaError(f"{path}.runs[{i}].id: {exc}") from None
 
 
-def valuation_to_dict(valuation: Valuation) -> dict:
+def valuation_to_dict(valuation: Valuation, system: System) -> dict:
+    """Each truth set's points of ``system``, sorted; a point outside it,
+    which evaluation ignores, is not written."""
+    slots, horizon = system.run_slots, system.horizon
     return {
-        name: sorted([p.run_id, p.time] for p in valuation.truth_set(name))
+        name: sorted(
+            [p.run_id, p.time]
+            for p in valuation.truth_set(name)
+            if p.run_id in slots and 0 <= p.time <= horizon
+        )
         for name in valuation.names
     }
 
@@ -310,7 +317,7 @@ def _model_doc(model: Model, runs: Any) -> dict:
         "agents": model.system.n_agents,
         "horizon": model.system.horizon,
         "runs": runs,
-        "valuation": valuation_to_dict(model.valuation),
+        "valuation": valuation_to_dict(model.valuation, model.system),
         "policy": model.policy.name,
     }
 

@@ -15,7 +15,6 @@ from epimc import formulas as fm
 from epimc.semantics import (
     Model,
     check_validity,
-    eval_C_reach,
     evaluate,
     gfp,
     holds,
@@ -147,7 +146,7 @@ def test_criterion_4_fixed_point_coherence(random_batch):
         size = len(model.all_points)
         for name in model.valuation.names:
             p = fm.Prop(name)
-            via_reach = eval_C_reach(model, group, p)
+            via_reach = evaluate(model, fm.C(group, p))
             via_gfp = gfp(model, "X", fm.E(group, fm.And(p, fm.Var("X"))))
             conjunction = model.all_points
             for k in range(1, size + 1):

@@ -431,6 +431,8 @@ def _limit_address_space():
     ("broadcast_channel", ["L=1", "eps=2", "n=12", "horizon=8"]),  # 531,441 runs
     ("timestamped_demo", ["delta=3000", "eps=3000"]),
     ("muddy_children", ["n=2", "announce=true", "rounds=3000000"]),
+    ("coordinated_attack", ["k_legs=1", "horizon=2000000"]),
+    ("ok_protocol", ["horizon=1000000"]),
 ])
 def test_oversized_scenarios_exit_two_before_building(tmp_path, name, params):
     """A child with bounded memory and time, so that a builder that does

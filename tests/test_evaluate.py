@@ -12,7 +12,6 @@ from epimc.semantics import (
     axiom_suite,
     check_induction_rule,
     check_validity,
-    eval_C_reach,
     evaluate,
     gfp,
     holds,
@@ -101,10 +100,9 @@ def test_reachability_and_gfp_routes_agree_for_common_knowledge():
         model = random_model(rng)
         group = tuple(model.system.agents)
         p = fm.Prop("p")
-        via_reach = eval_C_reach(model, group, p)
+        via_reach = evaluate(model, fm.C(group, p))
         via_gfp = gfp(model, "X", fm.E(group, fm.And(p, fm.Var("X"))))
         assert via_reach == via_gfp
-        assert evaluate(model, fm.C(group, p)) == via_reach
 
 
 def test_trivial_policy_common_knowledge_is_all_or_nothing_per_validity():

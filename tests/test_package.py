@@ -24,7 +24,7 @@ EXPORTS = {
     ),
     "epimc.semantics": (
         "Model", "ScenarioManifest", "Valuation", "axiom_suite",
-        "check_induction_rule", "check_validity", "eval_C_reach", "evaluate", "gfp",
+        "check_induction_rule", "check_validity", "evaluate", "gfp",
         "holds", "make_valuation", "verify_manifest",
     ),
     "epimc.protocols": (

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import lru_cache
 
@@ -108,6 +109,56 @@ def test_explosion_guard_reports_the_cap():
             ok_protocol(5), DeliveryModel.not_guaranteed((0,)), [CFG], 6,
             global_clock=True, max_schedules=10,
         )
+
+
+def _cfg(wake_up, initial_state=("favor", "await")):
+    return InitialConfiguration(wake_up, initial_state)
+
+
+#: Enumerations and the SHA-256 of ``repr(enumerate_runs(...))``, taken
+#: from the recursive enumerator that the explicit stack replaced: run
+#: ids, schedules and their order are pinned.
+ENUMERATIONS = {
+    "handshake6": (
+        handshake(6), DeliveryModel.not_guaranteed((0, 1)),
+        [CFG, _cfg((0, 0), ("neutral", "await"))], 7, False,
+        "a8431892aaff7288b553c8497b16322fe04d105ebdfb71fd6e572387f5665ce7",
+    ),
+    "handshake3": (
+        handshake(3), DeliveryModel.not_guaranteed((0,)), [CFG], 4, False,
+        "4f41cd359834146417b78a99718232caab04f055c11121f0dfb216008a059778",
+    ),
+    "ok_protocol7": (
+        ok_protocol(7), DeliveryModel.not_guaranteed((0,), drop_deadline=5),
+        [_cfg((0, 0), ("left", "right"))], 8, True,
+        "9bca9228f2ca87463fb1589551c235da76095ed9baf479142f023d8c391be35c",
+    ),
+    "ping_bounded": (
+        ping_once(), DeliveryModel.bounded_uncertain(1, 4), [_cfg((0, 2), ("a", "b"))], 6,
+        False, "a2cdfb80931d85b0b48ecbed07bb0e6b1efe907f7c08e36977ca3ffb57491d22",
+    ),
+    "ping_unbounded": (
+        ping_once(), DeliveryModel.unbounded(), [_cfg((0, 1), ("a", "b"))], 5, True,
+        "d6af880da0fd558b311f29dae226b956491da699c6e98a5b622499033a58a0f0",
+    ),
+    "handshake4_broadcast": (
+        handshake(4), DeliveryModel.synchronous_broadcast(1, 2),
+        [_cfg((0, 1)), _cfg((1, 0))], 9, True,
+        "3cf1977f0f04c6cacb0651f8095b15f915052a34142e5f6e61458bf56abcb0ef",
+    ),
+    "silent3": (
+        silent_protocol(), DeliveryModel.not_guaranteed((1,)),
+        [_cfg((0, 0, 1), ("x", "y", "z"))], 3, False,
+        "b3dae3a7c8538d572f6bc50ca30f8555eb0849907a6ae989b4417d84e4c618e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENUMERATIONS))
+def test_enumeration_is_pinned(case):
+    protocol, delivery, configs, horizon, clocked, digest = ENUMERATIONS[case]
+    pairs = enumerate_runs(protocol, delivery, configs, horizon, global_clock=clocked)
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
 
 def test_schedule_entries_respect_model_bounds():

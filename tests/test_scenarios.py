@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -115,6 +116,12 @@ def test_coordinated_attack(k_legs):
     assert_clean(coordinated_attack(k_legs, k_legs + 1))
 
 
+def test_coordinated_attack_deeper_than_the_recursion_limit():
+    manifest = coordinated_attack(1, 2 * sys.getrecursionlimit())
+    assert len(manifest.model.system.runs) == 3
+    assert_clean(manifest)
+
+
 def test_coordinated_attack_silent_run_agreement():
     manifest = coordinated_attack(3, 4)
     model = manifest.model
@@ -224,6 +231,22 @@ def _built_size(manifest):
     return len(system.points), sum(len(line) for run in system.runs for line in run.timeline)
 
 
+#: (L, eps, n, horizon, t_send) of the broadcast sweeps below.
+BROADCASTS = list(itertools.product((0, 2), (0, 1, 2), (2, 3), (-5, 2, 5, 7), (1, 2)))
+
+
+def test_every_broadcast_built_replays_its_manifest():
+    # a refused parameter set is one whose expectations name a point past
+    # the horizon
+    for L, e, n, h, t in BROADCASTS:
+        try:
+            manifest = broadcast_channel(L=L, eps=e, n=n, horizon=h, t_send=t)
+        except ModelError:
+            assert h < t + L + 2 * e, (L, e, n, h, t)
+            continue
+        assert_clean(manifest)
+
+
 def test_capped_builders_check_the_size_they_build(monkeypatch):
     checked = []
     real = scenarios._check_size
@@ -240,15 +263,27 @@ def test_capped_builders_check_the_size_they_build(monkeypatch):
         )
     ] + [
         (broadcast_channel, dict(L=L, eps=e, n=n, horizon=h, t_send=t))
-        for L, e, n, h, t in itertools.product((0, 2), (0, 1, 2), (2, 3), (2, 5, 7), (1, 2))
-        if e == 0 or h >= t + L + 2 * e
+        for L, e, n, h, t in BROADCASTS
+        if h >= t + L + 2 * e
     ] + [
         (timestamped_demo, dict(delta=d, eps=e, horizon=h))
         for d, e, h in itertools.product((0, 1, 2), (0, 1, 2), (None, 9))
-    ]
+    ] + [
+        (coordinated_attack, dict(k_legs=k, horizon=k + d))
+        for k, d in itertools.product((1, 2, 3), (1, 3))
+    ] + [(ok_protocol_scenario, dict(horizon=h)) for h in (3, 4, 5)]
     for build, params in cases:
         built = _built_size(build(**params))
         assert checked.pop() == built, (build.__name__, params)
+
+
+def test_enumerated_runs_over_the_limit_are_refused_before_a_system_is_built(monkeypatch):
+    # one run per configuration fits, the enumerated runs do not
+    monkeypatch.setattr(scenarios, "MAX_MODEL_SIZE", 20)
+    monkeypatch.setattr(scenarios, "make_system", lambda *a: pytest.fail("a system was built"))
+    for build in (lambda: coordinated_attack(3, 4), lambda: ok_protocol_scenario(4)):
+        with pytest.raises(ModelError, match="at most 20 in all"):
+            build()
 
 
 class _Sized(Exception):

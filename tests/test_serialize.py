@@ -315,6 +315,23 @@ def test_in_process_valuations_ignore_points_outside_the_system():
     assert evaluate(model, parse("p")) == {Point("r", 1)}
 
 
+def test_a_model_naming_points_outside_its_system_round_trips():
+    # the writer leaves out the points that evaluation ignores, so the
+    # loader accepts what it wrote
+    system = make_system(1, 1, [make_run(rid, horizon=1, wake_up=[0], initial_state=["s"])
+                                for rid in ("r", "s")])
+    valuation = make_valuation({
+        "p": [Point("r", 1), Point("zz", 0), Point("r", 5), Point("s", -1)],
+        "q": [Point("r", 2)],
+    })
+    model = Model(system, valuation, ViewPolicy.complete_history())
+    doc = load_json(dump_json(model_to_dict(model)))
+    assert doc["valuation"] == {"p": [["r", 1]], "q": []}
+    loaded = model_from_dict(doc)
+    for name in ("p", "q"):
+        assert evaluate(loaded, parse(name)) == evaluate(model, parse(name))
+
+
 @pytest.mark.parametrize("parameters", [[1], "ab", 3])
 def test_manifest_parameters_must_be_an_object(parameters):
     doc = manifest_to_dict(coordinated_attack(2, 3))
