@@ -15,7 +15,10 @@ to everyone else.
 
 Points are numbered densely: ``System.runs_in_point_order`` lists the
 runs by id, and point ``r*(horizon+1) + t`` is time ``t`` of the ``r``-th
-of them, which is also its position in ``System.points``. A system
+of them, which is also its position in ``System.points``. A point set is
+a Python ``int`` whose bit ``i`` is point ``i``, so each run owns a
+contiguous slice of bits; ``System.mask_of`` and ``System.points_of``
+convert between such masks and sets of ``Point``. A system
 interns its agents' histories once, on first use, in
 ``System.history_table``: per agent, ``run_history`` at every dense
 point, interned by value into an id at each point and the list of
@@ -126,6 +129,19 @@ class LocalHistory(NamedTuple):
 
 
 EMPTY_HISTORY = LocalHistory(None)
+
+
+def mask_from_ids(ids: Iterable[int], n: int) -> int:
+    """The bitmask with exactly the bits ``ids`` (each below ``n``) set."""
+    buf = bytearray((n + 7) >> 3)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def ids_of(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 class AgentHistories(NamedTuple):
@@ -304,6 +320,22 @@ class System:
             for run in self.runs_in_point_order
             for t in range(self.horizon + 1)
         )
+
+    @cached_property
+    def full(self) -> int:
+        """The mask of every point."""
+        return (1 << (len(self.runs) * (self.horizon + 1))) - 1
+
+    def mask_of(self, points: Iterable[Point]) -> int:
+        """Mask of ``points``; points outside the system are ignored."""
+        slots, width = self.run_slots, self.horizon + 1
+        ids = (slots[r] * width + t for r, t in points if r in slots and 0 <= t < width)
+        return mask_from_ids(ids, len(self.runs) * width)
+
+    def points_of(self, mask: int) -> frozenset[Point]:
+        """The points of ``mask``."""
+        pts = self.points
+        return frozenset(pts[i] for i in ids_of(mask))
 
     @cached_property
     def history_table(self) -> tuple[AgentHistories, ...]:

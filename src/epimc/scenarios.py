@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Iterable
 
-from .semantics import Expectation, Model, ScenarioManifest, make_valuation
+from .semantics import Expectation, Model, ScenarioManifest, Valuation
 from .protocols import (
     DROPPED,
     DeliveryModel,
@@ -31,17 +31,15 @@ from .runs import (
     System,
     make_run,
     make_system,
+    mask_from_ids,
 )
 from .views import ViewPolicy
 
 
-def _points_where(system: System, pred) -> set[Point]:
-    return {
-        Point(r.id, t)
-        for r in system.runs
-        for t in range(system.horizon + 1)
-        if pred(r.id, t)
-    }
+def _points_where(system: System, pred) -> int:
+    """The mask of the points of ``system`` where ``pred(run_id, time)`` holds."""
+    points = system.points
+    return mask_from_ids((i for i, pt in enumerate(points) if pred(*pt)), len(points))
 
 
 def _group(agents: Iterable[int]) -> str:
@@ -174,7 +172,7 @@ def muddy_children(
         for rid in sorted(meta)
     ]
     system = make_system(n + 1, horizon, runs)
-    truth: dict[str, set[Point]] = {
+    truth: dict[str, int] = {
         "m": _points_where(system, lambda rid, t: any(meta[rid][0])),
         "announced": _points_where(
             system, lambda rid, t: announce and any(meta[rid][0]) and t >= 1
@@ -188,7 +186,7 @@ def muddy_children(
             truth[f"said_yes_{c}_{q}"] = _points_where(
                 system, lambda rid, t, c=c, q=q: t >= q and answers[rid][(c, q)]
             )
-    model = Model(system, make_valuation(truth), ViewPolicy.complete_history())
+    model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
     children = _group(range(n))
     expectations: list[Expectation] = []
@@ -296,16 +294,16 @@ def coordinated_attack(k_legs: int, horizon: int) -> ScenarioManifest:
             for e in sched
             if isinstance(e.outcome, int)
         }
-    truth: dict[str, set[Point]] = {
+    truth: dict[str, int] = {
         "sent_1": _points_where(system, lambda rid, t: favor[rid] and t >= 1),
         "prefav": _points_where(system, lambda rid, t: favor[rid]),
-        "both_attack": set(),
+        "both_attack": 0,
     }
     for j in range(1, k_legs + 1):
         truth[f"delivered_{j}"] = _points_where(
             system, lambda rid, t, j=j: j in legs[rid] and t > legs[rid][j]
         )
-    model = Model(system, make_valuation(truth), ViewPolicy.complete_history())
+    model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
     by_legs = {
         len(legs[r.id]): r.id for r, _ in pairs if favor[r.id]
@@ -452,7 +450,7 @@ def r2d2(
             system, lambda rid, t: send_tick_of[rid] < t
         )
     }
-    model = Model(system, make_valuation(truth), ViewPolicy.complete_history())
+    model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
     expectations: list[Expectation] = []
     if not closed_window:
@@ -547,7 +545,7 @@ def ok_protocol_scenario(horizon: int) -> ScenarioManifest:
             system, lambda rid, t: any(s <= t - 1 for s in drops[rid])
         ),
     }
-    model = Model(system, make_valuation(truth), ViewPolicy.complete_history())
+    model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
     silent = next(
         rid
@@ -648,7 +646,7 @@ def broadcast_channel(
             system, lambda rid, t: any(a < t for a in arrivals[rid])
         ),
     }
-    model = Model(system, make_valuation(truth), ViewPolicy.complete_history())
+    model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
     group = _group(range(n))
     latest = "d" + str(L + eps) * n
@@ -728,7 +726,7 @@ def timestamped_demo(delta: int, eps: int, horizon: int | None = None) -> Scenar
     truth = {
         "sent_mp": _points_where(system, lambda rid, t: t >= t_S)
     }
-    model = Model(system, make_valuation(truth), ViewPolicy.complete_history())
+    model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
     expectations = [
         Expectation(

@@ -5,15 +5,19 @@ an ``int`` bitmask over the system's dense point numbering (bit i is
 ``System.points[i]``, and each run is a contiguous slice of horizon + 1
 bits); the public functions take and return ``frozenset[Point]``, except
 ``truth_mask``, which hands the mask itself to callers that test many
-points against one formula.
+points against one formula. A valuation is one such mask per
+proposition, made when the ``Model`` is built, so a formula with no modal
+operator never builds the view index.
 Knowledge of an agent is the union of its view-class masks contained in
-the argument; distributed knowledge does the same with the group's joint
-classes, and common knowledge via reachability with the group's
-components, which the index builds with one union-find pass per group
-and caches, so each component is tested against the argument once. The
-interval, eventual and clock-indexed variants shift whole-system masks:
-a shift by d ticks moves every run's slice at once, and a per-tick
-validity mask drops the bits that crossed into a neighbouring run.
+the argument. Distributed knowledge names a point's joint class by its
+tuple of member class ids, and holds where no point outside the argument
+has the same tuple. Common knowledge goes via reachability with the
+group's components, which the index builds with one union-find pass per
+group and caches, so each component is tested against the argument
+once. The interval, eventual and clock-indexed variants shift
+whole-system masks: a shift by d ticks moves every run's slice at once,
+and a per-tick validity mask drops the bits that crossed into a
+neighbouring run.
 Greatest fixed points are computed by descending iteration from the full
 point set, which terminates on the finite lattice; the reachability
 characterization of common knowledge is kept as a separate fast path and
@@ -31,15 +35,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .formulas import Formula, parse
 from . import formulas as fm
-from .runs import ModelError, Point, System
-from .views import (
-    IndistIndex,
-    ViewPolicy,
-    build_index,
-    mask_from_ids,
-    normalize_group,
-    partition,
-)
+from .runs import ModelError, Point, System, ids_of, mask_from_ids
+from .views import IndistIndex, ViewPolicy, build_index, normalize_group, partition
 
 PointSet = frozenset[Point]
 
@@ -57,36 +54,57 @@ class UnboundVariableError(EvalError):
 
 
 class Valuation:
-    """Truth sets per proposition name; absent points are false.
+    """Truth sets per proposition name, one mask over ``system`` each;
+    absent points are false.
 
     Lookups of undeclared names are errors, not false, so a typo in a
     formula cannot silently pass.
     """
 
-    def __init__(self, truth: Mapping[str, PointSet]) -> None:
-        self.truth = truth
+    def __init__(self, system: System, masks: Mapping[str, int]) -> None:
+        self.system, self.masks = system, masks
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.truth))
+        return tuple(sorted(self.masks))
 
-    def truth_set(self, name: str) -> PointSet:
+    def mask(self, name: str) -> int:
         try:
-            return self.truth[name]
+            return self.masks[name]
         except KeyError:
             raise UnknownPropError(
                 f"proposition {name!r} is not declared in this model"
             ) from None
 
+    def truth_set(self, name: str) -> PointSet:
+        return self.system.points_of(self.mask(name))
 
-def make_valuation(pairs: Mapping[str, Iterable[Point]]) -> Valuation:
-    return Valuation({name: frozenset(pts) for name, pts in pairs.items()})
+
+PointValuation = Mapping[str, Iterable[Point]]
+
+
+def make_valuation(pairs: PointValuation) -> PointValuation:
+    """Truth sets given as points, for a ``Model`` to turn into masks."""
+    return {name: tuple(pts) for name, pts in pairs.items()}
 
 
 class Model:
-    """A system with a valuation and a view policy; the index is derived."""
+    """A system with a valuation and a view policy; the index is derived.
 
-    def __init__(self, system: System, valuation: Valuation, policy: ViewPolicy) -> None:
+    The valuation becomes masks over ``system`` here, once, whether it is
+    given as points or as a ``Valuation`` over another system; points
+    outside ``system`` are dropped.
+    """
+
+    def __init__(
+        self, system: System, valuation: Valuation | PointValuation, policy: ViewPolicy
+    ) -> None:
+        if isinstance(valuation, Valuation) and valuation.system is not system:
+            valuation = {name: valuation.truth_set(name) for name in valuation.names}
+        if not isinstance(valuation, Valuation):
+            valuation = Valuation(
+                system, {name: system.mask_of(pts) for name, pts in valuation.items()}
+            )
         self.system, self.valuation, self.policy = system, valuation, policy
 
     @cached_property
@@ -96,10 +114,6 @@ class Model:
     @cached_property
     def all_points(self) -> PointSet:
         return frozenset(self.system.points)
-
-    @cached_property
-    def _prop_masks(self) -> dict[str, int]:
-        return {}
 
     @cached_property
     def _run_heads(self) -> int:
@@ -135,14 +149,6 @@ def _validate_formula(model: Model, f: Formula) -> None:
                 )
 
 
-def _prop(model: Model, name: str) -> int:
-    masks = model._prop_masks
-    mask = masks.get(name)
-    if mask is None:
-        mask = masks[name] = model.index.mask_of(model.valuation.truth_set(name))
-    return mask
-
-
 def _inside(classes: Iterable[int], arg: int) -> int:
     """Union of the class masks that lie wholly inside ``arg``."""
     out = 0
@@ -174,8 +180,11 @@ def _someone(model: Model, group: Sequence[int], arg: int) -> int:
 
 
 def _distributed(model: Model, group: Sequence[int], arg: int) -> int:
-    """Joint-view classes (intersections of member classes) inside ``arg``."""
-    return _inside(model.index.joint_class_masks(group), arg)
+    """Points whose joint view, the tuple of the members' class ids there,
+    no point outside ``arg`` shares."""
+    keys = list(zip(*(model.index.class_ids[a] for a in group)))
+    outside = set(map(keys.__getitem__, ids_of(model.system.full & ~arg)))
+    return mask_from_ids((i for i, key in enumerate(keys) if key not in outside), len(keys))
 
 
 def _common(model: Model, group: Sequence[int], arg: int) -> int:
@@ -279,7 +288,7 @@ _MODAL_OPS = {
 
 
 def _descend_to_fixpoint(model: Model, step) -> int:
-    current = model.index.full
+    current = model.system.full
     while True:
         nxt = step(current)
         if nxt == current:
@@ -293,7 +302,7 @@ def _descend_to_fixpoint(model: Model, step) -> int:
 
 
 def _env_masks(model: Model, env: Mapping[str, Iterable[Point]] | None) -> dict[str, int]:
-    return {k: model.index.mask_of(v) for k, v in (env or {}).items()}
+    return {k: model.system.mask_of(v) for k, v in (env or {}).items()}
 
 
 def truth_mask(
@@ -317,7 +326,7 @@ def evaluate(
     the system are dropped from them. The formula must satisfy the
     positivity restriction and mention only agents of the system.
     """
-    return model.index.points_of(truth_mask(model, f, env))
+    return model.system.points_of(truth_mask(model, f, env))
 
 
 def _eval(model: Model, f: Formula, env: dict[str, int]) -> int:
@@ -327,11 +336,11 @@ def _eval(model: Model, f: Formula, env: dict[str, int]) -> int:
         except KeyError:
             raise UnboundVariableError(f"variable {f.name!r} is unbound") from None
     if isinstance(f, fm.Prop):
-        return _prop(model, f.name)
+        return model.valuation.mask(f.name)
     if isinstance(f, fm.TrueConst):
-        return model.index.full
+        return model.system.full
     if isinstance(f, fm.Not):
-        return model.index.full & ~_eval(model, f.child, env)
+        return model.system.full & ~_eval(model, f.child, env)
     if isinstance(f, fm.And):
         return _eval(model, f.left, env) & _eval(model, f.right, env)
     if isinstance(f, fm.Modal):
@@ -369,7 +378,7 @@ def gfp(
     decreasing on the finite lattice, so at most one iteration per point
     is needed. Equals the union of all fixed points of the body.
     """
-    return model.index.points_of(_gfp(model, var, body, _env_masks(model, env)))
+    return model.system.points_of(_gfp(model, var, body, _env_masks(model, env)))
 
 
 def least_point(model: Model, mask: int) -> Point:
@@ -384,7 +393,7 @@ def holds(model: Model, f: Formula, point: Point) -> bool:
 
 def check_validity(model: Model, f: Formula) -> tuple[bool, Point | None]:
     """Valid iff true at every point; otherwise the least failing point."""
-    missing = model.index.full & ~truth_mask(model, f)
+    missing = model.system.full & ~truth_mask(model, f)
     if missing:
         return False, least_point(model, missing)
     return True, None
@@ -438,7 +447,7 @@ def verify_manifest(manifest: ScenarioManifest) -> tuple[ExpectationFailure, ...
             ok = value is exp.expected
             detail = "" if ok else f"evaluated to {value}"
         else:
-            wrong = model.index.full & ~sat if exp.expected else sat
+            wrong = model.system.full & ~sat if exp.expected else sat
             ok = not wrong
             verb = "fails" if exp.expected else "holds"
             detail = "" if ok else f"{verb} at {least_point(model, wrong)}"

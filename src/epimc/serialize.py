@@ -25,8 +25,10 @@ from .runs import (
     Run,
     System,
     canonical_timeline,
+    ids_of,
     inconsistencies,
     make_system,
+    mask_from_ids,
 )
 
 if TYPE_CHECKING:
@@ -263,32 +265,26 @@ def system_from_dict(obj: dict, path: str = "system") -> System:
         raise SchemaError(f"{path}.runs[{i}].id: {exc}") from None
 
 
-def valuation_to_dict(valuation: Valuation, system: System) -> dict:
-    """Each truth set's points of ``system``, sorted; a point outside it,
-    which evaluation ignores, is not written."""
-    slots, horizon = system.run_slots, system.horizon
+def valuation_to_dict(valuation: Valuation) -> dict:
+    """Each truth set's points in dense order, which is sorted order."""
+    points = valuation.system.points
     return {
-        name: sorted(
-            [p.run_id, p.time]
-            for p in valuation.truth_set(name)
-            if p.run_id in slots and 0 <= p.time <= horizon
-        )
+        name: [list(points[i]) for i in ids_of(valuation.masks[name])]
         for name in valuation.names
     }
 
 
 def valuation_from_dict(obj: dict, system: System, path: str = "valuation") -> Valuation:
-    """Truth sets of ``system``'s points; an entry naming a point outside
-    the system is a schema error. Each entry's dense id is worked out
-    inline and the set holds the system's own ``Point`` at that id."""
-    from .semantics import make_valuation
+    """One mask of ``system``'s points per name; an entry naming a point
+    outside the system is a schema error. Each entry's dense id is worked
+    out inline."""
+    from .semantics import Valuation
 
     slots = system.run_slots
     width = system.horizon + 1
-    points = system.points
-    pairs = {}
+    masks = {}
     for name, entries in _expect(obj, dict, path).items():
-        pts = set()
+        ids = []
         for i, entry in enumerate(_expect(entries, list, f"{path}.{name}")):
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise SchemaError(f"{path}.{name}[{i}]: expected [run_id, time]")
@@ -301,9 +297,9 @@ def valuation_from_dict(obj: dict, system: System, path: str = "valuation") -> V
                     f"{path}.{name}[{i}]: point {Point(str(run_id), time)} is not in "
                     "the system"
                 )
-            pts.add(points[slot * width + time])
-        pairs[name] = pts
-    return make_valuation(pairs)
+            ids.append(slot * width + time)
+        masks[name] = mask_from_ids(ids, len(system.runs) * width)
+    return Valuation(system, masks)
 
 
 def model_to_dict(model: Model) -> dict:
@@ -317,7 +313,7 @@ def _model_doc(model: Model, runs: Any) -> dict:
         "agents": model.system.n_agents,
         "horizon": model.system.horizon,
         "runs": runs,
-        "valuation": valuation_to_dict(model.valuation, model.system),
+        "valuation": valuation_to_dict(model.valuation),
         "policy": model.policy.name,
     }
 

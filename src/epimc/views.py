@@ -9,22 +9,21 @@ the system's history table, ``System.history_table``, and ``partition``
 groups points by any key of the history, calling it once per distinct
 history; the index is that partition by view.
 
-Point ``i`` of the system's dense numbering (see ``runs``) is bit ``i`` of
-a Python ``int``, so each run owns a contiguous slice of bits. Inside
-this module and the evaluator every point set is such a bitmask;
+Point sets are masks over the system's dense numbering (see ``runs``);
 ``frozenset[Point]`` appears only at the public functions. Each view class
-is one mask. The components for a group come from one union-find pass over
-the class lists, made once per group and cached, so they cost time linear
-in the number of points instead of a walk of a whole class per point.
+is one mask, and ``class_ids`` names every point's class per agent. The
+components for a group come from one union-find pass over the class
+lists, made once per group and cached, so they cost time linear in the
+number of points instead of a walk of a whole class per point.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from operator import and_, or_
+from operator import or_
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
-from .runs import AgentHistories, LocalHistory, ModelError, Point, System
+from .runs import AgentHistories, LocalHistory, ModelError, Point, System, ids_of, mask_from_ids
 
 AgentSet = tuple[int, ...]
 
@@ -34,19 +33,6 @@ def normalize_group(group: Iterable[int]) -> AgentSet:
     if not members:
         raise ModelError("agent group must be nonempty")
     return members
-
-
-def mask_from_ids(ids: Iterable[int], n: int) -> int:
-    """The bitmask with exactly the bits ``ids`` (each below ``n``) set."""
-    buf = bytearray((n + 7) >> 3)
-    for i in ids:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
-def ids_of(mask: int) -> list[int]:
-    """The set bits of a nonnegative mask, ascending."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 class ViewPolicy(NamedTuple):
@@ -140,40 +126,15 @@ class IndistIndex:
     ) -> None:
         self.system, self.class_masks, self.class_ids = system, class_masks, class_ids
 
-    @property
-    def n_agents(self) -> int:
-        return len(self.class_masks)
-
-    @cached_property
-    def full(self) -> int:
-        return (1 << len(self.system.points)) - 1
-
     @cached_property
     def classes_by_agent(self) -> tuple[tuple[frozenset[Point], ...], ...]:
         return tuple(
-            tuple(self.points_of(m) for m in masks) for masks in self.class_masks
+            tuple(map(self.system.points_of, masks)) for masks in self.class_masks
         )
 
     @cached_property
-    def _group_cache(self) -> dict[tuple[str, AgentSet], tuple[int, ...]]:
+    def _group_cache(self) -> dict[AgentSet, tuple[int, ...]]:
         return {}
-
-    def mask_of(self, points: Iterable[Point]) -> int:
-        """Mask of ``points``; points outside the index are ignored."""
-        slots = self.system.run_slots
-        width = self.system.horizon + 1
-        return mask_from_ids(
-            (
-                slots[run_id] * width + t
-                for run_id, t in points
-                if run_id in slots and 0 <= t < width
-            ),
-            len(self.system.points),
-        )
-
-    def points_of(self, mask: int) -> frozenset[Point]:
-        pts = self.system.points
-        return frozenset(pts[i] for i in ids_of(mask))
 
     def _members(self, group: Iterable[int]) -> AgentSet:
         members = normalize_group(group)
@@ -190,7 +151,7 @@ class IndistIndex:
         union of its first member's classes.
         """
         members = self._members(group)
-        cached = self._group_cache.get(("C", members))
+        cached = self._group_cache.get(members)
         if cached is not None:
             return cached
         offsets = [0]
@@ -214,28 +175,14 @@ class IndistIndex:
         for cls, mask in enumerate(self.class_masks[members[0]]):
             by_root.setdefault(find(cls), []).append(mask)
         out = tuple(reduce(or_, masks) for masks in by_root.values())
-        self._group_cache[("C", members)] = out
-        return out
-
-    def joint_class_masks(self, group: Iterable[int]) -> tuple[int, ...]:
-        """Masks of the joint-view classes of ``group``: the nonempty
-        intersections of one class per member."""
-        members = self._members(group)
-        cached = self._group_cache.get(("D", members))
-        if cached is not None:
-            return cached
-        out = tuple(
-            reduce(and_, (self.class_masks[a][c] for a, c in zip(members, key)))
-            for key in set(zip(*(self.class_ids[a] for a in members)))
-        )
-        self._group_cache[("D", members)] = out
+        self._group_cache[members] = out
         return out
 
     def components(self, group: Iterable[int]) -> dict[Point, frozenset[Point]]:
         """Connected components of the subgraph with edges labelled by ``group``."""
         assignment: dict[Point, frozenset[Point]] = {}
         for mask in self.component_masks(group):
-            component = self.points_of(mask)
+            component = self.system.points_of(mask)
             assignment.update(dict.fromkeys(component, component))
         return assignment
 
@@ -318,7 +265,7 @@ def g_reachable(
 
 def reachable_set(index: IndistIndex, frm: Point, group: Iterable[int]) -> frozenset[Point]:
     """All points reachable from ``frm`` in finitely many group steps."""
-    return index.points_of(index.component_of(frm, group))
+    return index.system.points_of(index.component_of(frm, group))
 
 
 def export_graph(index: IndistIndex, group: Iterable[int]) -> str:

@@ -31,12 +31,12 @@ from epimc.views import VIEW_PROJECTIONS, ViewPolicy
 
 
 def random_system(rng: random.Random, max_runs: int = 4, max_horizon: int = 4,
-                  max_agents: int = 3, min_agents: int = 2) -> System:
+                  max_agents: int = 3, min_agents: int = 2, min_runs: int = 1) -> System:
     """A small well-formed system with random message traffic; a lone
     agent messages itself."""
     n = rng.randint(min_agents, max_agents)
     horizon = rng.randint(1, max_horizon)
-    n_runs = rng.randint(1, max_runs)
+    n_runs = rng.randint(min_runs, max_runs)
     clocked = rng.random() < 0.3
     runs = []
     for ri in range(n_runs):

@@ -1,12 +1,16 @@
 import random
+import tracemalloc
 
 import pytest
 
+from epimc import SCENARIOS
 from epimc import formulas as fm
 from epimc import semantics
 from epimc.semantics import (
     EvalError,
+    Expectation,
     Model,
+    ScenarioManifest,
     UnboundVariableError,
     UnknownPropError,
     axiom_suite,
@@ -16,6 +20,8 @@ from epimc.semantics import (
     gfp,
     holds,
     make_valuation,
+    truth_mask,
+    verify_manifest,
 )
 from epimc.formulas import parse
 from epimc.runs import Point, UnknownAgentError, make_run, make_system
@@ -329,3 +335,43 @@ def test_holds_rejects_foreign_points():
     model = toy_model()
     with pytest.raises(Exception):
         holds(model, parse("sent"), Point("nope", 0))
+
+
+def test_formulas_with_no_modal_operator_never_build_the_index(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the view index was built")
+
+    model = toy_model()
+    monkeypatch.setattr(semantics, "build_index", refuse)
+    sent = {Point(r, t) for r in ("del", "drop") for t in range(1, 4)}
+    unsent = model.all_points - sent
+    assert evaluate(model, parse("sent")) == sent
+    assert evaluate(model, parse("~sent & true")) == unsent
+    assert evaluate(model, parse("nu X. sent & X")) == sent
+    assert gfp(model, "X", parse("sent & X", free_vars=["X"])) == sent
+    assert holds(model, parse("sent"), Point("del", 1))
+    assert not holds(model, parse("~sent & true"), Point("del", 1))
+    assert check_validity(model, parse("sent")) == (False, Point("del", 0))
+    assert check_validity(model, parse("sent | ~sent")) == (True, None)
+    expectations = (
+        Expectation("sent", Point("drop", 3), True),
+        Expectation("~sent & true", Point("del", 0), True),
+        Expectation("nu X. sent & X", None, False),
+    )
+    failures = verify_manifest(ScenarioManifest("plain", {}, model, expectations))
+    assert [f.detail for f in failures] == ["holds at del@1"]
+
+
+def test_distributed_knowledge_over_six_agents_has_a_small_peak():
+    # One full-width mask per joint class would take about 3 MiB here;
+    # keying each point by its tuple of class ids takes a fraction of that
+    model = SCENARIOS["broadcast_channel"](L=1, eps=2, n=6, horizon=8, clocked=True).model
+    model.index
+    formula = parse("D{0,1,2,3,4,5} psi_recv")
+    tracemalloc.start()
+    try:
+        truth_mask(model, formula)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20

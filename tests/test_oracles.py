@@ -5,6 +5,7 @@ point at a time, with no indexing or batch set arithmetic. Agreement with
 the evaluator's class-based fast paths is checked on random models.
 """
 
+import itertools
 import random
 
 from epimc import formulas as fm
@@ -13,7 +14,7 @@ from epimc.formulas import parse
 from epimc.runs import Point, make_run, make_system
 from epimc.views import ViewPolicy
 
-from tests.helpers import clock_variants, random_model, random_valuation
+from tests.helpers import clock_variants, random_model, random_system, random_valuation
 
 
 def same_view(model: Model, agent, a, b) -> bool:
@@ -107,13 +108,23 @@ def test_individual_knowledge_matches_the_quantifier_transcription():
 
 def test_distributed_knowledge_matches_the_joint_view_transcription():
     rng = random.Random(67)
-    for _ in range(20):
-        model = random_model(rng)
-        arg = evaluate(model, fm.Prop("p"))
-        group = tuple(model.system.agents)
-        assert evaluate(model, fm.D(group, fm.Prop("p"))) == oracle_distributed(
-            model, group, arg
+    models = [random_model(rng) for _ in range(20)]
+    # many runs under the complete-history policy: mostly singleton classes
+    for _ in range(6):
+        system = random_system(rng, max_runs=12, min_runs=8)
+        models.append(
+            Model(system, random_valuation(rng, system), ViewPolicy.complete_history())
         )
+    for model in models:
+        arg = evaluate(model, fm.Prop("p"))
+        agents = model.system.agents
+        groups = [g for k in agents for g in itertools.combinations(agents, k + 1)]
+        # the evaluator takes the group as written: unsorted, with a repeat
+        groups.append((1, 0, 1))
+        for group in groups:
+            assert evaluate(model, fm.D(group, fm.Prop("p"))) == oracle_distributed(
+                model, group, arg
+            ), group
 
 
 def test_interval_everyone_matches_the_quantifier_transcription():

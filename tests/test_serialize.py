@@ -48,7 +48,7 @@ def test_random_models_round_trip_to_the_same_history_table():
         assert [r.content_key() for r in loaded.system.runs] == [
             r.content_key() for r in system.runs
         ]
-        assert dict(loaded.valuation.truth) == dict(model.valuation.truth)
+        assert dict(loaded.valuation.masks) == dict(model.valuation.masks)
         for mine, theirs in zip(system.history_table, loaded.system.history_table):
             assert theirs.ids == mine.ids
             assert theirs.distinct == mine.distinct
@@ -313,6 +313,18 @@ def test_in_process_valuations_ignore_points_outside_the_system():
     )
     model = Model(system, valuation, ViewPolicy.complete_history())
     assert evaluate(model, parse("p")) == {Point("r", 1)}
+    # A valuation of a model over another system, which shares the run id
+    # r: r@2 and t@0 have the dense ids there of s@0 and s@1 here
+    other = make_system(1, 2, [make_run(rid, horizon=2, wake_up=[0], initial_state=["s"])
+                               for rid in ("r", "t")])
+    donor = Model(other, make_valuation(
+        {"p": [Point("r", 1), Point("r", 2), Point("t", 0)], "q": [Point("t", 1)]}
+    ), ViewPolicy.complete_history())
+    reused = Model(system, donor.valuation, ViewPolicy.complete_history())
+    assert evaluate(reused, parse("p")) == {Point("r", 1)}
+    assert evaluate(reused, parse("q")) == frozenset()
+    assert evaluate(donor, parse("p")) == {Point("r", 1), Point("r", 2), Point("t", 0)}
+    assert model_to_dict(reused)["valuation"] == {"p": [["r", 1]], "q": []}
 
 
 def test_a_model_naming_points_outside_its_system_round_trips():

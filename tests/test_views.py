@@ -86,7 +86,7 @@ def test_complete_history_refines_every_policy():
         for agent in model.system.agents:
             for cls in complete.classes_by_agent[agent]:
                 i = model.system.point_id(min(cls))
-                target = index.points_of(index.class_masks[agent][index.class_ids[agent][i]])
+                target = index.system.points_of(index.class_masks[agent][index.class_ids[agent][i]])
                 assert cls <= target
 
 
@@ -199,7 +199,7 @@ def test_reachable_set_contains_start_and_is_a_fixed_point():
             for pt in closure:
                 i = model.system.point_id(pt)
                 for agent in group:
-                    expanded |= index.points_of(index.class_masks[agent][index.class_ids[agent][i]])
+                    expanded |= index.system.points_of(index.class_masks[agent][index.class_ids[agent][i]])
             assert expanded == set(closure)
 
 
@@ -213,7 +213,7 @@ def test_reachable_set_monotone_in_group():
         large = reachable_set(model.index, start, agents)
         assert small <= large
         index, i = model.index, model.system.point_id(start)
-        one_step = index.points_of(index.class_masks[agents[0]][index.class_ids[agents[0]][i]])
+        one_step = index.system.points_of(index.class_masks[agents[0]][index.class_ids[agents[0]][i]])
         assert one_step <= small
 
 
