@@ -38,21 +38,38 @@ class CliError(Exception):
 
 
 def _read(path: str, decode):
-    """The document in file ``path``, decoded by ``decode``; the file's
-    text is dropped once it is parsed, before ``decode`` runs."""
+    """The document in file ``path``, decoded by ``decode``.
+
+    ``load_document`` decodes the runs as it parses them, and the file's
+    text is dropped once its last value is parsed, before ``decode``
+    runs. If any of that raises, the file is read again and its whole
+    document decoded, so that a bad file is reported as
+    ``decode(load_json(text))`` reports it.
+    """
     from .runs import ModelError
-    from .serialize import load_json
+    from .serialize import load_document, load_json
 
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", 2) from None
+        return decode(load_document(_text(path)))
+    except CliError:
+        raise
+    except Exception:  # of any kind: the whole document's decoding reports it
+        pass
     try:
-        doc = load_json(text)
-        del text
-        return decode(doc)
+        return decode(load_json(_text(path)))
     except ModelError as exc:
         raise CliError(f"{path}: {exc}", 2) from None
+
+
+def _text(path: str) -> str:
+    """The text of file ``path``, read as UTF-8, JSON's encoding."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}", 2) from None
+    except UnicodeDecodeError as exc:
+        message = f"{path}: not valid UTF-8: {exc.reason} at byte {exc.start}"
+        raise CliError(message, 2) from None
 
 
 def _parse_formula(text: str):

@@ -5,6 +5,12 @@ Top level of a system file: ``schema`` (currently 1), ``agents`` (count),
 Details and examples live in docs/file-formats.md. ``system_from_dict``
 decodes the run part alone; the model and manifest decoders import the
 evaluator and the view policies when called.
+
+A file's text is parsed by ``load_document``, which decodes each run as
+soon as it is parsed, so the whole JSON document is never built; the
+caller drops the text once its last value is parsed. ``load_json``
+parses a text whole, for the key orders and errors that
+``load_document`` leaves to it.
 """
 
 from __future__ import annotations
@@ -247,16 +253,21 @@ def system_to_dict(system: System) -> dict:
 
 
 def system_from_dict(obj: dict, path: str = "system") -> System:
+    """The system of a JSON object. Its ``runs`` are an array of run
+    objects, or the tuple of runs that ``load_document`` decoded with
+    this object's ``agents`` and ``horizon``."""
     schema = obj.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise SchemaError(f"{path}.schema: unsupported version {schema!r}")
     n = _need_count(obj, "agents", path)
     horizon = _need_count(obj, "horizon", path)
-    interned: dict = {}
-    runs = [
-        run_from_dict(r, n, horizon, f"{path}.runs[{i}]", interned)
-        for i, r in enumerate(_need(obj, "runs", path, list))
-    ]
+    runs = _need(obj, "runs", path)
+    if type(runs) is not tuple:
+        interned: dict = {}
+        runs = [
+            run_from_dict(r, n, horizon, f"{path}.runs[{i}]", interned)
+            for i, r in enumerate(_expect(runs, list, f"{path}.runs"))
+        ]
     try:
         return make_system(n, horizon, runs)
     except ModelError as exc:  # a duplicate run id; the decoder fixes the agents
@@ -544,6 +555,7 @@ def _encode_items(opener: str, items: Iterable[tuple[str, Any]], depth: int,
 
 
 def load_json(text: str) -> dict:
+    """The JSON object in ``text``, parsed whole."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -553,3 +565,88 @@ def load_json(text: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError("top level must be a JSON object")
     return obj
+
+
+#: The standard library's C parsing primitives: ``load_document`` walks
+#: the objects that hold runs itself and hands every other value to them.
+_skip = json.decoder.WHITESPACE.match
+_scan = json.decoder.scanstring
+_value = json.JSONDecoder().raw_decode
+
+
+def load_document(text: str) -> dict:
+    """The JSON object in ``text``, as ``load_json`` parses it, but with
+    each ``runs`` array, at the top or in the top's ``system`` object,
+    decoded as it is parsed: ``run_from_dict`` takes each run's object
+    as soon as it is parsed, and the array becomes a tuple of runs. Only
+    one run's object is alive at a time, and the whole document is
+    never built.
+
+    It raises on anything else: text that is not one JSON object, a
+    repeated key in an object it walks, a run that does not decode, and
+    a ``runs`` array that comes before its object's ``agents`` or
+    ``horizon``. The caller then decodes ``load_json(text)``, whose
+    error is the one to report.
+    """
+    obj, idx = _object(text, _skip(text, 0).end(), "system")
+    if _skip(text, idx).end() != len(text):
+        raise ValueError(f"extra data at {idx}")
+    return obj
+
+
+def _object(text: str, idx: int, path: str) -> tuple[dict, int]:
+    """The object that opens at ``idx``, and the index past its end. Its
+    runs are decoded under field path ``path``; at the top (``path``
+    "system"), a ``system`` object is walked the same way, as a
+    manifest's."""
+    if not text.startswith("{", idx):
+        raise ValueError(f"expected an object at {idx}")
+    obj: dict = {}
+    idx, more = _step(text, idx + 1, "}", False)
+    while more:
+        if not text.startswith('"', idx):
+            raise ValueError(f"expected a key at {idx}")
+        key, idx = _scan(text, idx + 1)
+        idx = _skip(text, idx).end()
+        if key in obj or not text.startswith(":", idx):
+            raise ValueError(f"repeated key {key!r} or no colon at {idx}")
+        idx = _skip(text, idx + 1).end()
+        if key == "runs" and text.startswith("[", idx):
+            obj[key], idx = _runs(text, idx, obj, path)
+        elif key == "system" and path == "system" and text.startswith("{", idx):
+            obj[key], idx = _object(text, idx, "manifest.system")
+        else:
+            obj[key], idx = _value(text, idx)
+        idx, more = _step(text, idx, "}", True)
+    return obj, idx
+
+
+def _runs(text: str, idx: int, obj: dict, path: str) -> tuple[tuple[Run, ...], int]:
+    """The runs of the array that opens at ``idx``, decoded with the
+    ``agents`` and ``horizon`` that ``obj`` already holds, and the index
+    past its end."""
+    n = _need_count(obj, "agents", path)
+    horizon = _need_count(obj, "horizon", path)
+    interned: dict = {}
+    runs: list[Run] = []
+    idx, more = _step(text, idx + 1, "]", False)
+    while more:
+        raw, idx = _value(text, idx)
+        runs.append(run_from_dict(raw, n, horizon, f"{path}.runs[{len(runs)}]", interned))
+        del raw  # before the next run's object is parsed
+        idx, more = _step(text, idx, "]", True)
+    return tuple(runs), idx
+
+
+def _step(text: str, idx: int, closer: str, comma: bool) -> tuple[int, bool]:
+    """From ``idx``, inside a container, past whitespace: the index past
+    ``closer`` and False if it ends there, or else the start of its next
+    item and True, past a comma when ``comma`` is set."""
+    idx = _skip(text, idx).end()
+    if text.startswith(closer, idx):
+        return idx + 1, False
+    if comma:
+        if not text.startswith(",", idx):
+            raise ValueError(f"expected ',' or {closer!r} at {idx}")
+        idx = _skip(text, idx + 1).end()
+    return idx, True

@@ -4,12 +4,18 @@ import random
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from epimc.cli import EXIT_BROKEN_PIPE, _read, main
-from epimc.semantics import evaluate
+from epimc import serialize
+from epimc.cli import EXIT_BROKEN_PIPE, CliError, _read, main
+from epimc.runs import ModelError, System
+from epimc.semantics import Model, ScenarioManifest, evaluate
 from epimc.formulas import parse
 from epimc.serialize import (
     dump_json,
@@ -17,9 +23,11 @@ from epimc.serialize import (
     manifest_from_dict,
     model_from_dict,
     model_to_dict,
+    system_from_dict,
 )
 from epimc.views import export_graph
 from tests.helpers import child_env, random_model
+from tests.test_scenarios import SMALL_PARAMS
 
 
 @pytest.fixture()
@@ -291,6 +299,167 @@ def test_read_drops_the_file_text_before_decoding(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert dropped < kept - len(text) // 2
+
+
+def test_read_holds_about_twice_the_text_at_most(tmp_path, capsys):
+    # reading the text costs its bytes and its characters; the runs are
+    # decoded as they are parsed, so the document is never built
+    assert main(["scenario", "muddy_children", "--param", "n=4", "--param", "announce=true",
+                 "--param", "rounds=4", "--param", "staggered_announcement=true",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "muddy_children.manifest.json"
+    text = path.read_text()
+    tracemalloc.start()
+    try:
+        _read(str(path), manifest_from_dict)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
+
+
+def _made_of(decoded) -> tuple:
+    """What a decoded system, model or manifest is made of, to compare
+    two decodings of one file."""
+    if isinstance(decoded, ScenarioManifest):
+        return (decoded.name, decoded.parameters, decoded.expectations,
+                _made_of(decoded.model))
+    if isinstance(decoded, Model):
+        return (_made_of(decoded.system), dict(decoded.valuation.masks), decoded.policy.name)
+    assert isinstance(decoded, System)
+    return (decoded.n_agents, decoded.horizon,
+            [(run.id, run.content_key()) for run in decoded.runs])
+
+
+def _whole(text: str, decode, path: str) -> tuple:
+    """What ``decode(load_json(text))`` makes of ``text``, or the message
+    that ``_read`` reports for it."""
+    try:
+        return _made_of(decode(load_json(text)))
+    except ModelError as exc:
+        return (f"{path}: {exc}",)
+
+
+def _read_as(path: Path, decode) -> tuple:
+    try:
+        return _made_of(_read(str(path), decode))
+    except CliError as exc:
+        assert exc.exit_code == 2
+        return (str(exc),)
+
+
+#: The decoders of each kind of file.
+_DECODERS = {"system": (model_from_dict, system_from_dict), "manifest": (manifest_from_dict,)}
+
+
+def _streamed(path: Path, text: str, kind: str) -> None:
+    """``_read`` decodes the file at ``path``, whose text is ``text``, run
+    by run: it never parses the whole document, and gets what the whole
+    document's decoders get."""
+    path.write_text(text)
+    for decode in _DECODERS[kind]:
+        with mock.patch.object(serialize, "load_json", side_effect=AssertionError("whole")):
+            got = _read_as(path, decode)
+        assert got == _whole(text, decode, str(path))
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_reversed_keys(item) for item in value]
+    return value
+
+
+def _twice(doc: dict, key: str, value) -> str:
+    """The text of ``doc`` with ``key`` of its system object written again,
+    last, with ``value``: the value that JSON's last-wins rule keeps."""
+    system = dict(doc.get("system", doc), **{key + "\0": value})
+    text = json.dumps(dict(doc, system=system) if "system" in doc else system)
+    return text.replace(json.dumps(key + "\0"), json.dumps(key))
+
+
+def _variants(text: str) -> dict[str, str]:
+    """Other texts of the document in ``text``, and broken ones."""
+    doc = json.loads(text)
+    horizon = doc.get("system", doc)["horizon"]
+    return {
+        "reversed": json.dumps(_reversed_keys(doc)),
+        "runs twice": _twice(doc, "runs", []),
+        # a longer horizon after the runs: clock tables fall short
+        "horizon twice": _twice(doc, "horizon", horizon + 1),
+        "trailing": text + "{}",
+        "cut in the runs": text[: text.index('"runs"') + 40],
+        "cut at the end": text[:-3],
+    }
+
+
+def _same_as_whole(path: Path, text: str, kind: str) -> None:
+    """``_read`` makes of each variant of ``text`` what the whole
+    document's decoders make of it, or reports the same error; the
+    minified text still decodes run by run."""
+    _streamed(path, json.dumps(json.loads(text), separators=(",", ":")), kind)
+    for variant in _variants(text).values():
+        path.write_text(variant)
+        for decode in _DECODERS[kind]:
+            assert _read_as(path, decode) == _whole(variant, decode, str(path))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
+def test_read_decodes_scenario_files_run_by_run(tmp_path, capsys, name):
+    argv = ["scenario", name, "--out", str(tmp_path / "out")]
+    for key, value in SMALL_PARAMS[name].items():
+        argv += ["--param", f"{key}={str(value).lower()}"]
+    assert main(argv) == 0
+    for kind in ("system", "manifest"):
+        text = (tmp_path / "out" / f"{name}.{kind}.json").read_text()
+        _streamed(tmp_path / f"{kind}.json", text, kind)
+        _same_as_whole(tmp_path / f"{kind}.json", text, kind)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_read_decodes_random_models_run_by_run(seed):
+    text = dump_json(model_to_dict(random_model(random.Random(seed))))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "model.json"
+        _streamed(path, text, "system")
+        _same_as_whole(path, text, "system")
+
+
+def test_read_decodes_other_key_orders_whole(attack_files):
+    # runs before agents and horizon: the whole document is decoded
+    system, _ = attack_files
+    text = system.read_text()
+    system.write_text(json.dumps(_reversed_keys(json.loads(text))))
+    with mock.patch.object(serialize, "load_json", wraps=load_json) as whole:
+        reversed_model = _read(str(system), model_from_dict)
+    assert whole.call_count == 1
+    assert _made_of(reversed_model) == _whole(text, model_from_dict, str(system))
+
+
+_CAFE = (b'{"schema": 1, "agents": 1, "horizon": 0, "valuation": {"p": [["r", 0]]}, '
+         b'"runs": [{"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "caf\xc3\xa9"}}]}')
+
+
+def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(_CAFE.decode("utf-8").encode("latin-1"))
+    assert main(["eval", "--system", str(path), "--formula", "p", "--all"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: not valid UTF-8:")
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "cafe.json"
+    path.write_bytes(_CAFE)
+    env = dict(child_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "epimc.cli", "eval", "--system", str(path), "--formula", "p",
+         "--all", "--no-timing"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "T  r@0\n", "")
 
 
 def test_axioms_subcommand(attack_files, capsys):
