@@ -26,8 +26,8 @@ from . import __version__
 #: shell shows for a process ended by SIGPIPE.
 EXIT_BROKEN_PIPE = 141
 
-#: Reported instead of a traceback when parsing or evaluating a formula
-#: recurses past the interpreter's limit.
+#: Reported instead of a traceback when evaluating a formula recurses past
+#: the interpreter's limit: each nested nu binder recurses once more.
 TOO_DEEP = "formula nested too deeply"
 
 
@@ -79,8 +79,6 @@ def _parse_formula(text: str):
         return parse(text)
     except FormulaError as exc:
         raise CliError(f"bad formula: {exc}", 1) from None
-    except RecursionError:
-        raise CliError(f"bad formula: {TOO_DEEP}", 1) from None
 
 
 def _emit(report: dict, fmt: str, timing: float | None) -> None:

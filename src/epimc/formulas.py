@@ -7,7 +7,8 @@ fixed-point binder nu. Or, implication, and iff are surface syntax only
 and parse into negation and conjunction.
 
 Every prefix operator is a ``Modal`` subclass, and ``MODALS``, which maps
-each head keyword to its class, is the one place heads are defined.
+each head keyword to its class, is the one place heads are defined. Equal
+nodes are one object, and every walk over a formula is a loop.
 
 Concrete syntax (full grammar in docs/grammar.ebnf)::
 
@@ -24,8 +25,11 @@ extends as far right as possible.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
-from typing import ClassVar, Iterable, Iterator, NamedTuple
+import weakref
+from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple
 
 AgentSet = tuple[int, ...]
 
@@ -50,22 +54,37 @@ class PositivityError(FormulaError):
         self.path = path
 
 
+#: Every live node by its class and fields. A child is a key by identity,
+#: since equal children are already one node.
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class Formula:
     """Base class of every node. A node class lists its fields in
-    ``__slots__``, and they drive its constructor (positional or keyword),
-    equality (class and fields: ``Prop('X') != Var('X')``), hash and
-    repr. Nodes are frozen: assigning a field raises ``AttributeError``,
-    and ``_replace`` copies a node with some fields changed."""
+    ``__slots__``, and they drive its constructor (positional or keyword)
+    and repr. Nodes are hash-consed: building a node of the same class and
+    fields as a live one returns that one, so equal formulas are one
+    object and compare and hash by identity (``Prop('X') is not
+    Var('X')``), and a formula is a DAG in which each distinct subformula
+    occurs once. Nodes are frozen: assigning a field raises
+    ``AttributeError``, and ``_replace`` gives the node with some fields
+    changed."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
-    def __init__(self, *args, **kwargs):
-        names = self.__slots__
+    def __new__(cls, *args, **kwargs):
+        names = cls.__slots__
         rest = names[len(args):]
         if len(args) > len(names) or kwargs.keys() != set(rest):
-            raise TypeError(f"{type(self).__name__} takes the fields {names}")
-        for name, value in zip(names, (*args, *map(kwargs.get, rest))):
-            object.__setattr__(self, name, value)
+            raise TypeError(f"{cls.__name__} takes the fields {names}")
+        values = (*args, *map(kwargs.get, rest))
+        key = (cls, *values)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = super().__new__(cls)
+            for name, value in zip(names, values):
+                object.__setattr__(node, name, value)
+        return node
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -79,27 +98,12 @@ class Formula:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
     def __repr__(self):
         fields = zip(self.__slots__, self._values())
         return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
     def __reduce__(self):
         return type(self), self._values()
-
-
-def _group(agents: Iterable[int]) -> AgentSet:
-    members = tuple(sorted(set(int(a) for a in agents)))
-    if not members:
-        raise FormulaError("agent group must be nonempty")
-    return members
 
 
 class Prop(Formula):
@@ -167,15 +171,14 @@ class Modal(Formula):
         cls.least = least
         cls.unfolds = unfolds
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if self.param is None:
-            return
-        value = getattr(self, self.param)
-        if value < self.least:
+    def __new__(cls, *args, **kwargs):
+        node = super().__new__(cls, *args, **kwargs)
+        value = getattr(node, cls.param) if cls.param else None
+        if value is not None and value < cls.least:
             raise FormulaError(
-                f"{self.param} of {self.head} must be at least {self.least}, got {value}"
+                f"{cls.param} of {cls.head} must be at least {cls.least}, got {value}"
             )
+        return node
 
 
 class K(Modal, head="K", by_agent=True):
@@ -348,134 +351,55 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, free_vars: frozenset[str]):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.bound: list[str] = []
-        self.free_vars = free_vars
+def _expect(tokens: list[_Token], kind: str) -> str:
+    """Take the next token of ``tokens`` (read from the end), which must be
+    of ``kind``; its text."""
+    tok = tokens.pop()
+    if tok.kind != kind:
+        raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
+    return tok.text
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def take(self, kind: str | None = None) -> _Token:
-        tok = self.tokens[self.i]
-        if kind is not None and tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        self.i += 1
-        return tok
+def _modal_prefix(tokens: list[_Token], cls: type[Modal], agent: int | None):
+    """The builder of a modal head's node from its operand, after taking
+    the head's integer and group from ``tokens``."""
+    if cls is E and tokens[-1].kind == "^":  # E^k: the caret form
+        tokens.pop()
+        cls, params = EPow, [int(_expect(tokens, "int"))]
+    elif cls.param:
+        _expect(tokens, "[")
+        params = [int(_expect(tokens, "int"))]
+        _expect(tokens, "]")
+    else:
+        params = []
+    index = agent
+    if not cls.by_agent:
+        _expect(tokens, "{")
+        members = {int(_expect(tokens, "int"))}
+        while tokens[-1].kind == ",":
+            tokens.pop()
+            members.add(int(_expect(tokens, "int")))
+        _expect(tokens, "}")
+        index = tuple(sorted(members))
+    return lambda child: cls(index, *params, child)
 
-    def parse(self) -> Formula:
-        f = self.iff_level()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
-        return f
 
-    def iff_level(self) -> Formula:
-        f = self.implies_level()
-        while self.peek().kind == "<->":
-            self.take()
-            f = iff(f, self.implies_level())
-        return f
+_PREC_NU, _PREC_AND, _PREC_PREFIX, _PREC_ATOM = 0, 4, 5, 6
 
-    def implies_level(self) -> Formula:
-        f = self.or_level()
-        if self.peek().kind == "->":
-            self.take()
-            return implies(f, self.implies_level())
-        return f
+#: Token -> (precedence, right-associative, builder) of its connective.
+#: A prefix takes one operand and binds tightest: ``~`` here, and each
+#: modal head, whose entry ``_modal_prefix`` makes where it occurs. ``nu``
+#: is a prefix too, the loosest-binding one, so its body extends as far
+#: right as possible.
+_CONNECTIVES: dict[str, tuple[int, bool, Callable[..., Formula]]] = {
+    "<->": (1, False, iff),
+    "->": (2, True, implies),
+    "|": (3, False, disj),
+    "&": (_PREC_AND, False, And),
+    "~": (_PREC_PREFIX, True, Not),
+}
 
-    def or_level(self) -> Formula:
-        f = self.and_level()
-        while self.peek().kind == "|":
-            self.take()
-            f = disj(f, self.and_level())
-        return f
-
-    def and_level(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "&":
-            self.take()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.take()
-            return Not(self.unary())
-        if tok.kind == "name":
-            modal = self.try_modal(tok)
-            if modal is not None:
-                return modal
-        return self.atom()
-
-    def try_modal(self, tok: _Token) -> Formula | None:
-        found = _modal_of(tok.text)
-        if found is None:
-            return None
-        cls, agent = found
-        self.take()
-        if cls is E and self.peek().kind == "^":  # E^k: the caret form
-            self.take()
-            cls = EPow
-            params = [int(self.take("int").text)]
-        else:
-            params = [self.bracket_int()] if cls.param else []
-        index = agent if cls.by_agent else self.group()
-        return cls(index, *params, self.unary())
-
-    def bracket_int(self) -> int:
-        self.take("[")
-        value = int(self.take("int").text)
-        self.take("]")
-        return value
-
-    def group(self) -> AgentSet:
-        tok = self.take("{")
-        members = [int(self.take("int").text)]
-        while self.peek().kind == ",":
-            self.take()
-            members.append(int(self.take("int").text))
-        self.take("}")
-        try:
-            return _group(members)
-        except FormulaError as exc:
-            raise ParseError(str(exc), tok.pos) from None
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take()
-            f = self.iff_level()
-            self.take(")")
-            return f
-        if tok.kind == "name":
-            name = tok.text
-            if name == "true":
-                self.take()
-                return TrueConst()
-            if name == "nu":
-                self.take()
-                var = self.take("name").text
-                if var in _RESERVED or _modal_of(var):
-                    raise ParseError(f"{var!r} is reserved and cannot bind", tok.pos)
-                self.take(".")
-                self.bound.append(var)
-                try:
-                    body = self.iff_level()
-                finally:
-                    self.bound.pop()
-                return Nu(var, body)
-            self.take()
-            if name in self.bound or name in self.free_vars:
-                return Var(name)
-            return Prop(name)
-        raise ParseError(
-            f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos
-        )
+_OPEN = (-1, False, None)  # an open parenthesis on the connective stack
 
 
 def parse(text: str, free_vars: Iterable[str] = ()) -> Formula:
@@ -483,40 +407,86 @@ def parse(text: str, free_vars: Iterable[str] = ()) -> Formula:
 
     Identifiers bound by an enclosing ``nu`` (or listed in ``free_vars``)
     become variables; every other identifier is a proposition.
+
+    One loop reads the tokens, keeping the operands built so far and the
+    connectives that still wait for an operand on two stacks; a
+    connective is built once a looser one, a closing parenthesis or the
+    end shows that its operands are complete. So no nesting depth
+    recurses, and errors are reported at the tokens where a
+    recursive-descent reading of the grammar reports them.
     """
-    return _Parser(text, frozenset(free_vars)).parse()
+    free = frozenset(free_vars)
+    tokens = _tokenize(text)[::-1]
+    operands: list[Formula] = []
+    pending: list[tuple[int, bool, Callable[..., Formula] | None]] = []
+    bound: list[str] = []  # the variables of the open nu binders
+    opened = 0  # open parentheses
+
+    def reduce() -> None:
+        prec, _, build = pending.pop()
+        if prec == _PREC_NU:
+            bound.pop()
+        if prec in (_PREC_NU, _PREC_PREFIX):
+            operands.append(build(operands.pop()))
+        else:
+            right = operands.pop()
+            operands.append(build(operands.pop(), right))
+
+    want_operand = True
+    while True:
+        tok = tokens.pop()
+        if want_operand:
+            name = tok.text if tok.kind == "name" else None
+            modal = name and _modal_of(name)
+            if tok.kind == "(":
+                pending.append(_OPEN)
+                opened += 1
+            elif tok.kind == "~":
+                pending.append(_CONNECTIVES["~"])
+            elif modal:
+                pending.append((_PREC_PREFIX, True, _modal_prefix(tokens, *modal)))
+            elif name == "nu":
+                var = _expect(tokens, "name")
+                if var in _RESERVED or _modal_of(var):
+                    raise ParseError(f"{var!r} is reserved and cannot bind", tok.pos)
+                _expect(tokens, ".")
+                bound.append(var)
+                pending.append((_PREC_NU, True, lambda body, var=var: Nu(var, body)))
+            elif name is None:
+                raise ParseError(
+                    f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos
+                )
+            else:
+                leaf = Var if name in bound or name in free else Prop
+                operands.append(TrueConst() if name == "true" else leaf(name))
+                want_operand = False
+            continue
+        prec, right, build = _CONNECTIVES.get(tok.kind, _OPEN)
+        if _PREC_NU < prec < _PREC_PREFIX:  # a binary connective
+            while pending and (pending[-1][0] > prec or pending[-1][0] == prec and not right):
+                reduce()
+            pending.append((prec, right, build))
+            want_operand = True
+            continue
+        while pending and pending[-1] is not _OPEN:
+            reduce()
+        if tok.kind == ")" and opened:
+            pending.pop()
+            opened -= 1
+        elif opened:
+            raise ParseError(f"expected ')', found {tok.text or 'end of input'!r}", tok.pos)
+        elif tok.kind != "end":
+            raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        else:
+            return operands.pop()
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC_NU = 0
-_PREC_AND = 2
-_PREC_UNARY = 3
-_PREC_ATOM = 4
-
-
-def _fmt_group(group: AgentSet) -> str:
-    return "{" + ",".join(str(a) for a in group) + "}"
-
-
-def _render(f: Formula) -> tuple[str, int]:
-    if isinstance(f, (Prop, Var)):
-        return f.name, _PREC_ATOM
-    if isinstance(f, TrueConst):
-        return "true", _PREC_ATOM
-    if isinstance(f, Not):
-        return "~" + _child(f.child, _PREC_UNARY), _PREC_UNARY
-    if isinstance(f, And):
-        left = _child(f.left, _PREC_AND)
-        right = _child(f.right, _PREC_AND + 1)
-        return f"{left} & {right}", _PREC_AND
-    if isinstance(f, Nu):
-        body, _ = _render(f.body)
-        return f"nu {f.var}. {body}", _PREC_NU
-    if isinstance(f, Modal):
-        return modal_head(f) + " " + _child(f.child, _PREC_UNARY), _PREC_UNARY
-    raise FormulaError(f"cannot print {type(f).__name__}")
+def fmt_group(group: Iterable[int]) -> str:
+    """A group as the formula syntax writes it, ``{0,1}``."""
+    return "{" + ",".join(map(str, group)) + "}"
 
 
 def modal_head(f: Modal) -> str:
@@ -525,19 +495,42 @@ def modal_head(f: Modal) -> str:
     if f.param is not None:
         value = getattr(f, f.param)
         text += str(value) if isinstance(f, EPow) else f"[{value}]"  # E^k: caret form
-    return text if f.by_agent else text + _fmt_group(f.group)
-
-
-def _child(f: Formula, min_prec: int) -> str:
-    text, prec = _render(f)
-    if prec < min_prec:
-        return f"({text})"
-    return text
+    return text if f.by_agent else text + fmt_group(f.group)
 
 
 def print_formula(f: Formula) -> str:
-    """Deterministic pretty-printer; ``parse(print_formula(f)) == f``."""
-    return _render(f)[0]
+    """Deterministic pretty-printer; ``parse(print_formula(f)) is f``.
+
+    The text spells a shared subformula out wherever it occurs, so this
+    walks the tree, not the DAG: a stack holds the pieces still to write,
+    each a string or a node with the least precedence it may have
+    unparenthesized there.
+    """
+    out = []
+    stack: list = [(f, _PREC_NU)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, least = item
+        if isinstance(node, (Prop, Var)):
+            prec, pieces = _PREC_ATOM, [node.name]
+        elif isinstance(node, TrueConst):
+            prec, pieces = _PREC_ATOM, ["true"]
+        elif isinstance(node, And):
+            prec, pieces = _PREC_AND, [(node.left, _PREC_AND), " & ", (node.right, _PREC_PREFIX)]
+        elif isinstance(node, Nu):
+            prec, pieces = _PREC_NU, [f"nu {node.var}. ", (node.body, _PREC_NU)]
+        elif isinstance(node, (Not, Modal)):
+            head = "~" if isinstance(node, Not) else modal_head(node) + " "
+            prec, pieces = _PREC_PREFIX, [head, (node.child, _PREC_PREFIX)]
+        else:
+            raise FormulaError(f"cannot print {type(node).__name__}")
+        if prec < least:
+            pieces = ["(", *pieces, ")"]
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +546,27 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def walk(f: Formula) -> Iterator[Formula]:
-    yield f
-    for c in children(f):
-        yield from walk(c)
+def postorder(f: Formula, into_nu: bool = True) -> Iterator[Formula]:
+    """Every distinct node of ``f`` once, each after its children, taken
+    left to right; with ``into_nu`` false, a ``Nu`` comes without its
+    body. A subformula shared by several parents is yielded once, so the
+    walk is linear in the DAG, not in the tree it unfolds to."""
+    seen: set[Formula] = set()
+    stack = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            yield node
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            if into_nu or not isinstance(node, Nu):
+                stack.extend((child, False) for child in reversed(children(node)))
 
 
 def agents_mentioned(f: Formula) -> frozenset[int]:
     out: set[int] = set()
-    for node in walk(f):
+    for node in postorder(f):
         if isinstance(node, Modal):
             out.update((node.agent,) if node.by_agent else node.group)
     return frozenset(out)
@@ -574,36 +579,40 @@ def find_negative_occurrence(f: Formula) -> tuple[str, str] | None:
     """First nu-bound variable occurring under an odd number of negations.
 
     Returns (variable, path) or None. The path walks from the offending
-    nu binder down to the occurrence.
+    nu binder down to the occurrence. "First" is in the order of a
+    left-to-right walk of the tree: the first nu binder with such an
+    occurrence, and its first one.
+
+    Each node is visited once, after its children. It keeps, for each
+    variable free in it and each parity of the negations above an
+    occurrence, the steps down to the first such occurrence (a linked
+    list), and the first hit at or below it.
     """
-
-    def scan(node: Formula, tracked: str, positive: bool, path: str) -> tuple[str, str] | None:
-        if isinstance(node, Var):
-            if node.name == tracked and not positive:
-                return (tracked, path)
-            return None
-        if isinstance(node, Not):
-            return scan(node.child, tracked, not positive, path + ".~")
-        if isinstance(node, And):
-            hit = scan(node.left, tracked, positive, path + ".&L")
-            if hit:
-                return hit
-            return scan(node.right, tracked, positive, path + ".&R")
-        if isinstance(node, Nu):
-            if node.var == tracked:
-                return None  # rebinding shadows the outer variable
-            return scan(node.body, tracked, positive, path + f".nu {node.var}")
+    below: dict[Formula, dict[tuple[str, bool], tuple | None]] = {}
+    hit: dict[Formula, tuple[str, str] | None] = {}
+    for node in postorder(f):
         kids = children(node)
-        if not kids:
-            return None
-        return scan(kids[0], tracked, positive, path + f".{type(node).__name__}")
-
-    for node in walk(f):
-        if isinstance(node, Nu):
-            hit = scan(node.body, node.var, True, f"nu {node.var}")
-            if hit:
-                return hit
-    return None
+        if isinstance(node, And):
+            steps = (".&L", ".&R")
+        elif isinstance(node, Nu):
+            steps = (f".nu {node.var}",)
+        else:
+            steps = (".~" if isinstance(node, Not) else f".{type(node).__name__}",)
+        table = {(node.name, False): None} if isinstance(node, Var) else {}
+        for step, child in zip(steps, kids):
+            for (var, odd), rest in below[child].items():
+                if not (isinstance(node, Nu) and var == node.var):  # rebinding shadows
+                    table.setdefault((var, odd ^ isinstance(node, Not)), (step, rest))
+        below[node] = table
+        if isinstance(node, Nu) and (node.var, True) in below[node.body]:
+            path, rest = [f"nu {node.var}"], below[node.body][node.var, True]
+            while rest:
+                step, rest = rest
+                path.append(step)
+            hit[node] = (node.var, "".join(path))
+        else:
+            hit[node] = next(filter(None, map(hit.get, kids)), None)
+    return hit[f]
 
 
 def check_positivity(f: Formula) -> None:
@@ -616,56 +625,49 @@ def check_positivity(f: Formula) -> None:
 # ---------------------------------------------------------------------------
 # Desugaring
 
-class _FreshNames:
-    def __init__(self, taken: set[str]):
-        self.taken = set(taken)
-        self.counter = 0
-
-    def fresh(self) -> str:
-        while True:
-            name = f"X{self.counter}"
-            self.counter += 1
-            if name not in self.taken:
-                self.taken.add(name)
-                return name
-
-
 def expand_fixpoints(f: Formula) -> Formula:
     """Rewrite derived operators into the kernel language.
 
     C, Ceps, Cv, and Ct become explicit nu forms over E, Eeps, Ev, and Et
     with fresh variables; E^k unrolls to k nested E; S becomes a
     disjunction of individual knowledge. The output evaluates to the same
-    point set as the input on every model.
+    point set as the input on every model. A shared subformula is
+    rewritten once, so the operators in it share their fresh variables.
     """
-    taken = {node.name for node in walk(f) if isinstance(node, Var)}
-    taken |= {node.var for node in walk(f) if isinstance(node, Nu)}
-    names = _FreshNames(taken)
-
-    def go(node: Formula) -> Formula:
+    nodes = list(postorder(f))
+    taken = {n.name if isinstance(n, Var) else n.var for n in nodes if isinstance(n, (Var, Nu))}
+    fresh = (name for name in map("X{}".format, itertools.count()) if name not in taken)
+    # names go to the operators in the order a walk from the root meets
+    # them, so an outer operator gets a lower number than those in it
+    names: dict[Formula, str] = {}
+    seen, stack = set(), [f]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            if isinstance(node, Modal) and node.unfolds is not None:
+                names[node] = next(fresh)
+            stack.extend(reversed(children(node)))
+    out: dict[Formula, Formula] = {}
+    for node in nodes:
+        kids = [out[c] for c in children(node)]
         if isinstance(node, S):
-            child = go(node.child)
-            out: Formula = K(node.group[0], child)
-            for agent in node.group[1:]:
-                out = disj(out, K(agent, child))
-            return out
-        if isinstance(node, EPow):
-            out = go(node.child)
+            new = functools.reduce(disj, (K(agent, kids[0]) for agent in node.group))
+        elif isinstance(node, EPow):
+            new = kids[0]
             for _ in range(node.power):
-                out = E(node.group, out)
-            return out
-        if isinstance(node, Modal) and node.unfolds is not None:
-            # the name is taken before the child expands, so an outer
-            # operator gets a lower number than the ones nested in it
-            x = names.fresh()
+                new = E(node.group, new)
+        elif node in names:
+            x = names[node]
             params = [getattr(node, node.param)] if node.param else []
-            return Nu(x, node.unfolds(node.group, *params, And(go(node.child), Var(x))))
-        if isinstance(node, (Not, Modal)):
-            return node._replace(child=go(node.child))
-        if isinstance(node, And):
-            return And(go(node.left), go(node.right))
-        if isinstance(node, Nu):
-            return Nu(node.var, go(node.body))
-        return node
-
-    return go(f)
+            new = Nu(x, node.unfolds(node.group, *params, And(kids[0], Var(x))))
+        elif isinstance(node, (Not, Modal)):
+            new = node._replace(child=kids[0])
+        elif isinstance(node, And):
+            new = And(*kids)
+        elif isinstance(node, Nu):
+            new = Nu(node.var, kids[0])
+        else:
+            new = node
+        out[node] = new
+    return out[f]

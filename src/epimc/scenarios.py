@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable
 
+from .formulas import fmt_group
 from .semantics import Expectation, Model, ScenarioManifest, Valuation
 from .protocols import (
     DROPPED,
@@ -40,10 +40,6 @@ def _points_where(system: System, pred) -> int:
     """The mask of the points of ``system`` where ``pred(run_id, time)`` holds."""
     points = system.points
     return mask_from_ids((i for i, pt in enumerate(points) if pred(*pt)), len(points))
-
-
-def _group(agents: Iterable[int]) -> str:
-    return "{" + ",".join(str(a) for a in sorted(agents)) + "}"
 
 
 #: Most points plus events a builder makes. The bench models (1,024 +
@@ -188,7 +184,7 @@ def muddy_children(
             )
     model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
-    children = _group(range(n))
+    children = fmt_group(range(n))
     expectations: list[Expectation] = []
     for rid in sorted(meta):
         vec, late = meta[rid]
@@ -648,7 +644,7 @@ def broadcast_channel(
     }
     model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
-    group = _group(range(n))
+    group = fmt_group(range(n))
     latest = "d" + str(L + eps) * n
     expectations = [
         Expectation(

@@ -31,7 +31,7 @@ needs neither the run generators nor the scenario builders.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .formulas import Formula, parse
 from . import formulas as fm
@@ -141,7 +141,7 @@ def _validate_formula(model: Model, f: Formula) -> None:
     for agent in fm.agents_mentioned(f):
         model.system.check_agent(agent)
     if model.system.runs and not model.system.has_clocks:
-        for node in fm.walk(f):
+        for node in fm.postorder(f):
             if isinstance(node, fm.Modal) and node.param == "stamp":
                 raise EvalError(
                     "clock-indexed operators need a system in which every "
@@ -163,12 +163,14 @@ def _know(model: Model, agent: int, arg: int) -> int:
     return _inside(model.index.class_masks[agent], arg)
 
 
-def _everyone(model: Model, group: Sequence[int], arg: int) -> int:
-    out = _know(model, group[0], arg)
+def _everyone(group: Sequence[int], know: Callable[[int], int]) -> int:
+    """The points where ``know(agent)`` holds for every member; the
+    conjunction stops once it is empty."""
+    out = know(group[0])
     for agent in group[1:]:
         if not out:
             break
-        out &= _know(model, agent, arg)
+        out &= know(agent)
     return out
 
 
@@ -251,20 +253,11 @@ def _know_at_stamp(model: Model, agent: int, stamp: int, arg: int) -> int:
     return _whole_runs(model, heads)
 
 
-def _stamped_everyone(model: Model, group: Sequence[int], stamp: int, arg: int) -> int:
-    out = _know_at_stamp(model, group[0], stamp, arg)
-    for agent in group[1:]:
-        if not out:
-            break
-        out &= _know_at_stamp(model, agent, stamp, arg)
-    return out
-
-
 def _power(model: Model, f: fm.EPow, arg: int) -> int:
     """E applied ``power`` times; E never adds points, so once one
     application leaves the mask unchanged, so does every later one."""
     for _ in range(f.power):
-        nxt = _everyone(model, f.group, arg)
+        nxt = _everyone(f.group, lambda agent: _know(model, agent, arg))
         if nxt == arg:
             break
         arg = nxt
@@ -276,14 +269,16 @@ def _power(model: Model, f: fm.EPow, arg: int) -> int:
 _MODAL_OPS = {
     fm.K: lambda model, f, arg: _know(model, f.agent, arg),
     fm.S: lambda model, f, arg: _someone(model, f.group, arg),
-    fm.E: lambda model, f, arg: _everyone(model, f.group, arg),
+    fm.E: lambda model, f, arg: _everyone(f.group, lambda a: _know(model, a, arg)),
     fm.EPow: _power,
     fm.D: lambda model, f, arg: _distributed(model, f.group, arg),
     fm.C: lambda model, f, arg: _common(model, f.group, arg),
     fm.EEps: lambda model, f, arg: _interval_everyone(model, f.group, f.eps, arg),
     fm.EDiamond: lambda model, f, arg: _eventual_everyone(model, f.group, arg),
     fm.KTime: lambda model, f, arg: _know_at_stamp(model, f.agent, f.stamp, arg),
-    fm.ETime: lambda model, f, arg: _stamped_everyone(model, f.group, f.stamp, arg),
+    fm.ETime: lambda model, f, arg: _everyone(
+        f.group, lambda a: _know_at_stamp(model, a, f.stamp, arg)
+    ),
 }
 
 
@@ -330,40 +325,41 @@ def evaluate(
 
 
 def _eval(model: Model, f: Formula, env: dict[str, int]) -> int:
-    if isinstance(f, fm.Var):
-        try:
-            return env[f.name]
-        except KeyError:
-            raise UnboundVariableError(f"variable {f.name!r} is unbound") from None
-    if isinstance(f, fm.Prop):
-        return model.valuation.mask(f.name)
-    if isinstance(f, fm.TrueConst):
-        return model.system.full
-    if isinstance(f, fm.Not):
-        return model.system.full & ~_eval(model, f.child, env)
-    if isinstance(f, fm.And):
-        return _eval(model, f.left, env) & _eval(model, f.right, env)
-    if isinstance(f, fm.Modal):
-        arg = _eval(model, f.child, env)
-        op = _MODAL_OPS.get(type(f))
-        if op is not None:
-            return op(model, f, arg)
-        # Ceps, Cv, Ct: the greatest fixed point of their E-form, iterated
-        # directly; the E-form's operator reads the fields the two share
-        step = _MODAL_OPS[f.unfolds]
-        return _descend_to_fixpoint(model, lambda cur: step(model, f, arg & cur))
-    if isinstance(f, fm.Nu):
-        return _gfp(model, f.var, f.body, env)
-    raise EvalError(f"cannot evaluate {type(f).__name__}")
+    """The mask of ``f``: one pass over its distinct nodes, children
+    first, keeping one mask per node; each ``Nu`` body goes to ``_gfp``."""
+    mask: dict[Formula, int] = {}
+    for node in fm.postorder(f, into_nu=False):
+        if isinstance(node, fm.Var):
+            if node.name not in env:
+                raise UnboundVariableError(f"variable {node.name!r} is unbound")
+            out = env[node.name]
+        elif isinstance(node, fm.Prop):
+            out = model.valuation.mask(node.name)
+        elif isinstance(node, fm.TrueConst):
+            out = model.system.full
+        elif isinstance(node, fm.Not):
+            out = model.system.full & ~mask[node.child]
+        elif isinstance(node, fm.And):
+            out = mask[node.left] & mask[node.right]
+        elif isinstance(node, fm.Nu):
+            out = _gfp(model, node.var, node.body, env)
+        elif isinstance(node, fm.Modal):
+            arg, op = mask[node.child], _MODAL_OPS.get(type(node))
+            if op is not None:
+                out = op(model, node, arg)
+            else:
+                # Ceps, Cv, Ct: the greatest fixed point of their E-form,
+                # iterated directly; its operator reads the fields the two share
+                step = _MODAL_OPS[node.unfolds]
+                out = _descend_to_fixpoint(model, lambda cur: step(model, node, arg & cur))
+        else:
+            raise EvalError(f"cannot evaluate {type(node).__name__}")
+        mask[node] = out
+    return mask[f]
 
 
 def _gfp(model: Model, var: str, body: Formula, env: dict[str, int]) -> int:
-    def step(current: int) -> int:
-        inner = dict(env)
-        inner[var] = current
-        return _eval(model, body, inner)
-
-    return _descend_to_fixpoint(model, step)
+    return _descend_to_fixpoint(model, lambda current: _eval(model, body, {**env, var: current}))
 
 
 def gfp(
@@ -614,7 +610,7 @@ def axiom_suite(
             assert_valid(f"R1[{label}]", wrap(sample))
 
     for grp in grps:
-        glabel = "{" + ",".join(map(str, grp)) + "}"
+        glabel = fm.fmt_group(grp)
         for name in props:
             p = fm.Prop(name)
             c = fm.C(grp, p)

@@ -558,7 +558,7 @@ def load_json(text: str) -> dict:
     """The JSON object in ``text``, parsed whole."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("not valid JSON: nested too deeply") from None

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from epimc import serialize
 from epimc.cli import EXIT_BROKEN_PIPE, CliError, _read, main
 from epimc.runs import ModelError, System
+from epimc.scenarios import _depth_formula
 from epimc.semantics import Model, ScenarioManifest, evaluate
 from epimc.formulas import parse
 from epimc.serialize import (
@@ -132,10 +133,13 @@ def test_system_with_bad_numbers_or_points_exits_two(tmp_path, capsys, doc, fiel
 
 @pytest.mark.parametrize(
     "text",
-    ["K0 " * 3000 + "prefav", "~" * 3000 + "prefav", "(" * 3000 + "prefav" + ")" * 3000],
+    ["nu X. K0 " * 3000 + "X", "nu X. ~~" * 3000 + "X", "nu X. (" * 3000 + "X" + ")" * 3000],
     ids=["knowledge", "negation", "parentheses"],
 )
 def test_deeply_nested_formula_exits_one(attack_files, tmp_path, capsys, text):
+    # each nu binder is evaluated by one more recursion through the
+    # fixed-point iteration, so nested binders are what can still run out
+    # of stack; they exit 1 with a message, not a traceback
     system, manifest = attack_files
     assert main(["eval", "--system", str(system), "--formula", text, "--all"]) == 1
     assert "nested too deeply" in capsys.readouterr().err
@@ -145,6 +149,51 @@ def test_deeply_nested_formula_exits_one(attack_files, tmp_path, capsys, text):
     deep.write_text(json.dumps(doc))
     assert main(["verify", "--manifest", str(deep), "--no-timing"]) == 1
     assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, shallow",
+    [
+        ("K0 " * 10_000 + "prefav", "K0 prefav"),
+        ("~" * 10_000 + "prefav", "prefav"),
+        ("(" * 10_000 + "prefav" + ")" * 10_000, "prefav"),
+    ],
+    ids=["knowledge", "negation", "parentheses"],
+)
+def test_deeply_nested_formulas_evaluate_and_verify(attack_files, tmp_path, capsys, text, shallow):
+    # K0 K0 p is K0 p in S5, and an even number of negations cancels
+    system, manifest = attack_files
+    results = {}
+    for formula in (text, shallow):
+        argv = ["eval", "--system", str(system), "--formula", formula, "--all",
+                "--format", "json", "--no-timing"]
+        assert main(argv) == 0
+        results[formula] = json.loads(capsys.readouterr().out)["results"]
+    assert results[text] == results[shallow]
+    assert {r["holds"] for r in results[text]} == {True, False}
+    doc = json.loads(manifest.read_text())
+    doc["expectations"] = [
+        {"formula": text, "point": r["point"], "expected": r["holds"]} for r in results[text]
+    ]
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc))
+    assert main(["verify", "--manifest", str(deep), "--no-timing"]) == 0
+    assert "0 failed" in capsys.readouterr().out
+
+
+def test_a_manifest_of_alternating_knowledge_300_deep_verifies(attack_files, tmp_path, capsys):
+    # depth k_legs + 1 fails at the end of every run, so every deeper
+    # level fails there too; the formula text nests 300 parentheses
+    _, manifest = attack_files
+    doc = json.loads(manifest.read_text())
+    k_legs = doc["parameters"]["k_legs"]
+    claims = [e for e in doc["expectations"] if e["formula"] == _depth_formula(k_legs + 1)]
+    assert claims and all(e["expected"] is False for e in claims)
+    doc["expectations"] = [dict(e, formula=_depth_formula(300)) for e in claims]
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc))
+    assert main(["verify", "--manifest", str(deep), "--no-timing"]) == 0
+    assert f"{len(claims)} expectations, 0 failed" in capsys.readouterr().out
 
 
 def test_unusable_manifest_formula_exits_one(attack_files, tmp_path, capsys):
@@ -524,16 +573,31 @@ def test_scenario_files_are_indented_json_with_the_system_embedded(tmp_path, cap
     assert docs["manifest"]["system"] == docs["system"]
 
 
-@pytest.mark.parametrize("command", ["eval", "verify"])
-def test_deeply_nested_json_exits_two(tmp_path, capsys, command):
+_NESTED = ("[" * 100_000, "not valid JSON: nested too deeply")
+_LONG_INTEGER = (
+    '{"schema": 1, "agents": 1, "horizon": ' + "1" * 5000 + ', "runs": []}',
+    "not valid JSON: Exceeds the limit (4300 digits)",
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        pytest.param("eval", *_NESTED, id="eval"),
+        pytest.param("verify", *_NESTED, id="verify"),
+        pytest.param("eval", *_LONG_INTEGER, id="eval-long-integer"),
+        pytest.param("verify", *_LONG_INTEGER, id="verify-long-integer"),
+    ],
+)
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command, text, message):
     path = tmp_path / "deep.json"
-    path.write_text("[" * 100_000)
+    path.write_text(text)
     if command == "eval":
         argv = ["eval", "--system", str(path), "--formula", "true", "--all"]
     else:
         argv = ["verify", "--manifest", str(path)]
     assert main(argv) == 2
-    assert "not valid JSON: nested too deeply" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("parameters", [[1], "ab"])

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -375,3 +376,40 @@ def test_distributed_knowledge_over_six_agents_has_a_small_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 2**20
+
+
+def test_shared_subformulas_are_handled_once_per_pass(monkeypatch):
+    # iff uses each operand twice, so the tree of a 40-term chain has about
+    # 2^40 nodes, on 116 distinct And nodes. Each pass reads an And's left
+    # child once in the walk and at most twice in its handler; a pass over
+    # the tree stops at the fourth read of a node. Failures report counts,
+    # since the repr of a node spells out its tree.
+    model = random_model(random.Random(41))
+    chain = parse(" <-> ".join(["p"] * 40))
+    ands = {id(n) for n in fm.postorder(chain) if isinstance(n, fm.And)}
+    distinct = len(ands)
+    assert distinct == 116
+    reads: Counter = Counter()
+    slot = fm.And.__dict__["left"]
+
+    def read(node):
+        reads[id(node)] += 1
+        if reads[id(node)] > 3:
+            raise AssertionError("an And node was handled again")
+        return slot.__get__(node, fm.And)
+
+    monkeypatch.setattr(fm.And, "left", property(read, slot.__set__))
+    passes = [
+        lambda f: semantics._eval(model, f, {}),
+        fm.agents_mentioned,
+        fm.check_positivity,
+        fm.expand_fixpoints,
+    ]
+    for run in passes:
+        reads.clear()
+        result = run(chain)
+        missed = len(ands - reads.keys())
+        assert missed == 0
+    monkeypatch.undo()
+    valid = semantics._eval(model, chain, {}) == model.system.full
+    assert valid  # an even number of equal terms

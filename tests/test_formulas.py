@@ -1,4 +1,6 @@
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +45,7 @@ def test_parse_every_operator_form():
         "E^3{0,1} p & true"
     )
     f = parse(text)
-    kinds = {type(n).__name__ for n in fm.walk(f)}
+    kinds = {type(n).__name__ for n in fm.postorder(f)}
     for name in ("KTime", "ETime", "CTime", "EEps", "CEps", "EDiamond",
                  "CDiamond", "D", "S", "EPow", "TrueConst"):
         assert name in kinds
@@ -98,7 +100,7 @@ def test_expand_unrolls_powers_and_someone():
     two = expand_fixpoints(parse("E^2{1,2} m"))
     assert two == fm.E((1, 2), fm.E((1, 2), fm.Prop("m")))
     someone = expand_fixpoints(parse("S{1,2} m"))
-    names = {type(n).__name__ for n in fm.walk(someone)}
+    names = {type(n).__name__ for n in fm.postorder(someone)}
     assert "S" not in names and "K" in names
 
 
@@ -111,14 +113,14 @@ def test_expand_output_has_no_derived_operators_and_stays_positive():
     f = parse("C{0,1}(m & Ceps[1]{0,1} q) & S{0,1} Cv{0,1} m & Ct[3]{0,1} q")
     out = expand_fixpoints(f)
     banned = {"C", "CEps", "CDiamond", "CTime", "EPow", "S"}
-    assert not banned & {type(n).__name__ for n in fm.walk(out)}
+    assert not banned & {type(n).__name__ for n in fm.postorder(out)}
     check_positivity(out)
 
 
 def test_expand_uses_fresh_variables():
     f = parse("nu X0. (m & X0) & C{0,1} m")
     out = expand_fixpoints(f)
-    nus = [n for n in fm.walk(out) if isinstance(n, fm.Nu)]
+    nus = [n for n in fm.postorder(out) if isinstance(n, fm.Nu)]
     assert len({n.var for n in nus}) == len(nus)
 
 
@@ -162,9 +164,9 @@ def test_every_modal_head_parses_prints_reserves_and_unfolds(head):
     index = 1 if cls.by_agent else (0, 2)
     params = [cls.least + 2] if cls.param else []
     f = cls(index, *params, p)
-    assert parse(print_formula(f)) == f
+    assert parse(print_formula(f)) is f
     same = cls(index, *params, fm.Prop("p"))
-    assert f == same and f is not same and hash(f) == hash(same)
+    assert f is same and hash(f) == hash(same)
     assert f._replace(child=fm.Var("p")) == cls(index, *params, fm.Var("p")) != f
     twins = [c for c in fm.MODALS.values() if c is not cls and c.__slots__ == cls.__slots__]
     assert all(twin(index, *params, p) != f for twin in twins)
@@ -187,3 +189,53 @@ def test_every_modal_head_parses_prints_reserves_and_unfolds(head):
     if cls.unfolds:
         x = fm.Var("X0")
         assert expand_fixpoints(f) == fm.Nu("X0", cls.unfolds(index, *params, fm.And(p, x)))
+
+
+def test_parser_matches_the_recorded_cases():
+    # generated and mutated strings, each with the repr of the AST, or the
+    # error, that a recursive-descent reading of the grammar gives; a third
+    # entry is the free_vars to parse with
+    cases = json.loads((Path(__file__).parent / "parse_cases.json").read_text())
+    assert len(cases) >= 2000
+    for text, expected, *free in cases:
+        try:
+            got = repr(parse(text, free_vars=free[0] if free else ()))
+        except FormulaError as exc:
+            got = f"{type(exc).__name__}: {exc}"
+        assert got == expected, text
+
+
+def test_equal_nodes_are_one_node():
+    f = parse("K0 p & ~(K0 p)")
+    assert f.left is f.right.child is fm.K(0, fm.Prop("p"))
+    assert fm.Prop("X") is not fm.Var("X")
+    assert parse("E{2,1,2} m") is parse("E{1,2} m")
+    # p <-> p is one And of two equal nodes over p, ~p, p & ~p and
+    # ~(p & ~p); each later term adds six; counted without a repr, since
+    # the tree these 233 nodes spell out has about 2^40 nodes
+    chain = parse(" <-> ".join(["p"] * 40))
+    distinct = sum(1 for _ in fm.postorder(chain))
+    assert distinct == 5 + 6 * 38
+
+
+DEEP = {
+    "negation": "~" * 10_000 + "p",
+    "knowledge": "K0 " * 10_000 + "p",
+    "parentheses": "(" * 10_000 + "p" + ")" * 10_000,
+    "common": "C{0,1} " * 10_000 + "p",
+}
+
+
+@pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+def test_ten_thousand_deep_formulas_parse_print_and_expand(text):
+    f = parse(text)
+    printed = print_formula(f)
+    assert parse(printed) is f and len(printed) <= len(text)
+    check_positivity(f)
+    expanded = expand_fixpoints(f)
+    assert parse(print_formula(expanded)) is expanded
+    check_positivity(expanded)
+    nus = [n for n in fm.postorder(expanded) if isinstance(n, fm.Nu)]
+    assert len(nus) == text.count("C")
+    assert fm.agents_mentioned(f) == {"~": set(), "K": {0}, "(": set(), "C": {0, 1}}[text[0]]
+

@@ -66,7 +66,7 @@ def test_expansion_removes_derived_operators_and_preserves_positivity(f):
     except fm.PositivityError:
         return  # only positive bodies are in scope
     out = expand_fixpoints(wrapped)
-    kinds = {type(n).__name__ for n in fm.walk(out)}
+    kinds = {type(n).__name__ for n in fm.postorder(out)}
     assert not kinds & {"C", "CEps", "CDiamond", "CTime", "EPow", "S"}
     check_positivity(out)
 
