@@ -305,9 +305,18 @@ _AGENT_SUFFIX_RE = re.compile(r"([A-Za-z]+)(\d+)")
 _RESERVED = {"nu", "true"}
 
 
-def _modal_of(name: str) -> tuple[type[Modal], int | None] | None:
-    """The operator a name token starts, with the agent of a K-like head
-    (``Kt12`` -> KTime, 12); None when the name is not a head."""
+def _integer(digits: str, pos: int) -> int:
+    """The value of ``digits``, which stand at ``pos``; a ``ParseError``
+    when they are more than ``int`` converts."""
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on digits
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
+
+
+def _modal_of(name: str, pos: int) -> tuple[type[Modal], int | None] | None:
+    """The operator a name token at ``pos`` starts, with the agent of a
+    K-like head (``Kt12`` -> KTime, 12); None when the name is not a head."""
     cls = MODALS.get(name)
     if cls is not None and not cls.by_agent:
         return cls, None
@@ -315,7 +324,7 @@ def _modal_of(name: str) -> tuple[type[Modal], int | None] | None:
     if m:
         cls = MODALS.get(m.group(1))
         if cls is not None and cls.by_agent:
-            return cls, int(m.group(2))
+            return cls, _integer(m.group(2), pos + m.start(2))
     return None
 
 
@@ -360,25 +369,31 @@ def _expect(tokens: list[_Token], kind: str) -> str:
     return tok.text
 
 
+def _expect_int(tokens: list[_Token]) -> int:
+    """Take the next token of ``tokens``, which must be an integer; its value."""
+    pos = tokens[-1].pos
+    return _integer(_expect(tokens, "int"), pos)
+
+
 def _modal_prefix(tokens: list[_Token], cls: type[Modal], agent: int | None):
     """The builder of a modal head's node from its operand, after taking
     the head's integer and group from ``tokens``."""
     if cls is E and tokens[-1].kind == "^":  # E^k: the caret form
         tokens.pop()
-        cls, params = EPow, [int(_expect(tokens, "int"))]
+        cls, params = EPow, [_expect_int(tokens)]
     elif cls.param:
         _expect(tokens, "[")
-        params = [int(_expect(tokens, "int"))]
+        params = [_expect_int(tokens)]
         _expect(tokens, "]")
     else:
         params = []
     index = agent
     if not cls.by_agent:
         _expect(tokens, "{")
-        members = {int(_expect(tokens, "int"))}
+        members = {_expect_int(tokens)}
         while tokens[-1].kind == ",":
             tokens.pop()
-            members.add(int(_expect(tokens, "int")))
+            members.add(_expect_int(tokens))
         _expect(tokens, "}")
         index = tuple(sorted(members))
     return lambda child: cls(index, *params, child)
@@ -437,7 +452,7 @@ def parse(text: str, free_vars: Iterable[str] = ()) -> Formula:
         tok = tokens.pop()
         if want_operand:
             name = tok.text if tok.kind == "name" else None
-            modal = name and _modal_of(name)
+            modal = name and _modal_of(name, tok.pos)
             if tok.kind == "(":
                 pending.append(_OPEN)
                 opened += 1
@@ -446,8 +461,9 @@ def parse(text: str, free_vars: Iterable[str] = ()) -> Formula:
             elif modal:
                 pending.append((_PREC_PREFIX, True, _modal_prefix(tokens, *modal)))
             elif name == "nu":
+                var_pos = tokens[-1].pos
                 var = _expect(tokens, "name")
-                if var in _RESERVED or _modal_of(var):
+                if var in _RESERVED or _modal_of(var, var_pos):
                     raise ParseError(f"{var!r} is reserved and cannot bind", tok.pos)
                 _expect(tokens, ".")
                 bound.append(var)

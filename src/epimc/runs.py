@@ -195,6 +195,7 @@ def make_run(
     initial_state: Sequence[str],
     events: Iterable[tuple[int, int, str, int, str]] = (),
     clock: Sequence[Sequence[int]] | Callable[[int, int], int] | None = None,
+    interned: dict | None = None,
 ) -> Run:
     """Build a Run from loose parts.
 
@@ -204,6 +205,10 @@ def make_run(
     function (agent, time) -> reading. Values are used as given: wake-up
     times, ticks, agents, peers and readings are ints, initial states
     and messages strings.
+
+    ``interned`` maps (kind, peer, message, clock stamp) to an ``Event``,
+    as in ``serialize.run_from_dict``: equal events of the runs built
+    with one table are one object.
     """
     n = len(wake_up)
     wake = tuple(wake_up)
@@ -228,6 +233,8 @@ def make_run(
                     f"entries, expected {expected}"
                 )
 
+    if interned is None:
+        interned = {}
     per_agent: list[list[tuple]] = [[] for _ in range(n)]
     for time, agent, kind, peer, message in events:
         if not 0 <= agent < n:
@@ -235,9 +242,11 @@ def make_run(
         stamp = None
         if clk is not None and time >= wake[agent]:
             stamp = clk[agent][time - wake[agent]]
-        per_agent[agent].append(
-            (time, kind != SEND, peer, message, Event(kind, peer, message, stamp))
-        )
+        key = (kind, peer, message, stamp)
+        event = interned.get(key)
+        if event is None:
+            event = interned[key] = Event(kind, peer, message, stamp)
+        per_agent[agent].append((time, kind != SEND, peer, message, event))
     return Run(run_id, wake, init, tuple(map(canonical_timeline, per_agent)), clk)
 
 

@@ -157,6 +157,7 @@ def muddy_children(
                         add(rid, q, c, SEND, other, body)
                         add(rid, q, other, RECEIVE, c, body)
 
+    interned: dict = {}
     runs = [
         make_run(
             rid,
@@ -164,6 +165,7 @@ def muddy_children(
             wake_up=[0] * (n + 1),
             initial_state=[initial(meta[rid][0], c) for c in range(n)] + ["announcer"],
             events=events[rid],
+            interned=interned,
         )
         for rid in sorted(meta)
     ]
@@ -411,6 +413,7 @@ def r2d2(
     _check_size(2 * pairs * (horizon + 1), events)
 
     runs = []
+    interned: dict = {}
     send_tick_of: dict[str, int] = {}
     i = math.ceil((1 - t_S) / eps)
     while True:
@@ -432,6 +435,7 @@ def r2d2(
                     wake_up=[0, 0],
                     initial_state=["R", "D"],
                     events=evs,
+                    interned=interned,
                     clock=lambda a, t: t,
                 )
             )
@@ -617,6 +621,7 @@ def broadcast_channel(
         n_runs * (horizon + 1), n * n_runs + n * n_runs // (eps + 1) * in_window
     )
     runs = []
+    interned: dict = {}
     arrivals: dict[str, tuple[int, ...]] = {}
     for combo in itertools.product(range(L, L + eps + 1), repeat=n):
         rid = "d" + "".join(map(str, combo))
@@ -631,6 +636,7 @@ def broadcast_channel(
                 wake_up=[0] * n,
                 initial_state=[f"a{j}" for j in range(n)],
                 events=evs,
+                interned=interned,
                 clock=(lambda a, t: t) if clocked else None,
             )
         )
@@ -702,6 +708,7 @@ def timestamped_demo(delta: int, eps: int, horizon: int | None = None) -> Scenar
     send_tick = t_S - 1
     body = f"m@{t_S}"
     runs = []
+    interned: dict = {}
     for skew, delay in itertools.product(range(delta + 1), range(eps + 1)):
         rid = f"s{skew}d{delay}"
         evs = [
@@ -715,6 +722,7 @@ def timestamped_demo(delta: int, eps: int, horizon: int | None = None) -> Scenar
                 wake_up=[0, skew],
                 initial_state=["R", "D"],
                 events=evs,
+                interned=interned,
                 clock=lambda a, t, skew=skew: t if a == 0 else t - skew,
             )
         )

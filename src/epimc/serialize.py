@@ -115,20 +115,28 @@ def parse_point(text: str) -> Point:
     return Point(run_id, int(t))
 
 
+def run_events(run: Run) -> list[tuple[int, int, str, int, str]]:
+    """``run``'s events as (time, agent, kind, peer, message) rows, in the
+    order epimc writes them: sorted as plain tuples, so a receive comes
+    before a send at one time and agent (kinds compare as strings)."""
+    rows = [
+        (t, agent, ev.kind, ev.peer, ev.message)
+        for agent, line in enumerate(run.timeline)
+        for t, ev in line
+    ]
+    rows.sort()
+    return rows
+
+
 def run_to_dict(run: Run) -> dict:
-    events = []
-    for agent in range(run.n_agents):
-        for t, ev in run.timeline[agent]:
-            events.append(
-                {
-                    "time": t,
-                    "agent": agent,
-                    "kind": ev.kind,
-                    "peer": ev.peer,
-                    "message": ev.message,
-                }
-            )
-    events.sort(key=lambda e: (e["time"], e["agent"], e["kind"], e["peer"], e["message"]))
+    return _run_doc(run, [
+        {"time": t, "agent": agent, "kind": kind, "peer": peer, "message": message}
+        for t, agent, kind, peer, message in run_events(run)
+    ])
+
+
+def _run_doc(run: Run, events: Any) -> dict:
+    """``run_to_dict(run)`` with ``events`` as its ``events`` value."""
     out = {
         "id": run.id,
         "wake_up": {str(a): run.wake_up[a] for a in range(run.n_agents)},
@@ -430,15 +438,51 @@ def write_manifest(
     byte as ``dump_json`` writes it, while the texts are made.
 
     Each run's document is made, encoded and dropped in turn, so neither
-    file's text, nor the list of run documents, is ever held whole.
+    file's text, nor the list of run documents, is ever held whole. A
+    run's events are written from its ``run_events`` rows by
+    ``_events_text``, which encodes each distinct (agent, kind, peer,
+    message) once per call.
     """
     runs = manifest.model.system.runs
+    heads: dict[tuple, str] = {}  # every run's events lie at one depth
+
+    def run_doc(run: Run) -> dict:
+        rows = run_events(run)
+        return _run_doc(run, lambda depth, write: write(_events_text(rows, depth, heads)))
 
     def encode_runs(depth: int, write: Callable[[str], Any]) -> None:
-        _encode_items("[", zip(repeat(""), map(run_to_dict, runs)), depth, write)
+        _encode_items("[", zip(repeat(""), map(run_doc, runs)), depth, write)
 
     doc = _manifest_doc(manifest, _model_doc(manifest.model, encode_runs))
     _write_split(doc, manifest_file, system_file)
+
+
+def _events_text(rows: list[tuple], depth: int, heads: dict[tuple, str]) -> str:
+    """The text of the events array of ``rows``, as ``run_events`` gives
+    them, whose first line is indented to ``depth``.
+
+    An event's keys sort with ``time`` last, so its text is a head fixed
+    by (agent, kind, peer, message), then its time and a closing brace.
+    ``heads`` maps those four values to the head at this ``depth``; a
+    head not in it is encoded and added. Times are integers.
+    """
+    if not rows:
+        return "[]"
+    item = "\n" + "  " * (depth + 1)
+    field = item + "  "
+    texts = []
+    for row in rows:
+        key = row[1:]
+        head = heads.get(key)
+        if head is None:
+            agent, kind, peer, message = map(_scalar, key)
+            head = heads[key] = (
+                f'{{{field}"agent": {agent},{field}"kind": {kind},'
+                f'{field}"message": {message},{field}"peer": {peer},{field}"time": '
+            )
+        texts.append(head + str(row[0]))
+    closer = item + "}"
+    return "[" + item + (closer + "," + item).join(texts) + closer + item[:-2] + "]"
 
 
 def _write_split(doc: dict, manifest_file: TextIO, system_file: TextIO) -> None:

@@ -100,6 +100,24 @@ def test_eval_bad_formula_exits_one(attack_files, capsys):
     assert "position" in capsys.readouterr().err
 
 
+_DIGITS = "1" * 5000  # more than int() converts from text
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [(f"K{_DIGITS} prefav", 1), (f"E^{_DIGITS}{{0}} prefav", 2),
+     (f"Ceps[1]{{0,{_DIGITS}}} prefav", 10)],
+    ids=["agent", "power", "group"],
+)
+def test_a_too_long_integer_is_a_bad_formula(attack_files, capsys, text, position):
+    system, _ = attack_files
+    code = main(["eval", "--system", str(system), "--formula", text, "--all", "--no-timing"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"bad formula: integer of 5000 digits is too long (at position {position})"
+    )
+
+
 def test_missing_file_exits_two(capsys):
     code = main(["eval", "--system", "/nonexistent.json", "--formula", "p", "--all"])
     assert code == 2

@@ -349,3 +349,14 @@ def test_verify_failures_match_the_per_expectation_transcription(name):
     got = [(f.expectation, f.detail) for f in verify_manifest(flipped)]
     assert got == oracle_verify(flipped)
     assert [e for e, _ in got] == list(flipped.expectations[::4])
+
+
+@pytest.mark.parametrize(
+    "name", ["broadcast_channel", "muddy_children", "r2d2", "timestamped_demo"]
+)
+def test_equal_events_of_a_built_system_are_one_object(name):
+    # as they are in a system decoded from a file
+    system = SCENARIOS[name](**SMALL_PARAMS[name]).model.system
+    events = [ev for run in system.runs for line in run.timeline for _, ev in line]
+    assert len(events) > len(set(events))
+    assert len(set(map(id, events))) == len(set(events))

@@ -6,7 +6,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epimc.semantics import Model, evaluate, make_valuation, verify_manifest
+from epimc.semantics import (
+    Expectation,
+    Model,
+    ScenarioManifest,
+    evaluate,
+    make_valuation,
+    verify_manifest,
+)
 from epimc.formulas import parse
 from epimc.runs import ModelError, Point, make_run, make_system, validate_system
 from epimc.views import ViewPolicy
@@ -29,7 +36,13 @@ from epimc.serialize import (
     system_to_dict,
     write_manifest,
 )
-from tests.helpers import clock_variants, random_system, random_valuation
+from tests.helpers import (
+    clock_variants,
+    random_model,
+    random_policy,
+    random_system,
+    random_valuation,
+)
 
 
 def test_system_round_trip_preserves_content():
@@ -415,6 +428,92 @@ def test_write_manifest_holds_neither_text_whole(tmp_path):
     assert manifest_path.read_text() == _indented(manifest_to_dict(manifest))
     assert system == _indented(model_to_dict(manifest.model))
     assert peak < 2 * len(system)
+
+
+# Messages the writer must escape: quotes, backslashes, control
+# characters, non-ASCII text, and text that looks like its own joints.
+_MESSAGE = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x1f\n\t", "\u00e9\u2028\U0001f600", '"},\n      {', ""]
+)
+
+
+def _retexted(system, messages: list[str]):
+    """``system`` with each distinct message replaced by one of
+    ``messages``, in turn: a receive still matches its send."""
+    distinct = sorted({ev.message for run in system.runs for line in run.timeline
+                       for _, ev in line})
+    text = {m: messages[i % len(messages)] for i, m in enumerate(distinct)}
+    runs = [
+        make_run(
+            run.id, horizon=system.horizon, wake_up=run.wake_up,
+            initial_state=run.initial_state, clock=run.clock,
+            events=[(t, agent, ev.kind, ev.peer, text[ev.message])
+                    for agent, line in enumerate(run.timeline) for t, ev in line],
+        )
+        for run in system.runs
+    ]
+    return make_system(system.n_agents, system.horizon, runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(_MESSAGE, min_size=1, max_size=5))
+def test_write_manifest_matches_the_indented_stdlib_encoder(rng, messages):
+    # clocked and clockless runs (clock_variants adds both), runs with no
+    # events, and messages that need escaping
+    shape = random_model(rng, min_agents=1, min_runs=0, max_runs=3)
+    system = clock_variants(_retexted(shape.system, messages))
+    system = make_system(system.n_agents, system.horizon, list(system.runs) + [
+        make_run("quiet", horizon=system.horizon, wake_up=[0] * system.n_agents,
+                 initial_state=messages[:1] * system.n_agents)
+    ])
+    model = Model(system, random_valuation(rng, system), random_policy(rng))
+    manifest = ScenarioManifest(
+        messages[0], {"m": messages[-1]}, model,
+        (Expectation("p", None, True, messages[0]),
+         Expectation("~q", system.points[-1], False)),
+    )
+    manifest_file, system_file = io.StringIO(), io.StringIO()
+    write_manifest(manifest, manifest_file, system_file)
+    doc = manifest_to_dict(manifest)
+    assert manifest_file.getvalue() == _indented(doc)
+    assert system_file.getvalue() == _indented(model_to_dict(model))
+    fields = ("time", "agent", "kind", "peer", "message")
+    for run in doc["system"]["runs"]:
+        rows = [tuple(map(event.get, fields)) for event in run["events"]]
+        assert rows == sorted(rows)
+
+
+def test_write_manifest_encodes_each_distinct_event_once(monkeypatch):
+    # Strings are encoded by json.encoder.encode_basestring_ascii, which
+    # the C encoder too calls once per string when it is not the C
+    # function. Four runs of 62 events name two distinct (agent, kind,
+    # peer, message) values, with no valuation and no expectations.
+    horizon = 30
+    runs = [
+        make_run(f"r{i}", horizon=horizon, wake_up=[0, 0], initial_state=["a", "b"],
+                 events=[(t, a, kind, 1 - a, "m") for t in range(1, horizon + 1)
+                         for a, kind in ((0, "send"), (1, "receive"))])
+        for i in range(4)
+    ]
+    system = make_system(2, horizon, runs)
+    model = Model(system, make_valuation({}), ViewPolicy.complete_history())
+    manifest = ScenarioManifest("repeated", {}, model, ())
+    calls = 0
+    encode = json.encoder.encode_basestring_ascii
+
+    def counted(text):
+        nonlocal calls
+        calls += 1
+        return encode(text)
+
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", counted)
+    manifest_file, system_file = io.StringIO(), io.StringIO()
+    write_manifest(manifest, manifest_file, system_file)
+    monkeypatch.undo()
+    assert system_file.getvalue() == _indented(model_to_dict(model))
+    distinct = 2
+    per_run = 8  # the id, and the agents' keys and initial states
+    assert calls <= 2 * distinct + per_run * len(runs) + 8
 
 
 def test_load_json_rejects_non_objects():
