@@ -511,7 +511,7 @@ def test_write_manifest_encodes_each_distinct_event_once(monkeypatch):
     write_manifest(manifest, manifest_file, system_file)
     monkeypatch.undo()
     assert system_file.getvalue() == _indented(model_to_dict(model))
-    distinct = 2
+    distinct = 2  # each encoded once: its kind and its message
     per_run = 8  # the id, and the agents' keys and initial states
     assert calls <= 2 * distinct + per_run * len(runs) + 8
 
