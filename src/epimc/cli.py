@@ -40,19 +40,20 @@ class CliError(Exception):
 def _read(path: str, decode):
     """The document in file ``path``, decoded by ``decode``.
 
-    ``load_document`` decodes the runs as it parses them, and the file's
-    text is dropped once its last value is parsed, before ``decode``
-    runs. If any of that raises, the file is read again and its whole
-    document decoded, so that a bad file is reported as
+    ``load_document`` reads the file in chunks and decodes the runs as
+    it parses them, so it never holds more than a chunk of the text
+    besides the value it is reading. If opening, reading or decoding
+    raises, the file's whole text is read and its whole document
+    decoded, so that a bad file is reported as
     ``decode(load_json(text))`` reports it.
     """
     from .runs import ModelError
     from .serialize import load_document, load_json
 
     try:
-        return decode(load_document(_text(path)))
-    except CliError:
-        raise
+        with open(path, "rb", buffering=0) as file:
+            document = load_document(file)
+        return decode(document)
     except Exception:  # of any kind: the whole document's decoding reports it
         pass
     try:

@@ -213,8 +213,11 @@ def enumerate_runs(
             raise ModelError("wake-up times must not exceed the horizon")
 
     results: list[tuple[Run, tuple[ScheduleEntry, ...]]] = []
+    interned: dict = {}
     for ci, cfg in enumerate(configs):
-        for run, schedule in _explore(cfg, n, protocol, delivery, horizon, global_clock):
+        for run, schedule in _explore(
+            cfg, n, protocol, delivery, horizon, global_clock, interned
+        ):
             if len(results) == max_schedules:
                 raise ScheduleExplosionError(
                     f"schedule enumeration yields more than {max_schedules} runs; "
@@ -225,9 +228,10 @@ def enumerate_runs(
     return tuple(results)
 
 
-def _explore(cfg, n, protocol, delivery, horizon, global_clock):
+def _explore(cfg, n, protocol, delivery, horizon, global_clock, interned):
     """Each run of one configuration, with an empty id, and its schedule,
-    depth first over an explicit stack.
+    depth first over an explicit stack. ``interned`` maps (kind, peer,
+    message, clock stamp) to an ``Event``, as in ``runs.make_run``.
 
     A frame of the stack is a tick of the current branch: the tick, each
     agent's canonical timeline of the ticks before it, the schedule so
@@ -256,11 +260,13 @@ def _explore(cfg, n, protocol, delivery, horizon, global_clock):
         stamp = t if global_clock else None
         mine: list[list[tuple]] = [[] for _ in range(n)]
         for e in choice:
-            ev = Event(SEND, e.recipient, e.message, stamp)
+            key = (SEND, e.recipient, e.message, stamp)
+            ev = interned.get(key) or interned.setdefault(key, Event(*key))
             mine[e.sender].append((t, False, e.recipient, e.message, ev))
         for e in schedule:
             if e.outcome == t:
-                ev = Event(RECEIVE, e.sender, e.message, stamp)
+                key = (RECEIVE, e.sender, e.message, stamp)
+                ev = interned.get(key) or interned.setdefault(key, Event(*key))
                 mine[e.recipient].append((t, True, e.sender, e.message, ev))
         timelines = tuple(
             line + canonical_timeline(m) if m else line for line, m in zip(timelines, mine)

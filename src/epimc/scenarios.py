@@ -157,6 +157,9 @@ def muddy_children(
                         add(rid, q, c, SEND, other, body)
                         add(rid, q, other, RECEIVE, c, body)
 
+    # the answers are known: drop the scaffolding, and each run's event
+    # list once its run is built
+    del observed, history
     interned: dict = {}
     runs = [
         make_run(
@@ -164,7 +167,7 @@ def muddy_children(
             horizon=horizon,
             wake_up=[0] * (n + 1),
             initial_state=[initial(meta[rid][0], c) for c in range(n)] + ["announcer"],
-            events=events[rid],
+            events=events.pop(rid),
             interned=interned,
         )
         for rid in sorted(meta)

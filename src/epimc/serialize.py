@@ -6,20 +6,23 @@ Details and examples live in docs/file-formats.md. ``system_from_dict``
 decodes the run part alone; the model and manifest decoders import the
 evaluator and the view policies when called.
 
-A file's text is parsed by ``load_document``, which decodes each run as
-soon as it is parsed, so the whole JSON document is never built; the
-caller drops the text once its last value is parsed. ``load_json``
+A file is parsed by ``load_document``, which reads it in chunks of
+``CHUNK`` bytes and decodes each run as soon as it is parsed, so neither
+the whole text nor the whole JSON document is ever held. ``load_json``
 parses a text whole, for the key orders and errors that
 ``load_document`` leaves to it.
 """
 
 from __future__ import annotations
 
+import codecs
 import functools
 import json
+import os
+import re
 from itertools import chain, repeat
 from types import FunctionType
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, TextIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, NoReturn, TextIO
 
 from .runs import (
     EVENT_KINDS,
@@ -514,6 +517,8 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 _CLOSERS = {"{": "}", "[": "]"}
 _scalar = json.JSONEncoder().encode
 _key = json.encoder.encode_basestring_ascii
+#: The items of a list of flat containers that ``_encode`` encodes in one call.
+_BATCH = 256
 
 
 @functools.cache
@@ -565,16 +570,20 @@ def _encode(value: Any, depth: int, write: Callable[[str], Any]) -> None:
                 map(type, chain.from_iterable(map(dict.values, value) if kind is dict else value))
             )
         ):
-            # One C call writes every item with the items' own separator;
-            # it leaves "},\n<indent>{" (or "],\n<indent>[") between two
-            # items, which no flat item can contain: a string holds no raw
-            # newline and no value inside a flat item is a bracket.
+            # One C call writes each batch of items with the items' own
+            # separator; it leaves "},\n<indent>{" (or "],\n<indent>[")
+            # between two items, which no flat item can contain: a string
+            # holds no raw newline and no value inside a flat item is a
+            # bracket. Batches keep each piece of text small.
             i_close = _CLOSERS[first]
+            encode = _flat_encoder(depth + 2)
+            cut = i_close + "," + inner + "  " + first
+            between = inner + i_close + "," + inner + first + inner + "  "
             write("[" + inner + first + inner + "  ")
-            write(_flat_encoder(depth + 2)(value)[2:-2].replace(
-                i_close + "," + inner + "  " + first,
-                inner + i_close + "," + inner + first + inner + "  ",
-            ))
+            for start in range(0, len(value), _BATCH):
+                if start:
+                    write(between)
+                write(encode(value[start : start + _BATCH])[2:-2].replace(cut, between))
             write(inner + i_close + here + "]")
             return
         items = zip(repeat(""), value)
@@ -616,81 +625,169 @@ def load_json(text: str) -> dict:
 _skip = json.decoder.WHITESPACE.match
 _scan = json.decoder.scanstring
 _value = json.JSONDecoder().raw_decode
+#: What may follow a number's first characters and still belong to it.
+_number_tail = re.compile(r"[-+.0-9eE]*").match
+
+#: The bytes ``load_document`` asks its file for at once. A value that
+#: runs past the text it holds is parsed again after one chunk more, then
+#: after twice as much each time; a run's text is first read ahead by the
+#: length of the run before it, since the runs of a file are alike.
+CHUNK = 64 * 1024
 
 
-def load_document(text: str) -> dict:
-    """The JSON object in ``text``, as ``load_json`` parses it, but with
-    each ``runs`` array, at the top or in the top's ``system`` object,
-    decoded as it is parsed: ``run_from_dict`` takes each run's object
-    as soon as it is parsed, and the array becomes a tuple of runs. Only
-    one run's object is alive at a time, and the whole document is
-    never built.
+def load_document(file: BinaryIO) -> dict:
+    """The JSON object in the UTF-8 text of the binary ``file``, as
+    ``load_json`` parses it, but read in chunks of ``CHUNK`` bytes and
+    with each ``runs`` array, at the top or in the top's ``system``
+    object, decoded as it is parsed: ``run_from_dict`` takes each run's
+    object as soon as it is parsed, and the array becomes a tuple of
+    runs. Only one run's object is alive at a time, and neither the
+    whole text nor the whole document is ever held.
 
-    It raises on anything else: text that is not one JSON object, a
-    repeated key in an object it walks, a run that does not decode, and
-    a ``runs`` array that comes before its object's ``agents`` or
-    ``horizon``. The caller then decodes ``load_json(text)``, whose
-    error is the one to report.
+    It raises on anything else: text that is not UTF-8 or not one JSON
+    object, a repeated key in an object it walks, a run that does not
+    decode, and a ``runs`` array that comes before its object's
+    ``agents`` or ``horizon``. The caller then decodes
+    ``load_json(text)``, whose error is the one to report.
     """
-    obj, idx = _object(text, _skip(text, 0).end(), "system")
-    if _skip(text, idx).end() != len(text):
-        raise ValueError(f"extra data at {idx}")
+    reader = _Reader(file)
+    obj = _object(reader, "system")
+    if reader.peek():
+        raise ValueError(f"extra data at {reader.at()}")
     return obj
 
 
-def _object(text: str, idx: int, path: str) -> tuple[dict, int]:
-    """The object that opens at ``idx``, and the index past its end. Its
-    runs are decoded under field path ``path``; at the top (``path``
-    "system"), a ``system`` object is walked the same way, as a
-    manifest's."""
-    if not text.startswith("{", idx):
-        raise ValueError(f"expected an object at {idx}")
+class _Reader:
+    """A binary file's text, decoded from UTF-8 chunk by chunk, and a
+    position ``idx`` in it. ``text`` holds the text decoded from where
+    ``idx`` stood when the last chunk was added; what came before that
+    is dropped."""
+
+    def __init__(self, file: BinaryIO):
+        self.file = file
+        # a read of n bytes allocates n before it finds the end of the
+        # file; a file with no size (a pipe) reads as empty, and the
+        # caller's whole-text fallback reads it
+        self.left = os.fstat(file.fileno()).st_size
+        self.decode = codecs.getincrementaldecoder("utf-8")().decode
+        self.text = ""
+        self.idx = 0
+        self.dropped = 0  # the characters before ``text``
+        self.eof = False
+        self.request = CHUNK
+
+    def more(self) -> None:
+        """Add the next chunk to the text, without the consumed text."""
+        data = self.file.read(min(self.request, self.left))
+        self.left -= len(data)
+        self.eof = not data or self.left <= 0
+        self.text = self.text[self.idx:] + self.decode(data, self.eof)
+        self.dropped += self.idx
+        self.idx = 0
+
+    def at(self) -> int:
+        """``idx`` as a position in the whole text."""
+        return self.dropped + self.idx
+
+    def peek(self) -> str:
+        """The next character past whitespace, or "" at the end of the
+        file; ``idx`` is left at it."""
+        while True:
+            self.idx = _skip(self.text, self.idx).end()
+            if self.idx < len(self.text) or self.eof:
+                return self.text[self.idx : self.idx + 1]
+            self.more()
+
+    def take(self, parse: Callable[[str, int], tuple[Any, int]], ahead: int = 0) -> Any:
+        """The value that ``parse`` (``_scan`` or ``_value``) reads at
+        ``idx``, which is left past it. At least ``ahead`` characters are
+        read first, when the file has them. A value that does not parse,
+        or a number that may go on past the text, is read again with more
+        text until the end of the file, where a failure raises."""
+        short = ahead - (len(self.text) - self.idx)
+        while short > 0 and not self.eof:
+            self.request = max(CHUNK, short)
+            self.more()
+            short = ahead - len(self.text)
+        while True:
+            try:
+                value, end = parse(self.text, self.idx)
+            except Exception:
+                if self.eof:
+                    raise
+            else:
+                if (
+                    self.eof
+                    or type(value) not in (int, float)
+                    or _number_tail(self.text, end).end() < len(self.text)
+                ):
+                    self.idx = end
+                    self.request = CHUNK
+                    return value
+            self.more()
+            self.request *= 2
+
+
+def _object(reader: _Reader, path: str) -> dict:
+    """The object that opens at the reader's next character. Its runs are
+    decoded under field path ``path``; at the top (``path`` "system"), a
+    ``system`` object is walked the same way, as a manifest's."""
+    if reader.peek() != "{":
+        raise ValueError(f"expected an object at {reader.at()}")
+    reader.idx += 1
     obj: dict = {}
-    idx, more = _step(text, idx + 1, "}", False)
+    more = _step(reader, "}", False)
     while more:
-        if not text.startswith('"', idx):
-            raise ValueError(f"expected a key at {idx}")
-        key, idx = _scan(text, idx + 1)
-        idx = _skip(text, idx).end()
-        if key in obj or not text.startswith(":", idx):
-            raise ValueError(f"repeated key {key!r} or no colon at {idx}")
-        idx = _skip(text, idx + 1).end()
-        if key == "runs" and text.startswith("[", idx):
-            obj[key], idx = _runs(text, idx, obj, path)
-        elif key == "system" and path == "system" and text.startswith("{", idx):
-            obj[key], idx = _object(text, idx, "manifest.system")
+        if reader.peek() != '"':
+            raise ValueError(f"expected a key at {reader.at()}")
+        reader.idx += 1
+        key = reader.take(_scan)
+        if key in obj or reader.peek() != ":":
+            raise ValueError(f"repeated key {key!r} or no colon at {reader.at()}")
+        reader.idx += 1
+        opener = reader.peek()
+        if key == "runs" and opener == "[":
+            obj[key] = _runs(reader, obj, path)
+        elif key == "system" and path == "system" and opener == "{":
+            obj[key] = _object(reader, "manifest.system")
         else:
-            obj[key], idx = _value(text, idx)
-        idx, more = _step(text, idx, "}", True)
-    return obj, idx
+            obj[key] = reader.take(_value)
+        more = _step(reader, "}", True)
+    return obj
 
 
-def _runs(text: str, idx: int, obj: dict, path: str) -> tuple[tuple[Run, ...], int]:
-    """The runs of the array that opens at ``idx``, decoded with the
-    ``agents`` and ``horizon`` that ``obj`` already holds, and the index
-    past its end."""
+def _runs(reader: _Reader, obj: dict, path: str) -> tuple[Run, ...]:
+    """The runs of the array that opens at the reader's next character,
+    decoded with the ``agents`` and ``horizon`` that ``obj`` already
+    holds."""
     n = _need_count(obj, "agents", path)
     horizon = _need_count(obj, "horizon", path)
     interned: dict = {}
     runs: list[Run] = []
-    idx, more = _step(text, idx + 1, "]", False)
+    reader.idx += 1
+    more = _step(reader, "]", False)
+    size = 0  # runs are alike: the text of the last one is read ahead for the next
     while more:
-        raw, idx = _value(text, idx)
+        start = reader.at()
+        raw = reader.take(_value, size)
+        size = reader.at() - start
         runs.append(run_from_dict(raw, n, horizon, f"{path}.runs[{len(runs)}]", interned))
         del raw  # before the next run's object is parsed
-        idx, more = _step(text, idx, "]", True)
-    return tuple(runs), idx
+        more = _step(reader, "]", True)
+    return tuple(runs)
 
 
-def _step(text: str, idx: int, closer: str, comma: bool) -> tuple[int, bool]:
-    """From ``idx``, inside a container, past whitespace: the index past
-    ``closer`` and False if it ends there, or else the start of its next
-    item and True, past a comma when ``comma`` is set."""
-    idx = _skip(text, idx).end()
-    if text.startswith(closer, idx):
-        return idx + 1, False
+def _step(reader: _Reader, closer: str, comma: bool) -> bool:
+    """Inside a container, past whitespace: False, past ``closer``, if the
+    container ends there, or else True at the start of its next item,
+    past a comma when ``comma`` is set."""
+    char = reader.peek()
+    if char == closer:
+        reader.idx += 1
+        return False
     if comma:
-        if not text.startswith(",", idx):
-            raise ValueError(f"expected ',' or {closer!r} at {idx}")
-        idx = _skip(text, idx + 1).end()
-    return idx, True
+        if char != ",":
+            raise ValueError(f"expected ',' or {closer!r} at {reader.at()}")
+        reader.idx += 1
+        reader.peek()
+    return True

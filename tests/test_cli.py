@@ -385,6 +385,41 @@ def test_read_holds_about_twice_the_text_at_most(tmp_path, capsys):
     assert peak < 2.5 * len(text)
 
 
+@pytest.fixture()
+def muddy_manifest(tmp_path):
+    """A 676 KiB manifest of 32 runs, about 13 KiB of text each."""
+    assert main(["scenario", "muddy_children", "--param", "n=4", "--param", "announce=true",
+                 "--param", "rounds=4", "--param", "staggered_announcement=true",
+                 "--out", str(tmp_path)]) == 0
+    return str(tmp_path / "muddy_children.manifest.json")
+
+
+def test_read_holds_less_than_a_chunked_text_beyond_the_manifest(muddy_manifest, capsys):
+    # the file is read in chunks of 64 KiB, never whole, and its bytes and
+    # characters are never alive together
+    _read(muddy_manifest, manifest_from_dict)  # imports and caches
+    tracemalloc.start()
+    try:
+        manifest = _read(muddy_manifest, manifest_from_dict)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert manifest.expectations
+    assert peak <= held + 512 * 1024
+
+
+def test_read_parses_each_run_about_once(muddy_manifest, capsys):
+    # a run that runs past the text held is parsed again; reading each
+    # run's text ahead by the length of the last one avoids most of that
+    parsed = mock.Mock(wraps=serialize._value)
+    with mock.patch.object(serialize, "_value", parsed):
+        runs = _read(muddy_manifest, manifest_from_dict).model.system.runs
+    # 32 runs and 9 other values; the expectations and the valuation may
+    # each need a retry or two
+    assert len(runs) == 32
+    assert parsed.call_count <= len(runs) + 9 + 4
+
+
 def _made_of(decoded) -> tuple:
     """What a decoded system, model or manifest is made of, to compare
     two decodings of one file."""
@@ -419,15 +454,23 @@ def _read_as(path: Path, decode) -> tuple:
 _DECODERS = {"system": (model_from_dict, system_from_dict), "manifest": (manifest_from_dict,)}
 
 
+#: The chunk sizes ``_read`` is tried with: the default, and sizes that
+#: put every token boundary on a chunk boundary.
+_CHUNKS = (serialize.CHUNK, 1, 7)
+
+
 def _streamed(path: Path, text: str, kind: str) -> None:
     """``_read`` decodes the file at ``path``, whose text is ``text``, run
-    by run: it never parses the whole document, and gets what the whole
-    document's decoders get."""
+    by run, in chunks of each size: it never parses the whole document,
+    and gets what the whole document's decoders get."""
     path.write_text(text)
     for decode in _DECODERS[kind]:
-        with mock.patch.object(serialize, "load_json", side_effect=AssertionError("whole")):
-            got = _read_as(path, decode)
-        assert got == _whole(text, decode, str(path))
+        whole = _whole(text, decode, str(path))
+        for chunk in _CHUNKS:
+            with mock.patch.object(serialize, "CHUNK", chunk), mock.patch.object(
+                serialize, "load_json", side_effect=AssertionError("whole")
+            ):
+                assert _read_as(path, decode) == whole
 
 
 def _reversed_keys(value):
@@ -469,7 +512,10 @@ def _same_as_whole(path: Path, text: str, kind: str) -> None:
     for variant in _variants(text).values():
         path.write_text(variant)
         for decode in _DECODERS[kind]:
-            assert _read_as(path, decode) == _whole(variant, decode, str(path))
+            whole = _whole(variant, decode, str(path))
+            for chunk in _CHUNKS:
+                with mock.patch.object(serialize, "CHUNK", chunk):
+                    assert _read_as(path, decode) == whole
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
@@ -515,6 +561,90 @@ def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert main(["eval", "--system", str(path), "--formula", "p", "--all"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{path}: not valid UTF-8:")
+
+
+def _chunked(path: Path, decode, chunk: int):
+    """``_read`` of ``path`` in chunks of ``chunk`` bytes, which must not
+    fall back on the whole document."""
+    with mock.patch.object(serialize, "CHUNK", chunk), mock.patch.object(
+        serialize, "load_json", side_effect=AssertionError("whole")
+    ):
+        return _read(str(path), decode)
+
+
+def test_read_takes_a_number_split_at_a_chunk_end(tmp_path):
+    # the first chunk ends in "horizon": 12, and the number goes on
+    path = tmp_path / "long.json"
+    text = json.dumps({"agents": 1, "horizon": 1234, "runs": [
+        {"id": "r", "wake_up": {"0": 0}, "initial_state": {"0": "s"}}]})
+    path.write_text(text)
+    system = _chunked(path, system_from_dict, text.index("1234") + 2)
+    assert (system.horizon, len(system.points)) == (1234, 1235)
+
+
+def test_read_decodes_a_character_split_between_chunks(tmp_path):
+    # every chunk size, so each chunk end falls inside the two bytes of é
+    path = tmp_path / "cafe.json"
+    path.write_bytes(_CAFE)
+    for chunk in range(1, len(_CAFE) + 1):
+        model = _chunked(path, model_from_dict, chunk)
+        assert model.system.runs[0].initial_state == ("caf\u00e9",)
+
+
+def test_a_file_not_utf8_after_the_first_chunk_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    data = _CAFE.decode("utf-8").encode("latin-1")
+    path.write_bytes(data)
+    with mock.patch.object(serialize, "CHUNK", 16):
+        assert main(["eval", "--system", str(path), "--formula", "p", "--all"]) == 2
+    byte = data.index(b"\xe9")
+    assert byte > 16
+    assert capsys.readouterr().err == (
+        f"{path}: not valid UTF-8: invalid continuation byte at byte {byte}\n"
+    )
+
+
+def test_a_file_ending_inside_a_character_exits_two(tmp_path, capsys):
+    # the decoder is told where the file ends, so a lone lead byte after
+    # the object is not valid UTF-8
+    path = tmp_path / "lead.json"
+    path.write_bytes(_CAFE + b"\xc3")
+    assert main(["eval", "--system", str(path), "--formula", "p", "--all"]) == 2
+    assert capsys.readouterr().err == (
+        f"{path}: not valid UTF-8: unexpected end of data at byte {len(_CAFE)}\n"
+    )
+
+
+class _Reads:
+    """A binary file that records the byte counts asked of it."""
+
+    def __init__(self, file):
+        self.file, self.asked = file, []
+
+    def fileno(self) -> int:
+        return self.file.fileno()
+
+    def read(self, n: int) -> bytes:
+        self.asked.append(n)
+        return self.file.read(n)
+
+
+def test_read_requests_double_within_a_value_and_drop_after_it(tmp_path):
+    text = json.dumps({"agents": 1, "horizon": 0, "long": "x" * 1000, "runs": [],
+                       **{f"k{i}": i for i in range(100)}})
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    with path.open("rb", buffering=0) as file, mock.patch.object(serialize, "CHUNK", 10):
+        reads = _Reads(file)
+        document = serialize.load_document(reads)
+    assert document == dict(json.loads(text), runs=())
+    # the long string is parsed again after 10, 20, 40, ... more bytes;
+    # after it the requests are a chunk again, and none asks for more
+    # than the file has left
+    start = reads.asked.index(20)
+    assert reads.asked[start - 1 : start + 7] == [10, 20, 40, 80, 160, 320, 640, 10]
+    assert set(reads.asked[start + 7 :]) == {10, len(text) % 10}
+    assert sum(reads.asked) == len(text)
 
 
 def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):

@@ -161,6 +161,20 @@ def test_enumeration_is_pinned(case):
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
 
+def test_equal_events_of_one_enumeration_are_one_object():
+    # across branches and across configurations, as in a decoded file
+    cfgs = [CFG, InitialConfiguration((0, 1), ("favor", "await"))]
+    pairs = enumerate_runs(handshake(2), DeliveryModel.not_guaranteed((0,)), cfgs, 3)
+    per_config = [
+        {ev for run, _ in pairs if run.id.startswith(f"c{ci}")
+         for line in run.timeline for _, ev in line}
+        for ci in range(len(cfgs))
+    ]
+    assert per_config[0] & per_config[1]
+    events = [ev for run, _ in pairs for line in run.timeline for _, ev in line]
+    assert len(set(map(id, events))) == len(set(events))
+
+
 def test_schedule_entries_respect_model_bounds():
     pairs = enumerate_runs(ping_once(), DeliveryModel.bounded_uncertain(1, 4), [CFG], 6)
     for _, sched in pairs:

@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 
@@ -360,3 +361,25 @@ def test_equal_events_of_a_built_system_are_one_object(name):
     events = [ev for run in system.runs for line in run.timeline for _, ev in line]
     assert len(events) > len(set(events))
     assert len(set(map(id, events))) == len(set(events))
+
+
+def test_equal_events_of_generated_runs_are_one_object():
+    # one table per enumeration, across its configurations and branches
+    system = coordinated_attack(10, 11).model.system
+    events = [ev for run in system.runs for line in run.timeline for _, ev in line]
+    assert len(set(events)) == 20
+    assert len(set(map(id, events))) == 20
+
+
+def test_muddy_children_drops_its_scaffolding_before_building_runs():
+    # the per-child histories and observations, and each run's event list
+    # once its run is built, are gone before the system and valuation
+    muddy_children(4, True, 4, True)  # imports and caches
+    tracemalloc.start()
+    try:
+        manifest = muddy_children(4, True, 4, True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert manifest.expectations
+    assert peak <= held + 100 * 1024

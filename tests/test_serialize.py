@@ -20,10 +20,12 @@ from epimc.views import ViewPolicy
 from epimc.scenarios import (
     broadcast_channel,
     coordinated_attack,
+    muddy_children,
     timestamped_demo,
 )
 from epimc.serialize import (
     SchemaError,
+    _BATCH,
     _write_split,
     dump_json,
     load_json,
@@ -428,6 +430,33 @@ def test_write_manifest_holds_neither_text_whole(tmp_path):
     assert manifest_path.read_text() == _indented(manifest_to_dict(manifest))
     assert system == _indented(model_to_dict(manifest.model))
     assert peak < 2 * len(system)
+
+
+@pytest.mark.parametrize("length", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+def test_dump_json_writes_lists_of_flat_containers_in_batches(length):
+    # the writer encodes such a list a batch of items at a time
+    dicts = [{"i": i, "s": f"\n{i}\u00e9", "z": None} for i in range(length)]
+    lists = [[i, "}, {", True] for i in range(length)]
+    for rows in (dicts, lists):
+        for value in (rows, {"rows": rows}, [rows, rows]):
+            assert dump_json(value) == _indented(value)
+
+
+def test_write_manifest_holds_no_list_of_flat_items_whole(tmp_path):
+    # 1,600 expectations and the valuation's point lists are encoded a
+    # batch at a time: their text is never one string, nor copied whole
+    manifest = muddy_children(5, True, 5, True)
+    paths = tmp_path / "m.json", tmp_path / "s.json"
+    for _ in range(2):  # the first run fills the writer's caches
+        with paths[0].open("w") as manifest_file, paths[1].open("w") as system_file:
+            tracemalloc.start()
+            try:
+                write_manifest(manifest, manifest_file, system_file)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert paths[0].read_text() == _indented(manifest_to_dict(manifest))
+    assert peak <= 1100 * 1024
 
 
 # Messages the writer must escape: quotes, backslashes, control
