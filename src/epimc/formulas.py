@@ -131,9 +131,9 @@ class Modal(Formula):
     integer, then the operand ``child``.
 
     Each subclass declares its syntax and meaning as class keywords, and
-    the parser (through ``MODALS``), the printer, ``agents_mentioned``,
-    ``expand_fixpoints`` and the evaluator read them instead of naming
-    classes:
+    the parser (through ``MODALS``), the printer, ``agents_mentioned`` and
+    ``expand_fixpoints`` read them instead of naming classes, and the
+    evaluator generates its C-form entries, C's aside, from ``unfolds``:
 
     - ``head``: the keyword; a ``by_agent`` head takes the agent as a
       numeric suffix (``K0``), the others take a group (``E{0,1}``);
@@ -145,7 +145,7 @@ class Modal(Formula):
       the fields of its E-form.
 
     Every subclass lists its fields in ``__slots__`` in the order index,
-    integer, child.
+    integer, child. A group must be nonempty.
     """
 
     __slots__ = ()
@@ -178,6 +178,8 @@ class Modal(Formula):
             raise FormulaError(
                 f"{cls.param} of {cls.head} must be at least {cls.least}, got {value}"
             )
+        if not cls.by_agent and not node.group:
+            raise FormulaError(f"the group of {cls.head} must be nonempty")
         return node
 
 

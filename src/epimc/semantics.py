@@ -18,10 +18,14 @@ once. The interval, eventual and clock-indexed variants shift
 whole-system masks: a shift by d ticks moves every run's slice at once,
 and a per-tick validity mask drops the bits that crossed into a
 neighbouring run.
-Greatest fixed points are computed by descending iteration from the full
-point set, which terminates on the finite lattice; the reachability
-characterization of common knowledge is kept as a separate fast path and
-must agree with the fixed-point route.
+Every node class has one entry in the table ``_OPS``, which makes a
+node's mask from its children's, and ``_validate_formula`` refuses a
+class with no entry before evaluating anything. Greatest fixed points
+(``nu``, and Ceps, Cv and Ct, whose entries are made from the E-forms
+that ``Modal.unfolds`` names) are computed by descending iteration from
+the full point set, which terminates on the finite lattice; C keeps the
+reachability route as a separate fast path, which must agree with the
+fixed-point route. ``gfp`` is ``evaluate`` of a ``nu`` node.
 
 Scenario manifests (``ScenarioManifest``, a model with ``Expectation``s)
 are defined and replayed here (``verify_manifest``), so replaying one
@@ -138,15 +142,20 @@ class Model:
 
 
 def _validate_formula(model: Model, f: Formula) -> None:
+    """Every check ``_eval`` relies on, made before it starts: the agents
+    are the system's, every node class has an entry in ``_OPS``, and a
+    clock-indexed operator has clocks to read."""
     for agent in fm.agents_mentioned(f):
         model.system.check_agent(agent)
-    if model.system.runs and not model.system.has_clocks:
-        for node in fm.postorder(f):
-            if isinstance(node, fm.Modal) and node.param == "stamp":
-                raise EvalError(
-                    "clock-indexed operators need a system in which every "
-                    "run has clocks"
-                )
+    clockless = model.system.runs and not model.system.has_clocks
+    for node in fm.postorder(f):
+        if type(node) not in _OPS:
+            raise EvalError(f"cannot evaluate {type(node).__name__}")
+        if clockless and isinstance(node, fm.Modal) and node.param == "stamp":
+            raise EvalError(
+                "clock-indexed operators need a system in which every "
+                "run has clocks"
+            )
 
 
 def _inside(classes: Iterable[int], arg: int) -> int:
@@ -163,14 +172,14 @@ def _know(model: Model, agent: int, arg: int) -> int:
     return _inside(model.index.class_masks[agent], arg)
 
 
-def _everyone(group: Sequence[int], know: Callable[[int], int]) -> int:
-    """The points where ``know(agent)`` holds for every member; the
+def _everyone(group: Sequence[int], term: Callable[[int], int]) -> int:
+    """The points where ``term(agent)`` holds for every member; the
     conjunction stops once it is empty."""
-    out = know(group[0])
+    out = term(group[0])
     for agent in group[1:]:
         if not out:
             break
-        out &= know(agent)
+        out &= term(agent)
     return out
 
 
@@ -187,16 +196,6 @@ def _distributed(model: Model, group: Sequence[int], arg: int) -> int:
     keys = list(zip(*(model.index.class_ids[a] for a in group)))
     outside = set(map(keys.__getitem__, ids_of(model.system.full & ~arg)))
     return mask_from_ids((i for i, key in enumerate(keys) if key not in outside), len(keys))
-
-
-def _common(model: Model, group: Sequence[int], arg: int) -> int:
-    """Group components inside ``arg``: one subset test per component."""
-    return _inside(model.index.component_masks(group), arg)
-
-
-def _ticks_upto(model: Model, last: int) -> int:
-    """Ticks 0..last of every run."""
-    return ((1 << (last + 1)) - 1) * model._run_heads
 
 
 def _runs_meeting(model: Model, mask: int) -> int:
@@ -223,25 +222,19 @@ def _interval_everyone(model: Model, group: Sequence[int], eps: int, arg: int) -
     horizon = model.system.horizon
     if eps > horizon:
         return 0
-    starts = _ticks_upto(model, horizon - eps)
-    for agent in group:
-        known = _know(model, agent, arg)
-        window = known
+
+    def window(agent: int) -> int:
+        known = out = _know(model, agent, arg)
         for d in range(1, eps + 1):
-            window |= known >> d
-        starts &= window
+            out |= known >> d
+        return out
+
+    first_ticks = ((1 << (horizon - eps + 1)) - 1) * model._run_heads
+    starts = first_ticks & _everyone(group, window)
     out = starts
     for d in range(1, eps + 1):
         out |= starts << d
     return out
-
-
-def _eventual_everyone(model: Model, group: Sequence[int], arg: int) -> int:
-    """Each member knows at some time of the run; a run-level fact."""
-    heads = model._run_heads
-    for agent in group:
-        heads &= _runs_meeting(model, _know(model, agent, arg))
-    return _whole_runs(model, heads)
 
 
 def _know_at_stamp(model: Model, agent: int, stamp: int, arg: int) -> int:
@@ -264,24 +257,6 @@ def _power(model: Model, f: fm.EPow, arg: int) -> int:
     return arg
 
 
-#: Each modal class -> (model, node, mask of the child) -> mask. C keeps
-#: its reachability route here; Ceps, Cv and Ct iterate their E-form.
-_MODAL_OPS = {
-    fm.K: lambda model, f, arg: _know(model, f.agent, arg),
-    fm.S: lambda model, f, arg: _someone(model, f.group, arg),
-    fm.E: lambda model, f, arg: _everyone(f.group, lambda a: _know(model, a, arg)),
-    fm.EPow: _power,
-    fm.D: lambda model, f, arg: _distributed(model, f.group, arg),
-    fm.C: lambda model, f, arg: _common(model, f.group, arg),
-    fm.EEps: lambda model, f, arg: _interval_everyone(model, f.group, f.eps, arg),
-    fm.EDiamond: lambda model, f, arg: _eventual_everyone(model, f.group, arg),
-    fm.KTime: lambda model, f, arg: _know_at_stamp(model, f.agent, f.stamp, arg),
-    fm.ETime: lambda model, f, arg: _everyone(
-        f.group, lambda a: _know_at_stamp(model, a, f.stamp, arg)
-    ),
-}
-
-
 def _descend_to_fixpoint(model: Model, step) -> int:
     current = model.system.full
     while True:
@@ -296,8 +271,58 @@ def _descend_to_fixpoint(model: Model, step) -> int:
         current = nxt
 
 
-def _env_masks(model: Model, env: Mapping[str, Iterable[Point]] | None) -> dict[str, int]:
-    return {k: model.system.mask_of(v) for k, v in (env or {}).items()}
+def _variable(model: Model, env: dict[str, int], f: fm.Var) -> int:
+    if f.name not in env:
+        raise UnboundVariableError(f"variable {f.name!r} is unbound")
+    return env[f.name]
+
+
+def _nu(model: Model, env: dict[str, int], f: fm.Nu, _) -> int:
+    return _descend_to_fixpoint(model, lambda cur: _eval(model, f.body, {**env, f.var: cur}))
+
+
+def _unfolded(step: Callable[..., int]) -> Callable[..., int]:
+    """The entry of a C-form whose E-form has the entry ``step``: the
+    greatest fixed point of X -> E-form(arg & X). A C-form has the fields
+    of its E-form, so ``step`` reads them off the C-form's node."""
+    return lambda model, env, f, arg: _descend_to_fixpoint(
+        model, lambda cur: step(model, env, f, arg & cur)
+    )
+
+
+#: Each node class -> its entry, (model, env, node, *masks of its
+#: children) -> the node's mask. A ``Nu`` ignores the mask passed for its
+#: body: it descends from the full set, evaluating the body afresh at each
+#: step with its variable bound to the current set. C keeps its
+#: reachability route, which must agree with its nu-form; every other
+#: C-form's entry is made from the entry of the E-form it ``unfolds``.
+_OPS: dict[type[Formula], Callable[..., int]] = {
+    fm.Var: _variable,
+    fm.Prop: lambda model, env, f: model.valuation.mask(f.name),
+    fm.TrueConst: lambda model, env, f: model.system.full,
+    fm.Not: lambda model, env, f, arg: model.system.full & ~arg,
+    fm.And: lambda model, env, f, left, right: left & right,
+    fm.Nu: _nu,
+    fm.K: lambda model, env, f, arg: _know(model, f.agent, arg),
+    fm.S: lambda model, env, f, arg: _someone(model, f.group, arg),
+    fm.E: lambda model, env, f, arg: _everyone(f.group, lambda a: _know(model, a, arg)),
+    fm.EPow: lambda model, env, f, arg: _power(model, f, arg),
+    fm.D: lambda model, env, f, arg: _distributed(model, f.group, arg),
+    fm.C: lambda model, env, f, arg: _inside(model.index.component_masks(f.group), arg),
+    fm.EEps: lambda model, env, f, arg: _interval_everyone(model, f.group, f.eps, arg),
+    fm.EDiamond: lambda model, env, f, arg: _whole_runs(  # a run-level fact
+        model, _everyone(f.group, lambda a: _runs_meeting(model, _know(model, a, arg)))
+    ),
+    fm.KTime: lambda model, env, f, arg: _know_at_stamp(model, f.agent, f.stamp, arg),
+    fm.ETime: lambda model, env, f, arg: _everyone(
+        f.group, lambda a: _know_at_stamp(model, a, f.stamp, arg)
+    ),
+}
+_OPS.update(
+    (cls, _unfolded(_OPS[cls.unfolds]))
+    for cls in fm.MODALS.values()
+    if cls not in _OPS and cls.unfolds in _OPS
+)
 
 
 def truth_mask(
@@ -307,7 +332,7 @@ def truth_mask(
     ``model.system.points[i]``."""
     fm.check_positivity(f)
     _validate_formula(model, f)
-    return _eval(model, f, _env_masks(model, env))
+    return _eval(model, f, {k: model.system.mask_of(v) for k, v in (env or {}).items()})
 
 
 def evaluate(
@@ -326,40 +351,12 @@ def evaluate(
 
 def _eval(model: Model, f: Formula, env: dict[str, int]) -> int:
     """The mask of ``f``: one pass over its distinct nodes, children
-    first, keeping one mask per node; each ``Nu`` body goes to ``_gfp``."""
+    first, keeping one mask per node; each node's entry in ``_OPS`` makes
+    its mask from its children's."""
     mask: dict[Formula, int] = {}
     for node in fm.postorder(f, into_nu=False):
-        if isinstance(node, fm.Var):
-            if node.name not in env:
-                raise UnboundVariableError(f"variable {node.name!r} is unbound")
-            out = env[node.name]
-        elif isinstance(node, fm.Prop):
-            out = model.valuation.mask(node.name)
-        elif isinstance(node, fm.TrueConst):
-            out = model.system.full
-        elif isinstance(node, fm.Not):
-            out = model.system.full & ~mask[node.child]
-        elif isinstance(node, fm.And):
-            out = mask[node.left] & mask[node.right]
-        elif isinstance(node, fm.Nu):
-            out = _gfp(model, node.var, node.body, env)
-        elif isinstance(node, fm.Modal):
-            arg, op = mask[node.child], _MODAL_OPS.get(type(node))
-            if op is not None:
-                out = op(model, node, arg)
-            else:
-                # Ceps, Cv, Ct: the greatest fixed point of their E-form,
-                # iterated directly; its operator reads the fields the two share
-                step = _MODAL_OPS[node.unfolds]
-                out = _descend_to_fixpoint(model, lambda cur: step(model, node, arg & cur))
-        else:
-            raise EvalError(f"cannot evaluate {type(node).__name__}")
-        mask[node] = out
+        mask[node] = _OPS[type(node)](model, env, node, *map(mask.get, fm.children(node)))
     return mask[f]
-
-
-def _gfp(model: Model, var: str, body: Formula, env: dict[str, int]) -> int:
-    return _descend_to_fixpoint(model, lambda current: _eval(model, body, {**env, var: current}))
 
 
 def gfp(
@@ -368,13 +365,14 @@ def gfp(
     body: Formula,
     env: Mapping[str, PointSet] | None = None,
 ) -> PointSet:
-    """Greatest fixed point of A -> eval(body, var := A).
+    """Greatest fixed point of A -> eval(body, var := A): ``evaluate`` of
+    ``nu var. body``, so the body must pass the same checks.
 
     Iterates downward from the full point set; the chain is weakly
     decreasing on the finite lattice, so at most one iteration per point
     is needed. Equals the union of all fixed points of the body.
     """
-    return model.system.points_of(_gfp(model, var, body, _env_masks(model, env)))
+    return evaluate(model, fm.Nu(var, body), env)
 
 
 def least_point(model: Model, mask: int) -> Point:

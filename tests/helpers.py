@@ -31,13 +31,17 @@ from epimc.views import VIEW_PROJECTIONS, ViewPolicy
 
 
 def random_system(rng: random.Random, max_runs: int = 4, max_horizon: int = 4,
-                  max_agents: int = 3, min_agents: int = 2, min_runs: int = 1) -> System:
+                  max_agents: int = 3, min_agents: int = 2, min_runs: int = 1,
+                  clocked: bool | None = None) -> System:
     """A small well-formed system with random message traffic; a lone
-    agent messages itself."""
+    agent messages itself. Its runs have clocks when ``clocked`` says so,
+    and in three cases in ten when it is None; the draw is made either
+    way, so a seed builds the same traffic whatever ``clocked`` is."""
     n = rng.randint(min_agents, max_agents)
     horizon = rng.randint(1, max_horizon)
     n_runs = rng.randint(min_runs, max_runs)
-    clocked = rng.random() < 0.3
+    drawn = rng.random() < 0.3
+    clocked = drawn if clocked is None else clocked
     runs = []
     for ri in range(n_runs):
         wake = [rng.choice((0, 0, 1)) for _ in range(n)]

@@ -363,6 +363,48 @@ def test_formulas_with_no_modal_operator_never_build_the_index(monkeypatch):
     assert [f.detail for f in failures] == ["holds at del@1"]
 
 
+def test_a_node_class_with_no_entry_is_refused_before_the_index_is_built(monkeypatch):
+    class Unknown(fm.Formula):
+        __slots__ = ()
+
+    def refuse(*args):
+        raise AssertionError("the view index was built")
+
+    model = toy_model()
+    monkeypatch.setattr(semantics, "build_index", refuse)
+    # the K node comes first in the pass, so evaluating would build the index
+    formula = fm.And(parse("K0 sent"), Unknown())
+    with pytest.raises(EvalError, match="^cannot evaluate Unknown$"):
+        evaluate(model, formula)
+
+
+def test_every_node_class_has_one_entry():
+    classes = {
+        cls for cls in vars(fm).values()
+        if isinstance(cls, type) and issubclass(cls, fm.Formula)
+    } - {fm.Formula, fm.Modal}
+    assert set(semantics._OPS) == classes
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (fm.K(9, fm.Var("X")), UnknownAgentError),
+        (fm.Not(fm.Var("X")), fm.PositivityError),
+        (fm.KTime(0, 1, fm.Var("X")), EvalError),
+    ],
+    ids=["agent", "positivity", "clocks"],
+)
+def test_gfp_makes_the_checks_evaluate_makes(body, error):
+    model = SCENARIOS["muddy_children"](n=2, announce=True, rounds=2).model
+    assert model.system.runs and not model.system.has_clocks
+    with pytest.raises(error) as via_evaluate:
+        evaluate(model, fm.Nu("X", body))
+    with pytest.raises(error) as via_gfp:
+        gfp(model, "X", body)
+    assert str(via_gfp.value) == str(via_evaluate.value)
+
+
 def test_distributed_knowledge_over_six_agents_has_a_small_peak():
     # One full-width mask per joint class would take about 3 MiB here;
     # keying each point by its tuple of class ids takes a fraction of that

@@ -186,6 +186,10 @@ def test_every_modal_head_parses_prints_reserves_and_unfolds(head):
         least = f"{cls.param} of {head} must be at least {cls.least}"
         with pytest.raises(FormulaError, match=re.escape(least)):
             cls(index, cls.least - 1, p)
+    if not cls.by_agent:  # the parser never makes an empty group; the API can
+        empty = f"the group of {head} must be nonempty"
+        with pytest.raises(FormulaError, match=re.escape(empty)):
+            cls((), *params, p)
     if cls.unfolds:
         x = fm.Var("X0")
         assert expand_fixpoints(f) == fm.Nu("X0", cls.unfolds(index, *params, fm.And(p, x)))

@@ -80,6 +80,16 @@ def test_primitive_and_expanded_forms_evaluate_equally(seed, f):
     assert evaluate(model, f) == evaluate(model, expand_fixpoints(f))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), formula_strategy(max_depth=3, clocked=True))
+def test_primitive_and_expanded_forms_evaluate_equally_with_clocks(seed, f):
+    # Kt, Et and Ct evaluate only where every run has clocks
+    model = random_model(random.Random(seed), max_runs=3, max_horizon=3, clocked=True)
+    if model.system.horizon < 2:
+        return
+    assert evaluate(model, f) == evaluate(model, expand_fixpoints(f))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_histories_grow_as_prefixes(seed):
