@@ -8,24 +8,25 @@ bits); the public functions take and return ``frozenset[Point]``, except
 points against one formula. A valuation is one such mask per
 proposition, made when the ``Model`` is built, so a formula with no modal
 operator never builds the view index.
-Knowledge of an agent is the union of its view-class masks contained in
-the argument. Distributed knowledge names a point's joint class by its
-tuple of member class ids, and holds where no point outside the argument
-has the same tuple. Common knowledge goes via reachability with the
-group's components, which the index builds with one union-find pass per
-group and caches, so each component is tested against the argument
-once. The interval, eventual and clock-indexed variants shift
-whole-system masks: a shift by d ticks moves every run's slice at once,
-and a per-tick validity mask drops the bits that crossed into a
-neighbouring run.
+K, E, E^k and C are one operator read at different distances: each holds
+where no point outside the argument lies within 1, 1, k or any number of
+group-labelled steps (K's group is its one agent), and ``views.reach``
+finds those points from the complement of the argument, one layer of
+view classes per step, or, for C, as the union of the group's cached
+components that meet it. Distributed knowledge names a point's joint
+class by its tuple of member class ids, and holds where no point outside
+the argument has the same tuple. The interval, eventual and
+clock-indexed variants shift whole-system masks: a shift by d ticks
+moves every run's slice at once, and a per-tick validity mask drops the
+bits that crossed into a neighbouring run.
 Every node class has one entry in the table ``_OPS``, which makes a
 node's mask from its children's, and ``_validate_formula`` refuses a
 class with no entry before evaluating anything. Greatest fixed points
 (``nu``, and Ceps, Cv and Ct, whose entries are made from the E-forms
 that ``Modal.unfolds`` names) are computed by descending iteration from
 the full point set, which terminates on the finite lattice; C keeps the
-reachability route as a separate fast path, which must agree with the
-fixed-point route. ``gfp`` is ``evaluate`` of a ``nu`` node.
+reachability route, which must agree with the fixed-point route.
+``gfp`` is ``evaluate`` of a ``nu`` node.
 
 Scenario manifests (``ScenarioManifest``, a model with ``Expectation``s)
 are defined and replayed here (``verify_manifest``), so replaying one
@@ -40,7 +41,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .formulas import Formula, parse
 from . import formulas as fm
 from .runs import ModelError, Point, System, ids_of, mask_from_ids
-from .views import IndistIndex, ViewPolicy, build_index, normalize_group, partition
+from .views import IndistIndex, ViewPolicy, build_index, normalize_group, partition, reach
 
 PointSet = frozenset[Point]
 
@@ -158,18 +159,18 @@ def _validate_formula(model: Model, f: Formula) -> None:
             )
 
 
-def _inside(classes: Iterable[int], arg: int) -> int:
-    """Union of the class masks that lie wholly inside ``arg``."""
-    out = 0
-    for cls in classes:
-        if cls & arg == cls:
-            out |= cls
-    return out
+def _box(model: Model, group: Iterable[int], steps: int | None, arg: int) -> int:
+    """Points from which every point within ``steps`` group-labelled
+    edges, or any number of them when ``steps`` is None, lies inside
+    ``arg``: K, E, E^k and C. What ``reach`` finds from inside ``full``
+    stays inside it, so the outer complement is an exclusive or."""
+    full = model.system.full
+    return full ^ reach(model.index, group, full & ~arg, steps)
 
 
 def _know(model: Model, agent: int, arg: int) -> int:
     """Points whose whole view class for ``agent`` lies inside ``arg``."""
-    return _inside(model.index.class_masks[agent], arg)
+    return _box(model, (agent,), 1, arg)
 
 
 def _everyone(group: Sequence[int], term: Callable[[int], int]) -> int:
@@ -246,17 +247,6 @@ def _know_at_stamp(model: Model, agent: int, stamp: int, arg: int) -> int:
     return _whole_runs(model, heads)
 
 
-def _power(model: Model, f: fm.EPow, arg: int) -> int:
-    """E applied ``power`` times; E never adds points, so once one
-    application leaves the mask unchanged, so does every later one."""
-    for _ in range(f.power):
-        nxt = _everyone(f.group, lambda agent: _know(model, agent, arg))
-        if nxt == arg:
-            break
-        arg = nxt
-    return arg
-
-
 def _descend_to_fixpoint(model: Model, step) -> int:
     current = model.system.full
     while True:
@@ -305,10 +295,10 @@ _OPS: dict[type[Formula], Callable[..., int]] = {
     fm.Nu: _nu,
     fm.K: lambda model, env, f, arg: _know(model, f.agent, arg),
     fm.S: lambda model, env, f, arg: _someone(model, f.group, arg),
-    fm.E: lambda model, env, f, arg: _everyone(f.group, lambda a: _know(model, a, arg)),
-    fm.EPow: lambda model, env, f, arg: _power(model, f, arg),
+    fm.E: lambda model, env, f, arg: _box(model, f.group, 1, arg),
+    fm.EPow: lambda model, env, f, arg: _box(model, f.group, f.power, arg),
     fm.D: lambda model, env, f, arg: _distributed(model, f.group, arg),
-    fm.C: lambda model, env, f, arg: _inside(model.index.component_masks(f.group), arg),
+    fm.C: lambda model, env, f, arg: _box(model, f.group, None, arg),
     fm.EEps: lambda model, env, f, arg: _interval_everyone(model, f.group, f.eps, arg),
     fm.EDiamond: lambda model, env, f, arg: _whole_runs(  # a run-level fact
         model, _everyone(f.group, lambda a: _runs_meeting(model, _know(model, a, arg)))
@@ -540,10 +530,7 @@ def axiom_suite(
     remaining S5 instances are reported as informational because they
     are not expected to hold.
     """
-    if groups is None:
-        grps: list[tuple[int, ...]] = [tuple(model.system.agents)]
-    else:
-        grps = [normalize_group(g) for g in groups]
+    grps = [normalize_group(g) for g in ([model.system.agents] if groups is None else groups)]
     props = list(props)
     if not props:
         raise EvalError("axiom_suite needs at least one proposition")

@@ -11,8 +11,11 @@ history; the index is that partition by view.
 
 Point sets are masks over the system's dense numbering (see ``runs``);
 ``frozenset[Point]`` appears only at the public functions. Each view class
-is one mask, and ``class_ids`` names every point's class per agent. The
-components for a group come from one union-find pass over the class
+is one mask, and ``class_ids`` names every point's class per agent.
+``reach`` is the one neighbourhood search: the points within k
+group-labelled edges of a mask, one layer of classes per step, or within
+any number of edges, the union of the group's components that meet it.
+The components for a group come from one union-find pass over the class
 lists, made once per group and cached, so they cost time linear in the
 number of points instead of a walk of a whole class per point.
 """
@@ -186,11 +189,6 @@ class IndistIndex:
             assignment.update(dict.fromkeys(component, component))
         return assignment
 
-    def component_of(self, point: Point, group: Iterable[int]) -> int:
-        """Mask of the ``group`` component containing ``point``."""
-        bit = 1 << self.system.point_id(point)
-        return next(m for m in self.component_masks(group) if m & bit)
-
 
 def partition(
     table: AgentHistories, key: Callable[[LocalHistory], Hashable]
@@ -225,6 +223,37 @@ def build_index(system: System, policy: ViewPolicy) -> IndistIndex:
     )
 
 
+def reach(index: IndistIndex, group: Iterable[int], mask: int, steps: int | None = None) -> int:
+    """The points joined to ``mask`` by at most ``steps`` edges labelled by
+    ``group``; with ``steps=None``, by any number of them, which is the
+    union of the group's components that meet ``mask``.
+
+    Each step adds every member class that meets the points reached so
+    far, and the search stops at the first step that adds nothing.
+    """
+    members = index._members(group)
+    if steps is None:
+        return reduce(or_, (c for c in index.component_masks(members) if c & mask), 0)
+    classes = [index.class_masks[agent] for agent in members]
+    for _ in range(steps):
+        grown = _layer(classes, mask)
+        if grown == mask:
+            break
+        mask = grown
+    return mask
+
+
+def _layer(classes: Iterable[Iterable[int]], mask: int) -> int:
+    """``mask`` with every class that meets it; ``classes`` holds one
+    sequence of class masks per member."""
+    out = mask
+    for masks in classes:
+        for cls in masks:
+            if cls & mask:
+                out |= cls
+    return out
+
+
 def g_reachable(
     index: IndistIndex,
     frm: Point,
@@ -235,37 +264,16 @@ def g_reachable(
     """Is ``to`` reachable from ``frm`` along group-labelled edges?
 
     With ``max_steps`` set, only paths of at most that many edges count;
-    zero steps reaches only the point itself.
+    zero steps reaches only the point itself. A ``to`` outside the system
+    is reachable from nowhere.
     """
-    members = normalize_group(group)
-    try:
-        target = index.system.point_id(to)
-    except ModelError:
-        target = None
-    if max_steps is None:
-        reached = index.component_of(frm, members)
-        return target is not None and bool(reached >> target & 1)
-    seen = 1 << index.system.point_id(frm)
-    if target is None:
-        return False
-    classes = [index.class_masks[a] for a in index._members(members)]
-    for _ in range(max_steps):
-        if seen >> target & 1:
-            return True
-        nxt = seen
-        for masks in classes:
-            for cls in masks:
-                if cls & seen:
-                    nxt |= cls
-        if nxt == seen:
-            return False
-        seen = nxt
-    return bool(seen >> target & 1)
+    start = 1 << index.system.point_id(frm)
+    return bool(reach(index, group, start, max_steps) & index.system.mask_of((to,)))
 
 
 def reachable_set(index: IndistIndex, frm: Point, group: Iterable[int]) -> frozenset[Point]:
     """All points reachable from ``frm`` in finitely many group steps."""
-    return index.system.points_of(index.component_of(frm, group))
+    return index.system.points_of(reach(index, group, 1 << index.system.point_id(frm)))
 
 
 def export_graph(index: IndistIndex, group: Iterable[int]) -> str:

@@ -130,9 +130,10 @@ def brute_force_gfp(model: Model, var: str, body: Formula,
     return frozenset(out)
 
 
-def bfs_reachable(model: Model, start: Point, group) -> frozenset[Point]:
+def bfs_reachable(model: Model, start: Point, group, steps: int | None = None) -> frozenset[Point]:
     """Reachability oracle: breadth-first search comparing histories
-    directly, without the prebuilt index."""
+    directly, without the prebuilt index; with ``steps`` set, only the
+    points at most that many edges from ``start``."""
     system = model.system
     policy = model.policy
     views = {
@@ -142,7 +143,9 @@ def bfs_reachable(model: Model, start: Point, group) -> frozenset[Point]:
     }
     seen = {start}
     frontier = [start]
-    while frontier:
+    taken = 0
+    while frontier and (steps is None or taken < steps):
+        taken += 1
         nxt = []
         for pt in frontier:
             for a in group:

@@ -685,6 +685,17 @@ def test_axioms_on_a_horizon_zero_system_exits_zero(tmp_path, capsys):
     assert entries and not [e for e in entries if e["status"] == "fail"]
 
 
+def test_axioms_on_a_zero_agent_system_exits_one(tmp_path, capsys):
+    # the default group is every agent, and a system with none has no group
+    system = tmp_path / "empty.system.json"
+    system.write_text(json.dumps(
+        {"schema": 1, "agents": 0, "horizon": 0, "valuation": {"p": [["r", 0]]},
+         "runs": [{"id": "r", "wake_up": {}, "initial_state": {}, "events": []}]}
+    ))
+    assert main(["axioms", "--system", str(system), "--no-timing"]) == 1
+    assert capsys.readouterr().err == "agent group must be nonempty\n"
+
+
 def test_output_is_deterministic(attack_files, capsys):
     system, _ = attack_files
     argv = ["eval", "--system", str(system), "--formula", "E{0,1} prefav",

@@ -6,7 +6,7 @@ import pytest
 
 from epimc import SCENARIOS
 from epimc import formulas as fm
-from epimc import semantics
+from epimc import semantics, views
 from epimc.semantics import (
     EvalError,
     Expectation,
@@ -169,7 +169,8 @@ def test_bounded_conjunction_identity_for_common_knowledge():
 
 def test_e_power_stops_where_the_chain_is_stable(monkeypatch):
     # E never adds points, so the chain p, E p, E^2 p, ... is stable after
-    # at most |points| steps, and E^k for any larger k is its last link
+    # at most |points| steps, and E^k for any larger k is its last link:
+    # the search takes one layer per link
     rng = random.Random(31)
     for _ in range(25):
         model = random_model(rng)
@@ -181,12 +182,12 @@ def test_e_power_stops_where_the_chain_is_stable(monkeypatch):
         calls = []
         limit = len(model.all_points) + 1
 
-        def counted(*args, real=semantics._everyone):
+        def counted(*args, real=views._layer):
             calls.append(args)
             assert len(calls) <= limit, "E^k went on past its fixed point"
             return real(*args)
 
-        monkeypatch.setattr(semantics, "_everyone", counted)
+        monkeypatch.setattr(views, "_layer", counted)
         assert evaluate(model, fm.EPow(group, 10**6, p)) == chain[-1]
         monkeypatch.undo()
         assert len(calls) == len(chain) <= limit

@@ -10,11 +10,17 @@ import random
 
 from epimc import formulas as fm
 from epimc.semantics import Model, evaluate, make_valuation
-from epimc.formulas import parse
+from epimc.formulas import expand_fixpoints, parse
 from epimc.runs import Point, make_run, make_system
 from epimc.views import ViewPolicy
 
-from tests.helpers import clock_variants, random_model, random_system, random_valuation
+from tests.helpers import (
+    bfs_reachable,
+    clock_variants,
+    random_model,
+    random_system,
+    random_valuation,
+)
 
 
 def same_view(model: Model, agent, a, b) -> bool:
@@ -190,3 +196,85 @@ def test_common_knowledge_on_a_hand_built_chain():
     assert evaluate(model, parse("C{0,1} q")) == frozenset()
     # one step of everyone-knows still holds for q at the far end of the chain
     assert evaluate(model, parse("E{0,1} q")) == {Point("a", 0)}
+
+
+def oracle_within(model: Model, group, steps, arg):
+    """Points whose every point within ``steps`` group edges (any number
+    when None), found by breadth-first search, lies in ``arg``."""
+    return frozenset(
+        pt for pt in model.system.points if bfs_reachable(model, pt, group, steps) <= arg
+    )
+
+
+def oracle_gfp(model: Model, step):
+    """Greatest fixed point of ``step``, descending from all points."""
+    current = frozenset(model.system.points)
+    while (nxt := step(current)) != current:
+        current = nxt
+    return current
+
+
+def singleton_class_model(rng: random.Random, n_agents: int) -> Model:
+    """Runs whose agents start in a state naming the run, with clocks that
+    read the tick: every history is unique, so under the complete-history
+    policy every view class is one point."""
+    horizon = rng.randint(2, 3)
+    runs = [
+        make_run(f"r{i}", horizon=horizon, wake_up=[0] * n_agents,
+                 initial_state=[f"s{i}"] * n_agents, clock=lambda a, t: t)
+        for i in range(rng.randint(1, 3))
+    ]
+    system = make_system(n_agents, horizon, runs)
+    return Model(system, random_valuation(rng, system), ViewPolicy.complete_history())
+
+
+def reach_cases(model: Model, group, arg):
+    """(formula over p, oracle truth set) for K, E, E^k, C and the C-forms
+    over ``group``, with ``arg`` the truth set of p."""
+    p = fm.Prop("p")
+    past = len(model.system.points) + 1  # beyond any chain's stable link
+    cases = [(fm.K(a, p), oracle_within(model, (a,), 1, arg)) for a in group]
+    cases.append((fm.E(group, p), oracle_within(model, group, 1, arg)))
+    cases += [(fm.EPow(group, k, p), oracle_within(model, group, k, arg)) for k in (1, 2, past)]
+    cases.append((fm.C(group, p), oracle_within(model, group, None, arg)))
+    for eps in range(min(2, model.system.horizon) + 1):
+        cases.append((fm.CEps(group, eps, p), oracle_gfp(
+            model, lambda x, eps=eps: oracle_interval(model, group, eps, arg & x))))
+    cases.append((fm.CDiamond(group, p), oracle_gfp(
+        model, lambda x: oracle_eventual(model, group, arg & x))))
+    if model.system.has_clocks:
+        for stamp in range(model.system.horizon + 1):
+
+            def everyone_at_stamp(x, stamp=stamp):
+                return frozenset.intersection(
+                    *(oracle_stamped_know(model, a, stamp, arg & x) for a in group)
+                )
+
+            cases.append((fm.CTime(group, stamp, p), oracle_gfp(model, everyone_at_stamp)))
+    return cases
+
+
+def test_reach_operators_agree_with_expansion_and_breadth_first_search():
+    # K, E, E^k and C read one neighbourhood search at distance 1, 1, k
+    # and unbounded, and Ceps, Cv and Ct descend through their E-forms:
+    # each must equal its expand_fixpoints form and an oracle that finds
+    # the same points by breadth-first search over compared histories
+    rng = random.Random(83)
+    models = []
+    while len(models) < 24:
+        model = random_model(rng, max_runs=3, max_horizon=3, min_agents=1)
+        if model.system.horizon >= 2:
+            models.append(model)
+    models += [singleton_class_model(rng, n) for n in (1, 2, 2)]
+    assert sum(m.system.n_agents == 1 for m in models) >= 3
+    assert all(
+        len(m.system.points_of(cls)) == 1 for m in models[-3:] for masks in m.index.class_masks
+        for cls in masks
+    )
+    for model in models:
+        agents = tuple(model.system.agents)
+        arg = evaluate(model, fm.Prop("p"))
+        for group in {agents, agents[:1]}:
+            for f, expected in reach_cases(model, group, arg):
+                assert evaluate(model, f) == expected, fm.print_formula(f)
+                assert evaluate(model, expand_fixpoints(f)) == expected, fm.print_formula(f)

@@ -5,7 +5,7 @@ import pytest
 
 from epimc import formulas as fm
 from epimc.semantics import evaluate
-from epimc.runs import ModelError, Point, make_run, make_system
+from epimc.runs import ModelError, Point, UnknownAgentError, make_run, make_system
 from epimc.views import (
     VIEW_PROJECTIONS,
     ViewPolicy,
@@ -158,6 +158,16 @@ def test_g_reachable_zero_steps_and_singleton_group():
     pt = Point("g", 1)
     assert g_reachable(index, pt, pt, (0,), max_steps=0)
     assert not g_reachable(index, pt, Point("g", 2), (0,), max_steps=5)
+
+
+def test_g_reachable_checks_the_group_whatever_the_target():
+    index = build_index(small_system(), ViewPolicy.trivial())
+    start, outside = Point("g", 0), Point("nope", 0)
+    for max_steps in (None, 2):
+        with pytest.raises(UnknownAgentError, match="agent 9 out of range"):
+            g_reachable(index, start, outside, [0, 9], max_steps=max_steps)
+        # a target outside the system is reachable from nowhere
+        assert not g_reachable(index, start, outside, [0, 1], max_steps=max_steps)
 
 
 def test_reachable_set_under_trivial_and_singleton_class_policies():
