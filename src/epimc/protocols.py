@@ -27,7 +27,6 @@ from .runs import (
     System,
     canonical_timeline,
     make_system,
-    run_history,
 )
 
 DROPPED = "dropped"
@@ -234,22 +233,27 @@ def _explore(cfg, n, protocol, delivery, horizon, global_clock, interned):
     message, clock stamp) to an ``Event``, as in ``runs.make_run``.
 
     A frame of the stack is a tick of the current branch: the tick, each
-    agent's canonical timeline of the ticks before it, the schedule so
+    agent's canonical timeline of the ticks before it and its history at
+    the tick (``run_history`` there once it is awake), the schedule so
     far, per (agent, body) the number of ticks at which the agent has sent
     that body (a repeated body is numbered by it), and an iterator over
-    the tick's branches. The sends are computed once per tick, from the
-    histories before it. The branches are ``itertools.product`` over the
-    delivery options of each message in send order, the first message
-    varying slowest, and each is followed to the horizon before the next
-    is taken. A frame leaves the stack when its branches are spent or it
-    takes its only one, so the stack holds only ticks with a choice, and
-    never all of a tick's branches at once.
+    the tick's branches. A history grows by each tick's events and, with
+    clocks, its reading, and stays one object while neither adds
+    anything; the sends are computed from it once per tick, and the
+    ``Run`` is built at the horizon only. The branches are
+    ``itertools.product`` over the delivery options of each message in
+    send order, the first message varying slowest, and each is followed
+    to the horizon before the next is taken. A frame leaves the stack when
+    its branches are spent or it takes its only one, so the stack holds
+    only ticks with a choice, and never all of a tick's branches at once.
     """
     clk = tuple(tuple(range(w, horizon + 1)) for w in cfg.wake_up) if global_clock else None
-    # the root frame is tick -1, with no events and one branch
-    stack = [(-1, ((),) * n, (), {}, iter([()]), True)]
+    # the root frame is tick -1, with no events and one branch; a clocked
+    # history starts with the empty clock range, which is not None
+    hists = tuple(LocalHistory(s, (), () if global_clock else None) for s in cfg.initial_state)
+    stack = [(-1, ((),) * n, hists, (), {}, iter([()]), True)]
     while stack:
-        t, timelines, schedule, counts, branches, single = stack[-1]
+        t, timelines, hists, schedule, counts, branches, single = stack[-1]
         choice = next(branches, None)
         if single or choice is None:
             stack.pop()
@@ -268,13 +272,20 @@ def _explore(cfg, n, protocol, delivery, horizon, global_clock, interned):
                 key = (RECEIVE, e.sender, e.message, stamp)
                 ev = interned.get(key) or interned.setdefault(key, Event(*key))
                 mine[e.recipient].append((t, True, e.sender, e.message, ev))
-        timelines = tuple(
-            line + canonical_timeline(m) if m else line for line, m in zip(timelines, mine)
-        )
         t += 1
-        so_far = Run("", cfg.wake_up, cfg.initial_state, timelines, clk)
+        lines, grown = [], []
+        for line, hist, m, wake in zip(timelines, hists, mine, cfg.wake_up):
+            new = canonical_timeline(m) if m else ()
+            clocked = global_clock and wake <= t
+            if new or clocked:
+                events = hist.events + tuple(ev for _, ev in new)
+                rng = hist.clock_range + (t,) if clocked else hist.clock_range
+                hist = LocalHistory(hist.initial_state, events, rng)
+            lines.append(line + new)
+            grown.append(hist)
+        timelines, hists = tuple(lines), tuple(grown)
         if t > horizon:
-            yield so_far, schedule
+            yield Run("", cfg.wake_up, cfg.initial_state, timelines, clk), schedule
             continue
         # sends are a function of history strictly before t, so nothing
         # landing at t itself can influence them
@@ -282,7 +293,7 @@ def _explore(cfg, n, protocol, delivery, horizon, global_clock, interned):
         for agent in range(n):
             if t < cfg.wake_up[agent]:
                 continue
-            sends = protocol.sends(agent, run_history(so_far, agent, t))
+            sends = protocol.sends(agent, hists[agent])
             for body in {body for _, body in sends}:
                 counts[agent, body] = counts.get((agent, body), 0) + 1
             for recipient, body in sends:
@@ -302,7 +313,7 @@ def _explore(cfg, n, protocol, delivery, horizon, global_clock, interned):
                 )
                 options.append([ScheduleEntry(agent, t, recipient, token, o) for o in seen])
         single = max(map(len, options), default=1) == 1
-        stack.append((t, timelines, schedule, counts, itertools.product(*options), single))
+        stack.append((t, timelines, hists, schedule, counts, itertools.product(*options), single))
 
 
 def generate_runs(
@@ -418,27 +429,33 @@ class CheckReport(NamedTuple):
 _WINDOW_NOTES = ("quantifiers range over times 0..horizon only",)
 
 
-def _history_rows(system: System) -> dict[str, tuple[tuple[int, ...], ...]]:
-    """Per run id, each agent's history ids at times 0..horizon."""
-    w = system.horizon + 1
-    return {
-        run.id: tuple(table.ids[r * w : (r + 1) * w] for table in system.history_table)
-        for r, run in enumerate(system.runs_in_point_order)
-    }
+def _prefixes(system: System, trie: dict, start: int = 0) -> dict[str, tuple[list[int], ...]]:
+    """Per run id and agent, the prefix entries of its history-id row from
+    time ``start``: entry k names the histories at times start..start+k-1,
+    and entry 0 is the root, the empty sequence. ``trie`` maps (parent
+    entry, history id) to an entry, so within one agent two entries are
+    equal exactly when their sequences are, also across tables that share
+    the trie."""
+    w, out = system.horizon + 1, {}
+    for r, run in enumerate(system.runs_in_point_order):
+        out[run.id] = rows = tuple([0] for _ in system.history_table)
+        for row, table in zip(rows, system.history_table):
+            for i in range(r * w + start, (r + 1) * w):
+                row.append(trie.setdefault((row[-1], table.ids[i]), len(trie) + 1))
+    return out
 
 
-def _extensions(system: System) -> list[tuple[Run, tuple, list[int]]]:
-    """Each run with its history-id rows and, per time t, the id of its
+def _extensions(system: System) -> list[tuple[Run, tuple[list[int], ...], list[int]]]:
+    """Each run with its prefix entries and, per time t, the id of its
     extension key at t. The runs extending it at t are exactly those with
     the same key: the same wake-ups, initial states and clocks, and every
-    agent's histories equal at times 0..t."""
-    rows = _history_rows(system)
-    h = system.horizon
+    agent's prefix entry t + 1, that is its histories at times 0..t."""
+    prefixes = _prefixes(system, {})
     ids: dict[tuple, int] = {}
     out = []
     for run in system.runs:
-        start, mine = (run.wake_up, run.initial_state, run.clock), rows[run.id]
-        keys = [(start, tuple(row[: t + 1] for row in mine)) for t in range(h + 1)]
+        start, mine = (run.wake_up, run.initial_state, run.clock), prefixes[run.id]
+        keys = [(start, entries) for entries in itertools.islice(zip(*mine), 1, None)]
         out.append((run, mine, [ids.setdefault(key, len(ids)) for key in keys]))
     return out
 
@@ -491,13 +508,13 @@ def check_ng2(system: System) -> CheckReport:
         # that extend the run at t_lo and keep the agent's history through
         # t_hi, whether the agent receives in (t_lo, t_hi), and when anyone
         # else first receives from t_lo on
-        for run, rows, keys in exts:
+        for run, prefixes, keys in exts:
             for agent in system.agents:
                 own = _first_receives(run, (agent,), h)
                 others = _first_receives(run, set(system.agents) - {agent}, h)
                 for t_lo in range(h + 1):
                     for t_hi in range(t_lo + 1, h + 1):
-                        key = (agent, keys[t_lo], rows[agent][: t_hi + 1])
+                        key = (agent, keys[t_lo], prefixes[agent][t_hi + 1])
                         quiet = own[t_lo + 1] >= t_hi
                         yield run, agent, t_lo, t_hi, key, quiet, others[t_lo]
 
@@ -537,23 +554,21 @@ def check_temporal_imprecision(system: System, delta: int = 1) -> CheckReport:
         raise ModelError("delta must be at least one tick")
     if system.n_agents < 2:
         raise ModelError("the condition concerns systems of two or more agents")
-    rows = _history_rows(system)
+    trie: dict = {}
+    now, later = _prefixes(system, trie), _prefixes(system, trie, delta)
     pairs = [(i, j) for i in system.agents for j in system.agents if i != j]
     probes = range(system.horizon - delta + 1)
     # what some run shows at each probe t: agent i's histories at times
     # delta..delta+t-1 and agent j's at times 0..t-1
     shown = {
-        (i, j, theirs[i][delta : delta + t], theirs[j][:t])
-        for theirs in rows.values()
-        for t in probes
-        for i, j in pairs
+        (i, j, later[rid][i][t], now[rid][j][t]) for rid in now for t in probes for i, j in pairs
     }
     violations = [
         f"({run.id}@{t}): no run shifts agent {i} by {delta} while fixing agent {j}"
         for run in system.runs
         for t in probes
         for i, j in pairs
-        if (i, j, rows[run.id][i][:t], rows[run.id][j][:t]) not in shown
+        if (i, j, now[run.id][i][t], now[run.id][j][t]) not in shown
     ]
     return CheckReport(
         "temporal_imprecision",

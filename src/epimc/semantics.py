@@ -162,8 +162,9 @@ def _validate_formula(model: Model, f: Formula) -> None:
 def _box(model: Model, group: Iterable[int], steps: int | None, arg: int) -> int:
     """Points from which every point within ``steps`` group-labelled
     edges, or any number of them when ``steps`` is None, lies inside
-    ``arg``: K, E, E^k and C. What ``reach`` finds from inside ``full``
-    stays inside it, so the outer complement is an exclusive or."""
+    ``arg``: K, E, E^k and C; ``_validate_formula`` has checked the group.
+    What ``reach`` finds from inside ``full`` stays inside it, so the
+    outer complement is an exclusive or."""
     full = model.system.full
     return full ^ reach(model.index, group, full & ~arg, steps)
 

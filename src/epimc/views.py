@@ -223,15 +223,15 @@ def build_index(system: System, policy: ViewPolicy) -> IndistIndex:
     )
 
 
-def reach(index: IndistIndex, group: Iterable[int], mask: int, steps: int | None = None) -> int:
+def reach(index: IndistIndex, members: AgentSet, mask: int, steps: int | None = None) -> int:
     """The points joined to ``mask`` by at most ``steps`` edges labelled by
-    ``group``; with ``steps=None``, by any number of them, which is the
-    union of the group's components that meet ``mask``.
+    ``members``; with ``steps=None``, by any number of them, which is the
+    union of the group's components that meet ``mask``. The caller has
+    checked the members: a nonempty group of the system's agents.
 
     Each step adds every member class that meets the points reached so
     far, and the search stops at the first step that adds nothing.
     """
-    members = index._members(group)
     if steps is None:
         return reduce(or_, (c for c in index.component_masks(members) if c & mask), 0)
     classes = [index.class_masks[agent] for agent in members]
@@ -267,13 +267,14 @@ def g_reachable(
     zero steps reaches only the point itself. A ``to`` outside the system
     is reachable from nowhere.
     """
-    start = 1 << index.system.point_id(frm)
-    return bool(reach(index, group, start, max_steps) & index.system.mask_of((to,)))
+    start, members = 1 << index.system.point_id(frm), index._members(group)
+    return bool(reach(index, members, start, max_steps) & index.system.mask_of((to,)))
 
 
 def reachable_set(index: IndistIndex, frm: Point, group: Iterable[int]) -> frozenset[Point]:
     """All points reachable from ``frm`` in finitely many group steps."""
-    return index.system.points_of(reach(index, group, 1 << index.system.point_id(frm)))
+    start = 1 << index.system.point_id(frm)
+    return index.system.points_of(reach(index, index._members(group), start))
 
 
 def export_graph(index: IndistIndex, group: Iterable[int]) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import random
-from functools import lru_cache
+import sys
+from functools import lru_cache, partial
 
 import pytest
 
@@ -23,7 +24,7 @@ from epimc.protocols import (
     shift_run,
     silent_protocol,
 )
-from epimc.runs import ModelError, make_run, make_system, validate_system
+from epimc.runs import ModelError, make_run, make_system, run_history, validate_system
 from tests.helpers import (
     clock_variants,
     oracle_ng1,
@@ -159,6 +160,28 @@ def test_enumeration_is_pinned(case):
     protocol, delivery, configs, horizon, clocked, digest = ENUMERATIONS[case]
     pairs = enumerate_runs(protocol, delivery, configs, horizon, global_clock=clocked)
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(ENUMERATIONS))
+def test_sends_get_the_history_of_the_run(case):
+    # the explorer grows each history tick by tick; at every tick at which
+    # an agent is awake the protocol must see exactly run_history there
+    protocol, delivery, configs, horizon, clocked, _ = ENUMERATIONS[case]
+    seen = set()
+
+    class Recording(JointProtocol):
+        def sends(self, agent, history):
+            # the tick is the explorer's ``t`` in the calling frame
+            seen.add((agent, sys._getframe(1).f_locals["t"], history))
+            return super().sends(agent, history)
+
+    pairs = enumerate_runs(Recording(*protocol), delivery, configs, horizon, global_clock=clocked)
+    assert seen == {
+        (agent, t, run_history(run, agent, t))
+        for run, _ in pairs
+        for agent in range(run.n_agents)
+        for t in range(run.wake_up[agent], horizon + 1)
+    }
 
 
 def test_equal_events_of_one_enumeration_are_one_object():
@@ -384,8 +407,10 @@ def test_ng1_flags_the_points_where_ng1prime_flags_the_horizon():
         (check_ng2, oracle_ng2),
         (check_ng1prime, oracle_ng1prime),
         (check_temporal_imprecision, oracle_timp),
+        (partial(check_temporal_imprecision, delta=2), partial(oracle_timp, delta=2)),
+        (partial(check_temporal_imprecision, delta=3), partial(oracle_timp, delta=3)),
     ],
-    ids=["ng1", "ng2", "ng1prime", "timp"],
+    ids=["ng1", "ng2", "ng1prime", "timp", "timp_delta2", "timp_delta3"],
 )
 def test_checks_match_their_transcriptions(check, oracle):
     for system in differential_systems():
