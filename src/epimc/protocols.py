@@ -91,12 +91,13 @@ class DeliveryModel(NamedTuple):
       ``drop_deadline`` optionally confines drops to messages sent at or
       before that tick, so late losses cannot fall outside the window in
       which the other party could still detect them.
-    * ``unbounded()``: any delay of at least one tick up to the horizon,
-      or still pending at the horizon.
+    * ``unbounded()``: any delay of at least one tick.
     * ``bounded_uncertain(L, H)``: guaranteed delivery with an integer
       delay strictly inside (L, H).
     * ``synchronous_broadcast(L, spread)``: guaranteed delivery with a
       delay between L and L + spread inclusive.
+
+    ``outcomes`` applies one rule to all four kinds.
     """
 
     kind: str
@@ -145,29 +146,29 @@ class DeliveryModel(NamedTuple):
         return (self.low, self.high)
 
     def outcomes(self, send_time: int, horizon: int) -> tuple[object, ...]:
-        """Delivery ticks within the horizon, plus DROPPED or PENDING."""
-        if self.kind == "not_guaranteed":
-            ticks = [send_time + d for d in self.delays if send_time + d <= horizon]
-            droppable = self.drop_deadline is None or send_time <= self.drop_deadline
-            if droppable:
-                return tuple(ticks) + (DROPPED,)
-            return tuple(ticks) if ticks else (PENDING,)
-        if self.kind == "unbounded":
-            ticks = list(range(send_time + 1, horizon + 1))
-            return tuple(ticks) + (PENDING,)
+        """The ticks ``send_time + d`` within the horizon, for each ``d``
+        between ``delay_bounds`` that ``admits_delay`` accepts; then DROPPED
+        if a ``not_guaranteed`` message is sent by its drop deadline or has
+        none, else PENDING if an admissible delay lands past the horizon or
+        none lands inside it."""
         lo, hi = self.delay_bounds()
-        assert hi is not None
-        ticks = [send_time + d for d in range(lo, hi + 1) if send_time + d <= horizon]
-        late = send_time + hi > horizon
-        return tuple(ticks) + ((PENDING,) if late else ())
+        last = horizon - send_time if hi is None else min(hi, horizon - send_time)
+        ticks = tuple(send_time + d for d in range(lo, last + 1) if self.admits_delay(d))
+        if self.kind == "not_guaranteed" and (
+            self.drop_deadline is None or send_time <= self.drop_deadline
+        ):
+            return ticks + (DROPPED,)
+        if not ticks or hi is None or send_time + hi > horizon:
+            return ticks + (PENDING,)
+        return ticks
 
     def admits_delay(self, delay: int) -> bool:
+        """A listed delay for ``not_guaranteed``; else one within
+        ``delay_bounds``, with no upper limit when the bound is None."""
         if self.kind == "not_guaranteed":
             return delay in self.delays
         lo, hi = self.delay_bounds()
-        if delay < lo:
-            return False
-        return hi is None or delay <= hi
+        return lo <= delay and (hi is None or delay <= hi)
 
 
 class ScheduleEntry(NamedTuple):
@@ -504,27 +505,27 @@ def check_ng2(system: System) -> CheckReport:
     exts = _extensions(system)
 
     def intervals():
-        # per run, agent and interval (t_lo, t_hi): the key of the runs
-        # that extend the run at t_lo and keep the agent's history through
-        # t_hi, whether the agent receives in (t_lo, t_hi), and when anyone
-        # else first receives from t_lo on
+        # per run, agent and interval (t_lo, t_hi) in which the agent
+        # receives nothing: the key of the runs that extend the run at t_lo
+        # and keep the agent's history through t_hi, and when anyone else
+        # first receives from t_lo on. The key fixes the agent's receive
+        # ticks before t_hi, so runs sharing it share the interval's quiet
         for run, prefixes, keys in exts:
             for agent in system.agents:
                 own = _first_receives(run, (agent,), h)
                 others = _first_receives(run, set(system.agents) - {agent}, h)
                 for t_lo in range(h + 1):
-                    for t_hi in range(t_lo + 1, h + 1):
+                    for t_hi in range(t_lo + 1, min(own[t_lo + 1], h) + 1):
                         key = (agent, keys[t_lo], prefixes[agent][t_hi + 1])
-                        quiet = own[t_lo + 1] >= t_hi
-                        yield run, agent, t_lo, t_hi, key, quiet, others[t_lo]
+                        yield run, agent, t_lo, t_hi, key, others[t_lo]
 
     latest: dict[tuple, int] = {}
-    for _, _, _, _, key, _, first in intervals():
+    for _, _, _, _, key, first in intervals():
         latest[key] = max(latest.get(key, 0), first)
     violations = [
         f"run {run.id!r}, agent {agent}, interval ({t_lo},{t_hi}): no witness extension"
-        for run, agent, t_lo, t_hi, key, quiet, _ in intervals()
-        if quiet and latest[key] < t_hi
+        for run, agent, t_lo, t_hi, key, _ in intervals()
+        if latest[key] < t_hi
     ]
     return CheckReport("ng2", tuple(violations), _WINDOW_NOTES)
 

@@ -6,6 +6,11 @@ observable from tick u + 1, so facts named after an event ("it has been
 sent") are true from the tick after the event. Builders that advertise a
 nominal time T therefore place the event at tick T - 1; knowledge-depth
 claims then land on the advertised ticks exactly.
+
+Every proposition a builder declares is stable: once true in a run, it
+stays true to the horizon. So each is given as the tick per run from
+which it holds (``_holds_from``), and a run it never holds in is not
+named.
 """
 
 from __future__ import annotations
@@ -31,15 +36,18 @@ from .runs import (
     System,
     make_run,
     make_system,
-    mask_from_ids,
 )
 from .views import ViewPolicy
 
 
-def _points_where(system: System, pred) -> int:
-    """The mask of the points of ``system`` where ``pred(run_id, time)`` holds."""
-    points = system.points
-    return mask_from_ids((i for i, pt in enumerate(points) if pred(*pt)), len(points))
+def _holds_from(system: System, first: dict[str, int]) -> int:
+    """The mask of a stable fact: in each run that ``first`` names, the
+    points from time ``first[run id]`` to the horizon; none in a run it
+    does not name or whose start is past the horizon."""
+    w = system.horizon + 1
+    starts = (min(first.get(run.id, w), w) for run in reversed(system.runs_in_point_order))
+    # the last run's slice leads the numeral, and each slice its horizon
+    return int("".join("1" * (w - s) + "0" * s for s in starts), 2)
 
 
 #: Most points plus events a builder makes. The bench models (1,024 +
@@ -174,18 +182,16 @@ def muddy_children(
     ]
     system = make_system(n + 1, horizon, runs)
     truth: dict[str, int] = {
-        "m": _points_where(system, lambda rid, t: any(meta[rid][0])),
-        "announced": _points_where(
-            system, lambda rid, t: announce and any(meta[rid][0]) and t >= 1
+        "m": _holds_from(system, {rid: 0 for rid in meta if any(meta[rid][0])}),
+        "announced": _holds_from(
+            system, {rid: 1 for rid in meta if announce and any(meta[rid][0])}
         ),
     }
     for c in range(n):
-        truth[f"muddy_{c}"] = _points_where(
-            system, lambda rid, t, c=c: meta[rid][0][c] == 1
-        )
+        truth[f"muddy_{c}"] = _holds_from(system, {rid: 0 for rid in meta if meta[rid][0][c]})
         for q in range(1, rounds + 1):
-            truth[f"said_yes_{c}_{q}"] = _points_where(
-                system, lambda rid, t, c=c, q=q: t >= q and answers[rid][(c, q)]
+            truth[f"said_yes_{c}_{q}"] = _holds_from(
+                system, {rid: q for rid in meta if answers[rid][(c, q)]}
             )
     model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
@@ -296,13 +302,13 @@ def coordinated_attack(k_legs: int, horizon: int) -> ScenarioManifest:
             if isinstance(e.outcome, int)
         }
     truth: dict[str, int] = {
-        "sent_1": _points_where(system, lambda rid, t: favor[rid] and t >= 1),
-        "prefav": _points_where(system, lambda rid, t: favor[rid]),
+        "sent_1": _holds_from(system, {rid: 1 for rid in favor if favor[rid]}),
+        "prefav": _holds_from(system, {rid: 0 for rid in favor if favor[rid]}),
         "both_attack": 0,
     }
     for j in range(1, k_legs + 1):
-        truth[f"delivered_{j}"] = _points_where(
-            system, lambda rid, t, j=j: j in legs[rid] and t > legs[rid][j]
+        truth[f"delivered_{j}"] = _holds_from(
+            system, {rid: legs[rid][j] + 1 for rid in legs if j in legs[rid]}
         )
     model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
@@ -310,7 +316,6 @@ def coordinated_attack(k_legs: int, horizon: int) -> ScenarioManifest:
         len(legs[r.id]): r.id for r, _ in pairs if favor[r.id]
     }
     full = by_legs[k_legs]
-    silent = by_legs[0]
 
     expectations = [
         Expectation(
@@ -448,11 +453,7 @@ def r2d2(
         i += 1
 
     system = make_system(2, horizon, runs)
-    truth = {
-        "sent_m": _points_where(
-            system, lambda rid, t: send_tick_of[rid] < t
-        )
-    }
+    truth = {"sent_m": _holds_from(system, {rid: t + 1 for rid, t in send_tick_of.items()})}
     model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
     expectations: list[Expectation] = []
@@ -543,11 +544,7 @@ def ok_protocol_scenario(horizon: int) -> ScenarioManifest:
         run.id: sorted(e.send_time for e in sched if e.outcome == DROPPED)
         for run, sched in pairs
     }
-    truth = {
-        "psi": _points_where(
-            system, lambda rid, t: any(s <= t - 1 for s in drops[rid])
-        ),
-    }
+    truth = {"psi": _holds_from(system, {rid: d[0] + 1 for rid, d in drops.items() if d})}
     model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
     silent = next(
@@ -646,10 +643,8 @@ def broadcast_channel(
         arrivals[rid] = tuple(send_tick + d for d in combo)
     system = make_system(n, horizon, runs)
     truth = {
-        "sent_m": _points_where(system, lambda rid, t: t >= t_send),
-        "psi_recv": _points_where(
-            system, lambda rid, t: any(a < t for a in arrivals[rid])
-        ),
+        "sent_m": _holds_from(system, dict.fromkeys(arrivals, t_send)),
+        "psi_recv": _holds_from(system, {rid: min(a) + 1 for rid, a in arrivals.items()}),
     }
     model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
@@ -730,9 +725,7 @@ def timestamped_demo(delta: int, eps: int, horizon: int | None = None) -> Scenar
             )
         )
     system = make_system(2, horizon, runs)
-    truth = {
-        "sent_mp": _points_where(system, lambda rid, t: t >= t_S)
-    }
+    truth = {"sent_mp": _holds_from(system, {run.id: t_S for run in runs})}
     model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
     expectations = [

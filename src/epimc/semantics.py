@@ -539,13 +539,13 @@ def axiom_suite(
         raise EvalError("the interval width must fit inside the horizon")
     entries: list[AxiomCheck] = []
 
-    def assert_valid(name: str, formula: Formula, status_if_false: str = "fail") -> None:
+    def assert_valid(name: str, formula: Formula) -> None:
         ok, cx = check_validity(model, formula)
         entries.append(
             AxiomCheck(
                 name,
                 fm.print_formula(formula),
-                "pass" if ok else status_if_false,
+                "pass" if ok else "fail",
                 counterexample=None if ok else cx,
             )
         )
@@ -570,7 +570,7 @@ def axiom_suite(
     for label, wrap in _s5_operators(model, grps):
         for name in props:
             p = fm.Prop(name)
-            q = fm.Prop(props[0]) if len(props) == 1 else fm.Prop(props[(props.index(name) + 1) % len(props)])
+            q = fm.Prop(props[(props.index(name) + 1) % len(props)])
             assert_valid(f"A1[{label}]", fm.implies(wrap(p), p))
             assert_valid(
                 f"A2[{label}]",

@@ -6,6 +6,7 @@ from functools import lru_cache, partial
 import pytest
 
 from epimc.protocols import (
+    DROPPED,
     PENDING,
     DeliveryModel,
     InitialConfiguration,
@@ -206,6 +207,25 @@ def test_schedule_entries_respect_model_bounds():
                 assert 2 <= entry.outcome - entry.send_time <= 3
             else:
                 assert entry.outcome == PENDING
+
+
+def test_outcomes_follow_one_rule_for_every_model():
+    # (model, send tick, outcomes at horizon 3): a message that cannot be
+    # dropped may still be in flight at the horizon, whatever the model
+    late_drops = DeliveryModel.not_guaranteed((0, 2), drop_deadline=0)
+    table = [
+        (late_drops, 2, (2, PENDING)),
+        (late_drops, 1, (1, 3)),
+        (DeliveryModel.not_guaranteed((0, 2)), 2, (2, DROPPED)),
+        (DeliveryModel.not_guaranteed((), drop_deadline=0), 1, (PENDING,)),
+        (DeliveryModel.unbounded(), 1, (2, 3, PENDING)),
+        (DeliveryModel.bounded_uncertain(1, 4), 1, (3, PENDING)),
+        (DeliveryModel.synchronous_broadcast(0, 2), 2, (2, 3, PENDING)),
+    ]
+    for delivery, send_time, expected in table:
+        assert delivery.outcomes(send_time, 3) == expected, (delivery, send_time)
+    pairs = enumerate_runs(ping_once(), late_drops, [_cfg((2, 0), ("a", "b"))], 3)
+    assert [run.id for run, _ in pairs] == ["c0:m>1@2", "c0:m>1~"]
 
 
 def test_ng1_and_ng2_pass_on_drop_generated_systems():

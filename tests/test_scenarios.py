@@ -7,7 +7,7 @@ import pytest
 from epimc import scenarios, semantics
 from epimc.semantics import evaluate, holds, verify_manifest
 from epimc.formulas import parse
-from epimc.runs import ModelError, Point, validate_system
+from epimc.runs import RECEIVE, SEND, ModelError, Point, validate_system
 from epimc.scenarios import (
     SCENARIOS,
     broadcast_channel,
@@ -306,6 +306,75 @@ def test_size_limit_admits_the_bench_models_and_an_eight_agent_broadcast(monkeyp
             build(**params)
         assert checked.value.args == size
         assert sum(size) <= scenarios.MAX_MODEL_SIZE
+
+
+def _fact_start(name, run, params):
+    """The tick from which fact ``name`` holds in ``run``, read from the
+    run's events, initial states and id; None if it never holds."""
+
+    def after(kind, match=lambda agent, tick, ev: True):
+        ticks = [
+            t for a, line in enumerate(run.timeline) for t, ev in line
+            if ev.kind == kind and match(a, t, ev)
+        ]
+        return min(ticks) + 1 if ticks else None
+
+    def lost(agent, tick, ev):
+        return not any(
+            t == tick and e.kind == RECEIVE and e.peer == agent and e.message == ev.message
+            for t, e in run.timeline[ev.peer]
+        )
+
+    muddy = [c == "1" for c in run.id[1 : 1 + params.get("n", 0)]]  # v0110 or v0110s
+    if name in ("sent_m", "sent_mp", "sent_1"):
+        return after(SEND)
+    if name == "psi_recv":
+        return after(RECEIVE)
+    if name.startswith("delivered_"):
+        return after(RECEIVE, lambda a, t, ev: ev.message == f"hs{name[len('delivered_'):]}")
+    if name == "psi":
+        return after(SEND, lost)
+    if name == "prefav":
+        return 0 if run.initial_state[0] == "favor" else None
+    if name == "m":
+        return 0 if any(muddy) else None
+    if name == "announced":
+        return 1 if params["announce"] and any(muddy) else None
+    if name.startswith("muddy_"):
+        return 0 if muddy[int(name[len("muddy_"):])] else None
+    assert name == "both_attack", name
+    return None
+
+
+#: Builder parameter sets that the golden digests do not cover.
+FACT_CASES = [
+    (r2d2, {"eps": 2, "t_S": 5, "k_max": 2, "closed_window": True}),
+    # past ten pairs, so the unsent pair (r11a, r11b) is not last by id
+    (r2d2, {"eps": 2, "t_S": 5, "k_max": 2, "horizon": 25}),
+    (broadcast_channel, {"L": 1, "eps": 0, "n": 3, "horizon": 3}),
+    (ok_protocol_scenario, {"horizon": 6}),
+    (coordinated_attack, {"k_legs": 2, "horizon": 5}),
+    (timestamped_demo, {"delta": 2, "eps": 1}),
+    (muddy_children, {"n": 3, "announce": True, "rounds": 3}),
+    (muddy_children, {"n": 2, "announce": False, "rounds": 2}),
+]
+
+
+@pytest.mark.parametrize("build, params", FACT_CASES)
+def test_scenario_facts_hold_from_their_events(build, params):
+    manifest = build(**params)
+    system, valuation = manifest.model.system, manifest.model.valuation
+    expected = {}
+    if build is muddy_children:
+        expected = oracle_muddy_answers(system, params["n"], params["rounds"])
+    for name in valuation.names:
+        if not name.startswith("said_yes_"):
+            starts = {run.id: _fact_start(name, run, params) for run in system.runs}
+            expected[name] = {
+                Point(rid, t) for rid, start in starts.items() if start is not None
+                for t in range(start, system.horizon + 1)
+            }
+    assert {name: set(valuation.truth_set(name)) for name in valuation.names} == expected
 
 
 def test_registry_contains_all_builders():
