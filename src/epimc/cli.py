@@ -37,12 +37,13 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _read(path: str, decode):
+def _read(path: str, decode, values: bool = True):
     """The document in file ``path``, decoded by ``decode``.
 
     ``load_document`` reads the file in chunks and decodes the runs as
-    it parses them, so it never holds more than a chunk of the text
-    besides the value it is reading. If opening, reading or decoding
+    it parses them, and with ``values`` the valuation and the
+    expectations too, so it never holds more than a chunk of the text
+    besides the item it is reading. If opening, reading or decoding
     raises, the file's whole text is read and its whole document
     decoded, so that a bad file is reported as
     ``decode(load_json(text))`` reports it.
@@ -52,7 +53,7 @@ def _read(path: str, decode):
 
     try:
         with open(path, "rb", buffering=0) as file:
-            document = load_document(file)
+            document = load_document(file, values)
         return decode(document)
     except Exception:  # of any kind: the whole document's decoding reports it
         pass
@@ -83,16 +84,17 @@ def _parse_formula(text: str):
 
 
 def _emit(report: dict, fmt: str, timing: float | None) -> None:
+    """Write ``report`` to standard output: as JSON with --format json,
+    else its ``lines``. Either is written while it is made, so a report
+    whose values are iterators is never held whole."""
     if fmt == "json":
-        from .serialize import dump_json
+        from .jsontext import write_json
 
         if timing is not None:
             report = dict(report, seconds=round(timing, 3))
-        sys.stdout.write(dump_json(report))
+        write_json(report, sys.stdout.write)
         return
-    lines = report["lines"]
-    for line in lines:
-        print(line)
+    sys.stdout.writelines(line + "\n" for line in report["lines"])
     if timing is not None:
         print(f"elapsed: {timing:.3f}s")
 
@@ -115,21 +117,27 @@ def _cmd_eval(args) -> int:
         raise CliError(str(exc), 1) from None
     except RecursionError:
         raise CliError(TOO_DEEP, 1) from None
+    # the report's points, and a "1" or "0" per point for its truth
     if point is None:
         points = model.system.points
         bits = bin(sat)[:1:-1].ljust(len(points), "0")
-        rows = [(str(pt), bit == "1") for pt, bit in zip(points, bits)]
     else:
         try:
-            rows = [(str(point), bool(sat >> model.system.point_id(point) & 1))]
+            bits = str(sat >> model.system.point_id(point) & 1)
         except ModelError as exc:
             raise CliError(str(exc), 1) from None
+        points = (point,)
+    timing = None if args.no_timing else time.monotonic() - started
+
+    def rows():
+        return zip(map(str, points), map("1".__eq__, bits))
+
     report = {
         "formula": args.formula,
-        "results": [{"point": p, "holds": h} for p, h in rows],
-        "lines": [f"{'T' if h else 'F'}  {p}" for p, h in rows],
+        "results": ({"point": p, "holds": h} for p, h in rows()),
+        "lines": (f"{'T' if h else 'F'}  {p}" for p, h in rows()),
     }
-    _emit(report, args.format, None if args.no_timing else time.monotonic() - started)
+    _emit(report, args.format, timing)
     return 0
 
 
@@ -249,7 +257,7 @@ def _cmd_check(args) -> int:
         "ng1prime": check_ng1prime,
         "timp": check_temporal_imprecision,
     }[args.which]
-    system = _read(args.system, system_from_dict)
+    system = _read(args.system, system_from_dict, values=False)  # the runs alone
     started = time.monotonic()
     try:
         report = run_check(system)

@@ -27,6 +27,7 @@ from .runs import (
     System,
     canonical_timeline,
     make_system,
+    timeline_entry,
 )
 
 DROPPED = "dropped"
@@ -230,8 +231,8 @@ def enumerate_runs(
 
 def _explore(cfg, n, protocol, delivery, horizon, global_clock, interned):
     """Each run of one configuration, with an empty id, and its schedule,
-    depth first over an explicit stack. ``interned`` maps (kind, peer,
-    message, clock stamp) to an ``Event``, as in ``runs.make_run``.
+    depth first over an explicit stack. ``interned`` is a table of
+    ``runs.timeline_entry``'s, as in ``runs.make_run``.
 
     A frame of the stack is a tick of the current branch: the tick, each
     agent's canonical timeline of the ticks before it and its history at
@@ -265,14 +266,12 @@ def _explore(cfg, n, protocol, delivery, horizon, global_clock, interned):
         stamp = t if global_clock else None
         mine: list[list[tuple]] = [[] for _ in range(n)]
         for e in choice:
-            key = (SEND, e.recipient, e.message, stamp)
-            ev = interned.get(key) or interned.setdefault(key, Event(*key))
-            mine[e.sender].append((t, False, e.recipient, e.message, ev))
+            entry = timeline_entry(interned, t, SEND, e.recipient, e.message, stamp)
+            mine[e.sender].append(entry)
         for e in schedule:
             if e.outcome == t:
-                key = (RECEIVE, e.sender, e.message, stamp)
-                ev = interned.get(key) or interned.setdefault(key, Event(*key))
-                mine[e.recipient].append((t, True, e.sender, e.message, ev))
+                entry = timeline_entry(interned, t, RECEIVE, e.sender, e.message, stamp)
+                mine[e.recipient].append(entry)
         t += 1
         lines, grown = [], []
         for line, hist, m, wake in zip(timelines, hists, mine, cfg.wake_up):
@@ -626,7 +625,7 @@ def shift_run(
                     f"shift moves {ev.kind} of {ev.message!r} to {nt}, past the "
                     f"horizon"
                 )
-            moved.append((nt, ev.kind != SEND, ev.peer, ev.message, ev))
+            moved.append((nt, ev.kind != SEND, ev.peer, ev.message, (nt, ev)))
         new_timeline.append(canonical_timeline(moved))
 
     if delivery is not None:

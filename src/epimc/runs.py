@@ -86,15 +86,32 @@ class Event(NamedTuple):
     clock_stamp: int | None = None
 
 
-_TICK_AND_EVENT = itemgetter(0, 4)
+_PAIR = itemgetter(4)
 
 
 def canonical_timeline(entries: list[tuple]) -> tuple[tuple[int, Event], ...]:
-    """A timeline from ``(tick, kind != SEND, peer, message, event)``
-    entries, sorted as plain tuples: the canonical event order is by tick,
-    sends before receives, then peer, then message."""
+    """A timeline from ``(tick, kind != SEND, peer, message, (tick,
+    event))`` entries, sorted as plain tuples: the canonical event order
+    is by tick, sends before receives, then peer, then message. The
+    timeline holds each entry's own (tick, event) pair."""
     entries.sort()
-    return tuple(map(_TICK_AND_EVENT, entries))
+    return tuple(map(_PAIR, entries))
+
+
+def timeline_entry(
+    interned: dict, t: int, kind: str, peer: int, message: str, stamp: int | None
+) -> tuple:
+    """The entry of an event that ``canonical_timeline`` takes, whose
+    ``Event`` and (tick, event) pair are those in ``interned`` if it
+    holds equal ones; new ones are added. So the runs decoded or built
+    with one table share each event and each (tick, event) pair, and the
+    table holds nothing else."""
+    event = interned.get((kind, peer, message, stamp))
+    if event is None:
+        event = Event(kind, peer, message, stamp)
+        interned[event] = event
+    pair = (t, event)
+    return (t, kind != SEND, peer, message, interned.setdefault(pair, pair))
 
 
 class LocalHistory(NamedTuple):
@@ -206,9 +223,9 @@ def make_run(
     times, ticks, agents, peers and readings are ints, initial states
     and messages strings.
 
-    ``interned`` maps (kind, peer, message, clock stamp) to an ``Event``,
-    as in ``serialize.run_from_dict``: equal events of the runs built
-    with one table are one object.
+    ``interned`` is a table of ``timeline_entry``'s, as in
+    ``serialize.run_from_dict``: equal events, and equal (tick, event)
+    pairs, of the runs built with one table are one object.
     """
     n = len(wake_up)
     wake = tuple(wake_up)
@@ -242,11 +259,7 @@ def make_run(
         stamp = None
         if clk is not None and time >= wake[agent]:
             stamp = clk[agent][time - wake[agent]]
-        key = (kind, peer, message, stamp)
-        event = interned.get(key)
-        if event is None:
-            event = interned[key] = Event(kind, peer, message, stamp)
-        per_agent[agent].append((time, kind != SEND, peer, message, event))
+        per_agent[agent].append(timeline_entry(interned, time, kind, peer, message, stamp))
     return Run(run_id, wake, init, tuple(map(canonical_timeline, per_agent)), clk)
 
 

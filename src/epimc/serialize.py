@@ -10,25 +10,23 @@ A file is parsed by ``load_document``, which reads it in chunks of
 ``CHUNK`` bytes and decodes each run as soon as it is parsed, so neither
 the whole text nor the whole JSON document is ever held. ``load_json``
 parses a text whole, for the key orders and errors that
-``load_document`` leaves to it.
+``load_document`` leaves to it. ``dump_json``, from ``jsontext``, writes
+a document's text, and ``write_manifest`` writes a scenario's two files.
 """
 
 from __future__ import annotations
 
 import codecs
-import functools
 import json
 import os
 import re
-from itertools import chain, repeat
-from types import FunctionType
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, NoReturn, TextIO
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, NoReturn, TextIO
 
+from .jsontext import _encode, _scalar, dump_json
 from .runs import (
     EVENT_KINDS,
     RECEIVE,
     SEND,
-    Event,
     ModelError,
     Point,
     Run,
@@ -38,6 +36,7 @@ from .runs import (
     inconsistencies,
     make_system,
     mask_from_ids,
+    timeline_entry,
 )
 
 if TYPE_CHECKING:
@@ -154,8 +153,8 @@ def _run_doc(run: Run, events: Any) -> dict:
 def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: dict) -> Run:
     """A run from its JSON object, decoded in one loop over its events.
 
-    ``interned`` maps (kind, peer, message, clock stamp) to an ``Event``,
-    so equal events decoded with one table are one object. The first bad
+    ``interned`` is a table of ``runs.timeline_entry``'s, so equal events, and
+    equal (tick, event) pairs, decoded with one table are one object. The first bad
     field raises a ``SchemaError`` that starts with its path, formatted
     only then; a bad clock length or agent is reported after every field
     check, and a break of ``runs.inconsistencies`` after that.
@@ -198,7 +197,6 @@ def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: d
 
     per_agent: list[list[tuple]] = [[] for _ in keys]
     append = [entries.append for entries in per_agent]
-    known = interned.get
     for ev in raw_events:
         try:
             t, agent, kind = ev["time"], ev["agent"], ev["kind"]
@@ -223,11 +221,7 @@ def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: d
         stamp = None
         if stamps is not None and t >= wake[agent]:
             stamp = stamps[agent][t - wake[agent]]
-        key = (kind, peer, message, stamp)
-        event = known(key)
-        if event is None:
-            event = interned[key] = Event(kind, peer, message, stamp)
-        append[agent]((t, receive, peer, message, event))
+        append[agent](timeline_entry(interned, t, kind, peer, message, stamp))
 
     if short_clock is not None:
         a = short_clock
@@ -296,32 +290,42 @@ def valuation_to_dict(valuation: Valuation) -> dict:
     }
 
 
-def valuation_from_dict(obj: dict, system: System, path: str = "valuation") -> Valuation:
+def valuation_from_dict(obj: Any, system: System, path: str = "valuation") -> Valuation:
     """One mask of ``system``'s points per name; an entry naming a point
-    outside the system is a schema error. Each entry's dense id is worked
-    out inline."""
+    outside the system is a schema error. ``obj`` is a JSON object of
+    point lists, or the tuple of (name, mask) pairs that ``load_document``
+    decoded with ``system``'s runs."""
     from .semantics import Valuation
 
-    slots = system.run_slots
-    width = system.horizon + 1
-    masks = {}
-    for name, entries in _expect(obj, dict, path).items():
-        ids = []
-        for i, entry in enumerate(_expect(entries, list, f"{path}.{name}")):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise SchemaError(f"{path}.{name}[{i}]: expected [run_id, time]")
-            run_id, time = entry
-            if type(time) is not int:
-                raise SchemaError(f"{path}.{name}[{i}]: time {time!r} is not an integer")
-            slot = slots.get(str(run_id))
-            if slot is None or not 0 <= time < width:
-                raise SchemaError(
-                    f"{path}.{name}[{i}]: point {Point(str(run_id), time)} is not in "
-                    "the system"
-                )
-            ids.append(slot * width + time)
-        masks[name] = mask_from_ids(ids, len(system.runs) * width)
+    if type(obj) is tuple:
+        return Valuation(system, dict(obj))
+    slots, width = system.run_slots, system.horizon + 1
+    size = len(system.runs) * width
+    masks = {
+        name: _truth_mask(entries, slots, width, size, f"{path}.{name}")
+        for name, entries in _expect(obj, dict, path).items()
+    }
     return Valuation(system, masks)
+
+
+def _truth_mask(entries: Any, slots: dict[str, int], width: int, size: int, path: str) -> int:
+    """The mask of the ``[run_id, time]`` points of ``entries``, among
+    ``size`` points of ``width`` ticks per run whose run ids map to their
+    ``slots``; each entry's dense id is worked out inline."""
+    ids = []
+    for i, entry in enumerate(_expect(entries, list, path)):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise SchemaError(f"{path}[{i}]: expected [run_id, time]")
+        run_id, time = entry
+        if type(time) is not int:
+            raise SchemaError(f"{path}[{i}]: time {time!r} is not an integer")
+        slot = slots.get(str(run_id))
+        if slot is None or not 0 <= time < width:
+            raise SchemaError(
+                f"{path}[{i}]: point {Point(str(run_id), time)} is not in the system"
+            )
+        ids.append(slot * width + time)
+    return mask_from_ids(ids, size)
 
 
 def model_to_dict(model: Model) -> dict:
@@ -379,58 +383,60 @@ def _manifest_doc(manifest: ScenarioManifest, system: Any) -> dict:
 
 def manifest_from_dict(obj: dict) -> ScenarioManifest:
     """A manifest; an expectation at a point outside its system is a
-    schema error."""
+    schema error. Its ``expectations`` are an array of objects, or the
+    tuple of expectations that ``load_document`` decoded, whose points
+    are checked against the system here."""
     from .semantics import Expectation, ScenarioManifest
 
     schema = obj.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise SchemaError(f"manifest.schema: unsupported version {schema!r}")
     model = model_from_dict(_need(obj, "system", "manifest", dict), "manifest.system")
-    expectations = []
-    raw = _expect(obj.get("expectations", []), list, "manifest.expectations")
-    for i, e in enumerate(raw):
-        path = f"manifest.expectations[{i}]"
-        _expect(e, dict, path)
-        point = None
-        if e.get("point") is not None:
-            text = _need(e, "point", path, str)
-            try:
-                point = parse_point(text)
-                model.system.point_id(point)
-            except SchemaError as exc:
-                raise SchemaError(f"{path}.point: {exc}") from None
-            except ModelError:
-                raise SchemaError(f"{path}.point: {point} is not in the system") from None
-        expectations.append(
-            Expectation(
-                _need(e, "formula", path, str),
-                point,
-                _need(e, "expected", path, bool),
-                str(e.get("note", "")),
-            )
+    raw = obj.get("expectations", [])
+    if type(raw) is tuple:
+        expectations = raw
+        for i, e in enumerate(expectations):
+            if e.point is not None:
+                _check_point(model.system, e.point, f"manifest.expectations[{i}]")
+    else:
+        expectations = tuple(
+            Expectation(*_expectation(e, f"manifest.expectations[{i}]", model.system))
+            for i, e in enumerate(_expect(raw, list, "manifest.expectations"))
         )
     return ScenarioManifest(
         str(obj.get("scenario", "unnamed")),
         dict(_expect(obj.get("parameters", {}), dict, "manifest.parameters")),
         model,
-        tuple(expectations),
+        expectations,
     )
 
 
-def dump_json(obj: Any) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+def _expectation(e: Any, path: str, system: System | None) -> tuple:
+    """The fields of the ``Expectation`` of JSON object ``e``; its point
+    is checked against ``system`` when one is given."""
+    _expect(e, dict, path)
+    point = None
+    if e.get("point") is not None:
+        text = _need(e, "point", path, str)
+        try:
+            point = parse_point(text)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}.point: {exc}") from None
+        if system is not None:
+            _check_point(system, point, path)
+    return (
+        _need(e, "formula", path, str),
+        point,
+        _need(e, "expected", path, bool),
+        str(e.get("note", "")),
+    )
 
-    The standard library encodes with ``indent`` in pure Python, one call
-    per value. Here the C encoder writes each flat container (one whose
-    values are all scalars) in one call, with newline-and-indent item
-    separators, and likewise a whole list of non-empty flat containers
-    of one kind; only containers that hold containers are walked in
-    Python. Keys are strings, as in every document epimc writes.
-    """
-    out: list[str] = []
-    _encode(obj, 0, out.append)
-    out.append("\n")
-    return "".join(out)
+
+def _check_point(system: System, point: Point, path: str) -> None:
+    try:
+        system.point_id(point)
+    except ModelError:
+        raise SchemaError(f"{path}.point: {point} is not in the system") from None
 
 
 def write_manifest(
@@ -453,10 +459,7 @@ def write_manifest(
         rows = run_events(run)
         return _run_doc(run, lambda depth, write: write(_events_text(rows, depth, heads)))
 
-    def encode_runs(depth: int, write: Callable[[str], Any]) -> None:
-        _encode_items("[", zip(repeat(""), map(run_doc, runs)), depth, write)
-
-    doc = _manifest_doc(manifest, _model_doc(manifest.model, encode_runs))
+    doc = _manifest_doc(manifest, _model_doc(manifest.model, map(run_doc, runs)))
     _write_split(doc, manifest_file, system_file)
 
 
@@ -513,100 +516,6 @@ def _write_split(doc: dict, manifest_file: TextIO, system_file: TextIO) -> None:
     manifest_file.write("\n")
 
 
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-_CLOSERS = {"{": "}", "[": "]"}
-_scalar = json.JSONEncoder().encode
-_key = json.encoder.encode_basestring_ascii
-#: The items of a list of flat containers that ``_encode`` encodes in one call.
-_BATCH = 256
-
-
-@functools.cache
-def _flat_encoder(depth: int):
-    """Encodes a flat container with its items on lines indented to
-    ``depth``; the caller moves its brackets onto their own lines."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
-
-
-def _opener(value: Any) -> str | None:
-    """The bracket ``json`` writes ``value`` with; None for a scalar."""
-    if isinstance(value, str):
-        return None
-    if isinstance(value, (list, tuple)):
-        return "["
-    return "{" if isinstance(value, dict) else None
-
-
-def _encode(value: Any, depth: int, write: Callable[[str], Any]) -> None:
-    """Write the text of ``value``, whose first line is already indented
-    to ``depth``, in pieces through ``write``. A function in place of a
-    value writes that value's text itself, called as ``value(depth, write)``."""
-    if type(value) is FunctionType:
-        value(depth, write)
-        return
-    opener = _opener(value)
-    if opener is None:
-        write(_scalar(value))
-        return
-    closer = _CLOSERS[opener]
-    if not value:
-        write(opener + closer)
-        return
-    here = "\n" + "  " * depth
-    inner = here + "  "
-    if _SCALARS.issuperset(map(type, value.values() if opener == "{" else value)):
-        write(opener + inner)
-        write(_flat_encoder(depth + 1)(value)[1:-1])
-        write(here + closer)
-        return
-    if opener == "[":
-        kind = type(value[0])
-        first = {dict: "{", list: "["}.get(kind)
-        if (
-            first
-            and all(value)
-            and {kind}.issuperset(map(type, value))
-            and _SCALARS.issuperset(
-                map(type, chain.from_iterable(map(dict.values, value) if kind is dict else value))
-            )
-        ):
-            # One C call writes each batch of items with the items' own
-            # separator; it leaves "},\n<indent>{" (or "],\n<indent>[")
-            # between two items, which no flat item can contain: a string
-            # holds no raw newline and no value inside a flat item is a
-            # bracket. Batches keep each piece of text small.
-            i_close = _CLOSERS[first]
-            encode = _flat_encoder(depth + 2)
-            cut = i_close + "," + inner + "  " + first
-            between = inner + i_close + "," + inner + first + inner + "  "
-            write("[" + inner + first + inner + "  ")
-            for start in range(0, len(value), _BATCH):
-                if start:
-                    write(between)
-                write(encode(value[start : start + _BATCH])[2:-2].replace(cut, between))
-            write(inner + i_close + here + "]")
-            return
-        items = zip(repeat(""), value)
-    else:
-        items = ((_key(key) + ": ", item) for key, item in sorted(value.items()))
-    _encode_items(opener, items, depth, write)
-
-
-def _encode_items(opener: str, items: Iterable[tuple[str, Any]], depth: int,
-                  write: Callable[[str], Any]) -> None:
-    """Write a container opened by ``opener`` whose items, each a prefix
-    (a key and its colon, or nothing) and a value, come from ``items``;
-    each value is encoded as it comes."""
-    here = "\n" + "  " * depth
-    sep = opener + here + "  "
-    for prefix, item in items:
-        write(sep + prefix)
-        _encode(item, depth + 1, write)
-        sep = "," + here + "  "
-    closer = _CLOSERS[opener]
-    write(here + closer if sep[0] == "," else opener + closer)
-
-
 def load_json(text: str) -> dict:
     """The JSON object in ``text``, parsed whole."""
     try:
@@ -635,23 +544,31 @@ _number_tail = re.compile(r"[-+.0-9eE]*").match
 CHUNK = 64 * 1024
 
 
-def load_document(file: BinaryIO) -> dict:
+def load_document(file: BinaryIO, values: bool = True) -> dict:
     """The JSON object in the UTF-8 text of the binary ``file``, as
     ``load_json`` parses it, but read in chunks of ``CHUNK`` bytes and
-    with each ``runs`` array, at the top or in the top's ``system``
-    object, decoded as it is parsed: ``run_from_dict`` takes each run's
-    object as soon as it is parsed, and the array becomes a tuple of
-    runs. Only one run's object is alive at a time, and neither the
-    whole text nor the whole document is ever held.
+    with some values decoded as they are parsed, each item as soon as it
+    is parsed:
+
+    - each ``runs`` array, at the top or in the top's ``system`` object,
+      becomes a tuple of runs, each decoded by ``run_from_dict``;
+    - with ``values``, a ``valuation`` object that follows its object's
+      runs becomes a tuple of (name, mask) pairs, one proposition at a
+      time, as ``valuation_from_dict`` reads it;
+    - with ``values``, the top's ``expectations`` array becomes a tuple
+      of ``Expectation``\\ s, whose points are not yet checked.
+
+    Only one item's raw value is alive at a time, and neither the whole
+    text nor the whole document is ever held.
 
     It raises on anything else: text that is not UTF-8 or not one JSON
-    object, a repeated key in an object it walks, a run that does not
+    object, a repeated key in an object it walks, an item that does not
     decode, and a ``runs`` array that comes before its object's
     ``agents`` or ``horizon``. The caller then decodes
     ``load_json(text)``, whose error is the one to report.
     """
     reader = _Reader(file)
-    obj = _object(reader, "system")
+    obj = _object(reader, "system", values)
     if reader.peek():
         raise ValueError(f"extra data at {reader.at()}")
     return obj
@@ -728,53 +645,110 @@ class _Reader:
             self.request *= 2
 
 
-def _object(reader: _Reader, path: str) -> dict:
+def _object(reader: _Reader, path: str, values: bool) -> dict:
     """The object that opens at the reader's next character. Its runs are
-    decoded under field path ``path``; at the top (``path`` "system"), a
-    ``system`` object is walked the same way, as a manifest's."""
+    decoded under field path ``path``, and with ``values`` its valuation
+    after them; at the top (``path`` "system"), a ``system`` object is
+    walked the same way, as a manifest's, and with ``values`` the
+    expectations are decoded."""
+    obj: dict = {}
+    for key in _keys(reader):
+        opener = reader.peek()
+        if key == "runs" and opener == "[":
+            obj[key] = _runs(reader, obj, path)
+        elif key == "valuation" and opener == "{" and values and type(obj.get("runs")) is tuple:
+            obj[key] = _valuation(reader, obj["runs"], obj["horizon"], f"{path}.valuation")
+        elif key == "system" and path == "system" and opener == "{":
+            obj[key] = _object(reader, "manifest.system", values)
+        elif key == "expectations" and path == "system" and opener == "[" and values:
+            obj[key] = _expectations(reader)
+        else:
+            obj[key] = reader.take(_value)
+    return obj
+
+
+def _keys(reader: _Reader) -> Iterator[str]:
+    """The keys of the object that opens at the reader's next character.
+    Each is yielded with the reader at its value, which the caller takes
+    before it asks for the next key; a repeated key raises."""
     if reader.peek() != "{":
         raise ValueError(f"expected an object at {reader.at()}")
     reader.idx += 1
-    obj: dict = {}
+    seen: set[str] = set()
     more = _step(reader, "}", False)
     while more:
         if reader.peek() != '"':
             raise ValueError(f"expected a key at {reader.at()}")
         reader.idx += 1
         key = reader.take(_scan)
-        if key in obj or reader.peek() != ":":
+        if key in seen or reader.peek() != ":":
             raise ValueError(f"repeated key {key!r} or no colon at {reader.at()}")
+        seen.add(key)
         reader.idx += 1
-        opener = reader.peek()
-        if key == "runs" and opener == "[":
-            obj[key] = _runs(reader, obj, path)
-        elif key == "system" and path == "system" and opener == "{":
-            obj[key] = _object(reader, "manifest.system")
-        else:
-            obj[key] = reader.take(_value)
+        reader.peek()
+        yield key
         more = _step(reader, "}", True)
-    return obj
+
+
+def _items(reader: _Reader) -> Iterator[int]:
+    """The positions of the items of the array that opens at the reader's
+    next character. Each is yielded with the reader at its item, which
+    the caller takes before it asks for the next one."""
+    reader.idx += 1
+    more = _step(reader, "]", False)
+    i = 0
+    while more:
+        yield i
+        i += 1
+        more = _step(reader, "]", True)
 
 
 def _runs(reader: _Reader, obj: dict, path: str) -> tuple[Run, ...]:
     """The runs of the array that opens at the reader's next character,
     decoded with the ``agents`` and ``horizon`` that ``obj`` already
-    holds."""
+    holds. Equal events, and equal (tick, event) pairs, are one object
+    among them; the table that shares them is dropped at the end."""
     n = _need_count(obj, "agents", path)
     horizon = _need_count(obj, "horizon", path)
     interned: dict = {}
     runs: list[Run] = []
-    reader.idx += 1
-    more = _step(reader, "]", False)
     size = 0  # runs are alike: the text of the last one is read ahead for the next
-    while more:
+    for i in _items(reader):
         start = reader.at()
         raw = reader.take(_value, size)
         size = reader.at() - start
-        runs.append(run_from_dict(raw, n, horizon, f"{path}.runs[{len(runs)}]", interned))
+        runs.append(run_from_dict(raw, n, horizon, f"{path}.runs[{i}]", interned))
         del raw  # before the next run's object is parsed
-        more = _step(reader, "]", True)
     return tuple(runs)
+
+
+def _valuation(
+    reader: _Reader, runs: tuple[Run, ...], horizon: int, path: str
+) -> tuple[tuple[str, int], ...]:
+    """The (name, mask) pairs of the valuation object that opens at the
+    reader's next character, over the points of ``runs``, each mask made
+    as soon as its proposition's entries are parsed."""
+    ids = sorted(run.id for run in runs)
+    slots = {run_id: slot for slot, run_id in enumerate(ids)}
+    if len(slots) != len(ids):
+        raise ValueError("a run id is repeated")
+    width = horizon + 1
+    return tuple(
+        (name, _truth_mask(reader.take(_value), slots, width, len(ids) * width,
+                           f"{path}.{name}"))
+        for name in _keys(reader)
+    )
+
+
+def _expectations(reader: _Reader) -> tuple:
+    """The expectations of the array that opens at the reader's next
+    character, each decoded as soon as it is parsed."""
+    from .semantics import Expectation
+
+    return tuple(
+        Expectation(*_expectation(reader.take(_value), f"manifest.expectations[{i}]", None))
+        for i in _items(reader)
+    )
 
 
 def _step(reader: _Reader, closer: str, comma: bool) -> bool:

@@ -410,14 +410,18 @@ def test_read_holds_less_than_a_chunked_text_beyond_the_manifest(muddy_manifest,
 
 def test_read_parses_each_run_about_once(muddy_manifest, capsys):
     # a run that runs past the text held is parsed again; reading each
-    # run's text ahead by the length of the last one avoids most of that
+    # run's text ahead by the length of the last one avoids most of that.
+    # The expectations and the valuation are parsed item by item and
+    # proposition by proposition, so no long value is parsed again
     parsed = mock.Mock(wraps=serialize._value)
     with mock.patch.object(serialize, "_value", parsed):
-        runs = _read(muddy_manifest, manifest_from_dict).model.system.runs
-    # 32 runs and 9 other values; the expectations and the valuation may
-    # each need a retry or two
-    assert len(runs) == 32
-    assert parsed.call_count <= len(runs) + 9 + 4
+        manifest = _read(muddy_manifest, manifest_from_dict)
+    runs = manifest.model.system.runs
+    names = manifest.model.valuation.names
+    # 32 runs, 544 expectations, 22 propositions and 7 other values; an
+    # item that a chunk's end cuts may need a retry
+    assert (len(runs), len(manifest.expectations), len(names)) == (32, 544, 22)
+    assert parsed.call_count <= len(runs) + len(manifest.expectations) + len(names) + 7 + 4
 
 
 def _made_of(decoded) -> tuple:
@@ -873,7 +877,7 @@ def test_query_children_import_only_what_their_command_uses(attack_files, comman
     }[command]
     code, imported = _epimc_modules_imported(argv)
     assert code == 0
-    core = {"epimc", "epimc.cli", "epimc.runs", "epimc.serialize"}
+    core = {"epimc", "epimc.cli", "epimc.jsontext", "epimc.runs", "epimc.serialize"}
     if command == "check":
         assert imported == core | {"epimc.protocols"}
     else:

@@ -23,9 +23,9 @@ from epimc.scenarios import (
     muddy_children,
     timestamped_demo,
 )
+from epimc.jsontext import _BATCH
 from epimc.serialize import (
     SchemaError,
-    _BATCH,
     _write_split,
     dump_json,
     load_json,
