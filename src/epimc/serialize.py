@@ -7,8 +7,9 @@ decodes the run part alone; the model and manifest decoders import the
 evaluator and the view policies when called.
 
 A file is parsed by ``load_document``, which reads it in chunks of
-``CHUNK`` bytes and decodes each run as soon as it is parsed, so neither
-the whole text nor the whole JSON document is ever held. ``load_json``
+``CHUNK`` bytes and decodes each run, each proposition of a valuation
+and each expectation as soon as it is parsed, so neither the whole text
+nor the whole JSON document is ever held. ``load_json``
 parses a text whole, for the key orders and errors that
 ``load_document`` leaves to it. ``dump_json``, from ``jsontext``, writes
 a document's text, and ``write_manifest`` writes a scenario's two files.
@@ -311,9 +312,13 @@ def valuation_from_dict(obj: Any, system: System, path: str = "valuation") -> Va
 def _truth_mask(entries: Any, slots: dict[str, int], width: int, size: int, path: str) -> int:
     """The mask of the ``[run_id, time]`` points of ``entries``, among
     ``size`` points of ``width`` ticks per run whose run ids map to their
-    ``slots``; each entry's dense id is worked out inline."""
-    ids = []
-    for i, entry in enumerate(_expect(entries, list, path)):
+    ``slots``."""
+    return mask_from_ids(_point_ids(_expect(entries, list, path), slots, width, path), size)
+
+
+def _point_ids(entries: list, slots: dict[str, int], width: int, path: str) -> Iterator[int]:
+    """The dense id of each entry, worked out inline as it is asked for."""
+    for i, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise SchemaError(f"{path}[{i}]: expected [run_id, time]")
         run_id, time = entry
@@ -324,8 +329,7 @@ def _truth_mask(entries: Any, slots: dict[str, int], width: int, size: int, path
             raise SchemaError(
                 f"{path}[{i}]: point {Point(str(run_id), time)} is not in the system"
             )
-        ids.append(slot * width + time)
-    return mask_from_ids(ids, size)
+        yield slot * width + time
 
 
 def model_to_dict(model: Model) -> dict:

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import random
 import resource
 import subprocess
@@ -904,3 +905,254 @@ def test_closed_stdout_ends_quietly(tmp_path):
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
     assert b"Traceback" not in err
     assert err == b""
+
+
+# Streamed eval reports. The report of ``eval`` is written while its rows
+# are made from the point order and the truth mask; these tests hold it
+# to the report the command made eagerly before: ``dump_json`` of a dict
+# of lists, and its lines.
+
+
+def _escaped_system(tmp_path: Path, n_points: int) -> Path:
+    """A one-agent system of ``n_points`` points whose run ids need
+    escaping in JSON (a quote, a backslash, a non-ASCII letter), with
+    ``p`` true at every third point; three ticks a run when that divides
+    ``n_points``, else one."""
+    width = 3 if n_points % 3 == 0 else 1
+    ids = [f'r"{i:03d}\\é' for i in range(n_points // width)]
+    doc = {
+        "schema": 1, "agents": 1, "horizon": width - 1,
+        "runs": [{"id": rid, "wake_up": {"0": 0}, "initial_state": {"0": "s"}} for rid in ids],
+        "valuation": {"p": [[rid, t] for j, rid in enumerate(ids) for t in range(width)
+                            if (j * width + t) % 3 == 0]},
+    }
+    path = tmp_path / "escaped.system.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _eager_report(path: Path, formula: str, point: str | None) -> dict:
+    """The report as ``eval`` made it eagerly: lists of every row."""
+    model = _read(str(path), model_from_dict)
+    truth = evaluate(model, parse(formula))
+    points = model.system.points if point is None else [serialize.parse_point(point)]
+    rows = [(str(pt), pt in truth) for pt in points]
+    return {
+        "formula": formula,
+        "results": [{"point": p, "holds": h} for p, h in rows],
+        "lines": [f"{'T' if h else 'F'}  {p}" for p, h in rows],
+    }
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 255, 256, 257, 513])
+@pytest.mark.parametrize("timing", [False, True], ids=["no-timing", "timing"])
+def test_streamed_eval_reports_equal_the_eager_ones(tmp_path, capsys, n_points, timing):
+    path = _escaped_system(tmp_path, n_points)
+    where = [["--all", None]]
+    if n_points:
+        last = str(_read(str(path), model_from_dict).system.points[-1])
+        where += [["--point", last], ["--point", last.rpartition("@")[0] + "@0"]]
+    for flag, point in where:
+        report = _eager_report(path, "p", point)
+        for fmt in ("json", "table"):
+            argv = ["eval", "--system", str(path), "--formula", "p", "--format", fmt, flag]
+            argv += [point] if point else []
+            # the clock is read when evaluation starts and when it ends
+            with mock.patch("epimc.cli.time.monotonic", side_effect=[7.0, 7.25]):
+                assert main(argv + ([] if timing else ["--no-timing"])) == 0
+            out = capsys.readouterr().out
+            if fmt == "json":
+                expected = dict(report, seconds=0.25) if timing else report
+                assert out == dump_json(expected)
+                assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+                assert list(json.loads(out)) == ["formula", "lines", "results"] + (
+                    ["seconds"] if timing else [])
+            else:
+                lines = report["lines"] + (["elapsed: 0.250s"] if timing else [])
+                assert out == "".join(line + "\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def bench_broadcast(tmp_path_factory):
+    """The bench's broadcast system: 729 clocked runs, 6,561 points and a
+    2.5 MB file, whose largest proposition lists 10,206 points."""
+    out = tmp_path_factory.mktemp("broadcast")
+    with mock.patch("sys.stdout", new=open(os.devnull, "w")) as devnull:
+        with devnull:
+            assert main(["scenario", "broadcast_channel", "--param", "L=1", "--param", "eps=2",
+                         "--param", "n=6", "--param", "horizon=8", "--param", "clocked=true",
+                         "--out", str(out)]) == 0
+    return out / "broadcast_channel.system.json"
+
+
+def _traced(call) -> tuple:
+    """What ``call()`` returns, with the traced memory it holds after and
+    at its peak; a first call fills the imports and caches."""
+    call()
+    tracemalloc.start()
+    try:
+        value = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, held, peak
+
+
+def test_read_peaks_at_the_model_and_its_largest_proposition(bench_broadcast):
+    # the runs are decoded as they are parsed, and the valuation one
+    # proposition at a time, so while the file is read nothing else is
+    # alive beside the finished model than the largest proposition's
+    # entries, parsed and as text, and a few chunks of text: a chunk read
+    # as bytes, as text, and the text it is joined to
+    doc = json.loads(bench_broadcast.read_text())
+    largest = 0
+    for name, entries in doc["valuation"].items():
+        text = dump_json({"valuation": {name: entries}})
+        (_, parsed, _) = _traced(lambda: json.loads(text))
+        largest = max(largest, parsed + len(text))
+    del doc
+    model, held, peak = _traced(lambda: _read(str(bench_broadcast), model_from_dict))
+    assert len(model.system.points) == 6561
+    assert peak <= held + largest + 6 * serialize.CHUNK
+
+
+def test_eval_all_peaks_near_the_read_alone(bench_broadcast):
+    # the report of every point is streamed, so an eval --all holds little
+    # beyond the model that reading the file holds at its peak; stdout is
+    # a file, which keeps no copy of what is written
+    path = str(bench_broadcast)
+    _, _, read_peak = _traced(lambda: _read(path, model_from_dict))
+
+    def eval_all():
+        with open(os.devnull, "w") as devnull, mock.patch("sys.stdout", new=devnull):
+            return main(["eval", "--system", path, "--formula", "C{0,1,2,3,4,5} psi_recv",
+                         "--all", "--format", "json", "--no-timing"])
+
+    code, _, eval_peak = _traced(eval_all)
+    assert code == 0
+    assert eval_peak <= 1.25 * read_peak
+
+
+# Item-by-item decoding. A valuation that follows the runs is decoded one
+# proposition at a time, and a manifest's expectations one by one, with
+# the checks of the whole document's decoders: whatever those reject,
+# ``_read`` reports with their exact message.
+
+
+def _valued(valuation_text: str, run_id: str = '"r"') -> str:
+    """A two-tick, one-run system text whose valuation, after the runs,
+    is ``valuation_text``."""
+    return (
+        '{"schema": 1, "agents": 1, "horizon": 1, "runs": [{"id": ' + run_id + ', '
+        '"wake_up": {"0": 0}, "initial_state": {"0": "s"}}], '
+        '"valuation": ' + valuation_text + "}"
+    )
+
+
+_REVERSED = '{"valuation": {"p": [["r", 1]]}, "runs": [{"id": "r", "wake_up": {"0": 0}, ' \
+    '"initial_state": {"0": "s"}}], "horizon": 1, "agents": 1, "schema": 1}'
+
+
+@pytest.mark.parametrize("text, message", [
+    (_valued('{"p": [["r", 0]], "q": ["r@1"]}'), "system.valuation.q[0]: expected [run_id, time]"),
+    (_valued('{"p": [["r", 0, 1]]}'), "system.valuation.p[0]: expected [run_id, time]"),
+    (_valued('{"p": [["r", "0"]]}'), "system.valuation.p[0]: time '0' is not an integer"),
+    (_valued('{"p": [["r", true]]}'), "system.valuation.p[0]: time True is not an integer"),
+    (_valued('{"p": [["r", 2]]}'), "system.valuation.p[0]: point r@2 is not in the system"),
+    (_valued('{"p": [["zz", 0]]}'), "system.valuation.p[0]: point zz@0 is not in the system"),
+    (_valued('{"p": 5}'), "system.valuation.p: expected an array, got 5"),
+    (_valued("[1]"), "system.valuation: expected an object, got [1]"),
+    # a repeated name: the last one is the one JSON keeps
+    (_valued('{"p": [["r", 0]], "p": [["r", 9]]}'), "system.valuation.p[0]: point r@9 is not "
+     "in the system"),
+    (_valued('{"p": [["r", 9]], "p": [["r", 0]]}'), None),
+    # a numeric run id is read through str, in the run and in the entry
+    (_valued('{"p": [[7, 1], ["7", 0]]}', run_id="7"), None),
+    (_valued('{"p": [[7.0, 1]]}', run_id="7"), "system.valuation.p[0]: point 7.0@1 is not in "
+     "the system"),
+    (_REVERSED, None),
+    (_REVERSED.replace('"r", 1', '"r", 2'), "system.valuation.p[0]: point r@2 is not in the "
+     "system"),
+], ids=["not-a-pair", "a-triple", "string-time", "bool-time", "past-horizon", "unknown-run",
+        "not-an-array", "not-an-object", "repeated-bad", "repeated-good", "numeric-id",
+        "float-id", "before-runs", "before-runs-bad"])
+def test_read_decodes_the_valuation_as_the_whole_document_does(tmp_path, capsys, text, message):
+    path = tmp_path / "valued.json"
+    path.write_text(text)
+    assert _read_as(path, model_from_dict) == _whole(text, model_from_dict, str(path))
+    code = main(["eval", "--system", str(path), "--formula", "true", "--all", "--no-timing"])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0
+        model = _read(str(path), model_from_dict)
+        assert model.valuation.masks == model_from_dict(load_json(text)).valuation.masks
+    else:
+        assert (code, err) == (2, f"{path}: {message}\n")
+
+
+def test_read_decodes_each_proposition_once_without_the_whole_text(tmp_path):
+    # a valuation after the runs never reaches the whole-text decoder
+    text = _valued('{"p": [["r", 0]], "q": [], "r": [["r", 1], ["r", 0]]}')
+    path = tmp_path / "valued.json"
+    path.write_text(text)
+    with mock.patch.object(serialize, "load_json", side_effect=AssertionError("whole")):
+        model = _read(str(path), model_from_dict)
+    assert model.valuation.masks == {"p": 0b01, "q": 0, "r": 0b11}
+
+
+def test_check_reads_no_valuation(tmp_path, capsys):
+    # check reads the run part alone: a valuation that no query could
+    # decode is neither decoded nor reported, and the file is read once
+    path = tmp_path / "valued.json"
+    path.write_text(_valued('{"p": [["zz", 0]], "q": 5}'))
+    decoded = mock.Mock(wraps=serialize._truth_mask)
+    with mock.patch.object(serialize, "load_json", side_effect=AssertionError("whole")), \
+            mock.patch.object(serialize, "_truth_mask", decoded):
+        assert main(["check", "--system", str(path), "--which", "ng1", "--no-timing"]) == 0
+    assert decoded.call_count == 0
+    assert capsys.readouterr().out.startswith("ng1: pass\n")
+
+
+def _manifest_text(attack_files, expectations_text: str, reverse: bool = False) -> str:
+    """The attack manifest's text with ``expectations_text`` as its
+    expectations, in which ``RUN`` stands for the first run's id."""
+    _, manifest = attack_files
+    doc = json.loads(manifest.read_text())
+    run_id = json.dumps(doc["system"]["runs"][0]["id"])[1:-1]
+    doc["expectations"] = "\0"
+    if reverse:
+        doc = _reversed_keys(doc)
+    return json.dumps(doc).replace('"\\u0000"', expectations_text.replace("RUN", run_id))
+
+
+@pytest.mark.parametrize("expectations, message", [
+    ('[{"formula": "prefav", "point": "zz@9", "expected": false}]',
+     "manifest.expectations[0].point: zz@9 is not in the system"),
+    ('[{"formula": "prefav", "point": null, "expected": true}, '
+     '{"formula": "prefav", "point": "RUN@2", "expected": 1}]',
+     "manifest.expectations[1].expected: expected true or false, got 1"),
+    ('[{"point": "r@x", "expected": true}]',
+     "manifest.expectations[0].point: point 'r@x' is not of the form run_id@time"),
+    ('[{"point": "zz@1", "expected": true}]',
+     "manifest.expectations[0].point: zz@1 is not in the system"),
+    ('[{"formula": "prefav", "expected": true}, 3]',
+     "manifest.expectations[1]: expected an object, got 3"),
+    ('[{"formula": "prefav", "point": 5, "expected": true}]',
+     "manifest.expectations[0].point: expected a string, got 5"),
+    ('{"formula": "prefav"}', "manifest.expectations: expected an array, got {'formula': 'prefav'}"),
+    ('[{"formula": "K0 prefav", "point": "RUN@0", "expected": true, "note": 7}]', None),
+])
+@pytest.mark.parametrize("reverse", [False, True], ids=["after-system", "before-system"])
+def test_read_decodes_expectations_as_the_whole_document_does(
+    attack_files, tmp_path, capsys, expectations, message, reverse
+):
+    text = _manifest_text(attack_files, expectations, reverse)
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    assert _read_as(path, manifest_from_dict) == _whole(text, manifest_from_dict, str(path))
+    code = main(["verify", "--manifest", str(path), "--no-timing"])
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"{path}: {message}\n")

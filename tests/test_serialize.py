@@ -23,7 +23,8 @@ from epimc.scenarios import (
     muddy_children,
     timestamped_demo,
 )
-from epimc.jsontext import _BATCH
+from epimc.cli import _read
+from epimc.jsontext import _BATCH, write_json
 from epimc.serialize import (
     SchemaError,
     _write_split,
@@ -442,6 +443,40 @@ def test_dump_json_writes_lists_of_flat_containers_in_batches(length):
             assert dump_json(value) == _indented(value)
 
 
+@pytest.mark.parametrize("length", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+def test_dump_json_writes_an_iterator_as_the_list_of_its_items(length):
+    # flat items and scalars go a batch at a time, anything else one by
+    # one, and a batch that mixes kinds item by item
+    rows = {
+        "dicts": [{"point": f'r"{i}\\\u00e9@{i}', "holds": i % 3 == 0} for i in range(length)],
+        "lines": [f"{'TF'[i % 2]}  r{i}@0" for i in range(length)],
+        "nested": [{"deep": [i]} for i in range(length)],
+        "mixed": [i if i % 7 else {"i": i} for i in range(length)],
+        "empty": [{} if i % 5 else {"i": i} for i in range(length)],
+    }
+    streamed = {name: iter(items) for name, items in rows.items()}
+    assert dump_json(streamed) == _indented(rows)
+    assert dump_json(iter(rows["dicts"])) == _indented(rows["dicts"])
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["flat", "deep"])
+def test_write_json_takes_a_stream_a_batch_or_an_item_at_a_time(deep):
+    # when an item of a stream is taken, every item before it is written,
+    # or every item before its batch when the items are flat
+    written: list[str] = []
+
+    def item(i):
+        return {"i": [i] if deep else i}
+
+    def items():
+        for i in range(2 * _BATCH + 1):
+            assert "".join(written).count('"i"') == (i if deep else i - i % _BATCH)
+            yield item(i)
+
+    write_json(items(), written.append)
+    assert "".join(written) == _indented([item(i) for i in range(2 * _BATCH + 1)])
+
+
 def test_write_manifest_holds_no_list_of_flat_items_whole(tmp_path):
     # 1,600 expectations and the valuation's point lists are encoded a
     # batch at a time: their text is never one string, nor copied whole
@@ -558,3 +593,29 @@ def test_short_clock_table_is_reported_before_any_stamp_is_read():
     with pytest.raises(ModelError) as err:
         system_from_dict(doc)
     assert "clock table has 1 entries, expected 2" in str(err.value)
+
+
+def _shared(system) -> bool:
+    """Whether the equal events, and the equal (tick, event) pairs, of
+    ``system``'s timelines are one object each."""
+    pairs = [pair for run in system.runs for line in run.timeline for pair in line]
+    events = [event for _, event in pairs]
+    return (len({id(p) for p in pairs}), len({id(e) for e in events})) == (
+        len(set(pairs)), len(set(events)))
+
+
+def test_equal_events_and_timeline_pairs_are_one_object(tmp_path):
+    # scenario runs built by make_run and by the run explorer share them,
+    # and so do the runs of a file, decoded run by run or whole
+    built = [broadcast_channel(L=1, eps=1, n=3, horizon=5, clocked=True).model,
+             coordinated_attack(3, 4).model, muddy_children(3, True, 3, True).model]
+    for model in built:
+        assert _shared(model.system)
+        path = tmp_path / "model.json"
+        path.write_text(dump_json(model_to_dict(model)))
+        streamed = _read(str(path), model_from_dict).system
+        whole = model_from_dict(load_json(path.read_text())).system
+        for system in (streamed, whole):
+            assert _shared(system)
+            assert [r.content_key() for r in system.runs] == [
+                r.content_key() for r in model.system.runs]
