@@ -37,23 +37,23 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _read(path: str, decode, values: bool = True):
+def _read(path: str, decode):
     """The document in file ``path``, decoded by ``decode``.
 
-    ``load_document`` reads the file in chunks and decodes the runs as
-    it parses them, and with ``values`` the valuation and the
-    expectations too, so it never holds more than a chunk of the text
-    besides the item it is reading. If opening, reading or decoding
-    raises, the file's whole text is read and its whole document
-    decoded, so that a bad file is reported as
-    ``decode(load_json(text))`` reports it.
+    ``load_document`` reads the file in chunks and decodes each item of
+    it (a run, a proposition, an expectation) as it parses it, so it
+    never holds more than a chunk of the text besides the item it is
+    reading; for ``system_from_dict``, which reads the runs alone, it
+    decodes no other item. If opening, reading or decoding raises, the
+    file's whole text is read and its whole document decoded, so that a
+    bad file is reported as ``decode(load_json(text))`` reports it.
     """
     from .runs import ModelError
-    from .serialize import load_document, load_json
+    from .serialize import load_document, load_json, system_from_dict
 
     try:
         with open(path, "rb", buffering=0) as file:
-            document = load_document(file, values)
+            document = load_document(file, values=decode is not system_from_dict)
         return decode(document)
     except Exception:  # of any kind: the whole document's decoding reports it
         pass
@@ -257,7 +257,7 @@ def _cmd_check(args) -> int:
         "ng1prime": check_ng1prime,
         "timp": check_temporal_imprecision,
     }[args.which]
-    system = _read(args.system, system_from_dict, values=False)  # the runs alone
+    system = _read(args.system, system_from_dict)
     started = time.monotonic()
     try:
         report = run_check(system)

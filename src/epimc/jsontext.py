@@ -98,7 +98,7 @@ def _encode_array(items: Iterator, depth: int, write: Callable[[str], Any]) -> N
 
     When the first item is a scalar or a non-empty flat container, the
     items are taken ``_BATCH`` at a time and each batch is written by
-    ``_batch_text``; otherwise each item is encoded as it comes, so a
+    ``_write_batch``; otherwise each item is encoded as it comes, so a
     stream of large items is never held more than one at a time."""
     first = next(items, _END)
     if first is _END:

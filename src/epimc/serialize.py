@@ -154,11 +154,12 @@ def _run_doc(run: Run, events: Any) -> dict:
 def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: dict) -> Run:
     """A run from its JSON object, decoded in one loop over its events.
 
-    ``interned`` is a table of ``runs.timeline_entry``'s, so equal events, and
-    equal (tick, event) pairs, decoded with one table are one object. The first bad
-    field raises a ``SchemaError`` that starts with its path, formatted
-    only then; a bad clock length or agent is reported after every field
-    check, and a break of ``runs.inconsistencies`` after that.
+    ``interned`` is a table of ``runs.timeline_entry``'s, so equal events,
+    and equal (tick, event) pairs, decoded with one table are one object.
+    The first bad field raises a ``SchemaError`` that starts with its
+    path, formatted only then; a bad clock length or agent is reported
+    after every field check, and a break of ``runs.inconsistencies``
+    after that.
     """
     keys = [str(a) for a in range(n_agents)]
     _expect(obj, dict, path)

@@ -1139,7 +1139,8 @@ def _manifest_text(attack_files, expectations_text: str, reverse: bool = False) 
      "manifest.expectations[1]: expected an object, got 3"),
     ('[{"formula": "prefav", "point": 5, "expected": true}]',
      "manifest.expectations[0].point: expected a string, got 5"),
-    ('{"formula": "prefav"}', "manifest.expectations: expected an array, got {'formula': 'prefav'}"),
+    ('{"formula": "prefav"}',
+     "manifest.expectations: expected an array, got {'formula': 'prefav'}"),
     ('[{"formula": "K0 prefav", "point": "RUN@0", "expected": true, "note": 7}]', None),
 ])
 @pytest.mark.parametrize("reverse", [False, True], ids=["after-system", "before-system"])
