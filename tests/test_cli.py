@@ -977,11 +977,10 @@ def bench_broadcast(tmp_path_factory):
     """The bench's broadcast system: 729 clocked runs, 6,561 points and a
     2.5 MB file, whose largest proposition lists 10,206 points."""
     out = tmp_path_factory.mktemp("broadcast")
-    with mock.patch("sys.stdout", new=open(os.devnull, "w")) as devnull:
-        with devnull:
-            assert main(["scenario", "broadcast_channel", "--param", "L=1", "--param", "eps=2",
-                         "--param", "n=6", "--param", "horizon=8", "--param", "clocked=true",
-                         "--out", str(out)]) == 0
+    with open(os.devnull, "w") as devnull, mock.patch("sys.stdout", new=devnull):
+        assert main(["scenario", "broadcast_channel", "--param", "L=1", "--param", "eps=2",
+                     "--param", "n=6", "--param", "horizon=8", "--param", "clocked=true",
+                     "--out", str(out)]) == 0
     return out / "broadcast_channel.system.json"
 
 
