@@ -9,6 +9,10 @@ function; the evaluator's module is ``epimc.semantics``.
 
 __version__ = "0.1.0"
 
+#: The version of the file formats epimc reads and writes (the ``schema``
+#: field of docs/file-formats.md).
+SCHEMA_VERSION = 1
+
 #: Name -> the module that defines it, imported on first use; a module
 #: name maps to itself.
 _LAZY = {

@@ -165,7 +165,7 @@ def _coerce(scenario, key: str, value: str):
 def _cmd_scenario(args) -> int:
     from .runs import ModelError
     from .scenarios import SCENARIOS
-    from .serialize import write_manifest
+    from .writer import write_manifest
 
     if args.name not in SCENARIOS:
         raise CliError(

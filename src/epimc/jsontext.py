@@ -64,9 +64,11 @@ def _opener(value: Any) -> str | None:
     iterator is written as the array of the items it yields."""
     if isinstance(value, str):
         return None
-    if isinstance(value, (list, tuple, Iterator)):
+    if isinstance(value, (list, tuple)):
         return "["
-    return "{" if isinstance(value, dict) else None
+    if isinstance(value, dict):
+        return "{"
+    return "[" if isinstance(value, Iterator) else None
 
 
 def _encode(value: Any, depth: int, write: Callable[[str], Any]) -> None:
@@ -79,15 +81,17 @@ def _encode(value: Any, depth: int, write: Callable[[str], Any]) -> None:
     opener = _opener(value)
     if opener is None:
         write(_scalar(value))
+    elif not isinstance(value, (list, tuple, dict)):
+        _encode_array(value, depth, write)
+    elif not value:
+        write(opener + _CLOSERS[opener])
+    elif _SCALARS.issuperset(map(type, value.values() if opener == "{" else value)):
+        here = "\n" + "  " * depth
+        write(opener + here + "  ")
+        write(_flat_encoder(depth + 1)(value)[1:-1])
+        write(here + _CLOSERS[opener])
     elif opener == "[":
         _encode_array(iter(value), depth, write)
-    elif not value:
-        write("{}")
-    elif _SCALARS.issuperset(map(type, value.values())):
-        here = "\n" + "  " * depth
-        write("{" + here + "  ")
-        write(_flat_encoder(depth + 1)(value)[1:-1])
-        write(here + "}")
     else:
         items = ((_key(key) + ": ", item) for key, item in sorted(value.items()))
         _encode_items("{", items, depth, write)

@@ -878,7 +878,7 @@ def test_query_children_import_only_what_their_command_uses(attack_files, comman
     }[command]
     code, imported = _epimc_modules_imported(argv)
     assert code == 0
-    core = {"epimc", "epimc.cli", "epimc.jsontext", "epimc.runs", "epimc.serialize"}
+    core = {"epimc", "epimc.cli", "epimc.runs", "epimc.serialize"}
     if command == "check":
         assert imported == core | {"epimc.protocols"}
     else:

@@ -25,9 +25,9 @@ from epimc.scenarios import (
 )
 from epimc.cli import _read
 from epimc.jsontext import _BATCH, write_json
+from epimc.writer import _write_split
 from epimc.serialize import (
     SchemaError,
-    _write_split,
     dump_json,
     load_json,
     manifest_from_dict,
