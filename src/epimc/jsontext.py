@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from types import FunctionType
 from typing import Any, Callable, Iterable, Iterator
 
@@ -46,10 +46,9 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 _CLOSERS = {"{": "}", "[": "]"}
 _scalar = json.JSONEncoder().encode
 _key = json.encoder.encode_basestring_ascii
-#: The items of an array of scalars or flat containers that one C call
-#: encodes, and that a stream yields before they are written.
+#: The items of an array, a list's or a stream's, that are taken and
+#: written at a time, by one C call when they are scalars or flat.
 _BATCH = 256
-_END = object()
 
 
 @functools.cache
@@ -98,39 +97,17 @@ def _encode(value: Any, depth: int, write: Callable[[str], Any]) -> None:
 
 
 def _encode_array(items: Iterator, depth: int, write: Callable[[str], Any]) -> None:
-    """Write the array of ``items``, a list's or a stream's alike.
-
-    When the first item is a scalar or a non-empty flat container, the
-    items are taken ``_BATCH`` at a time and each batch is written by
-    ``_write_batch``; otherwise each item is encoded as it comes, so a
-    stream of large items is never held more than one at a time."""
-    first = next(items, _END)
-    if first is _END:
-        write("[]")
-        return
+    """Write the array of ``items``, a list's or a stream's alike: the
+    items are taken ``_BATCH`` at a time, and each batch is written by
+    ``_write_batch``. Values too large to hold ``_BATCH`` of at once are
+    written by a function instead (see ``_encode``)."""
     here = "\n" + "  " * depth
-    if not _batched(first):
-        _encode_items("[", zip(repeat(""), chain((first,), items)), depth, write)
-        return
-    write("[" + here + "  ")
-    batch = [first, *islice(items, _BATCH - 1)]
-    while batch:
+    sep = "[" + here + "  "
+    while batch := list(islice(items, _BATCH)):
+        write(sep)
         _write_batch(batch, depth + 1, write)
-        batch = list(islice(items, _BATCH))
-        if batch:
-            write("," + here + "  ")
-    write(here + "]")
-
-
-def _batched(item: Any) -> bool:
-    """Whether ``item`` is a scalar or a non-empty flat container: the
-    first item of an array that is written a batch at a time."""
-    kind = type(item)
-    if kind in _SCALARS:
-        return True
-    return kind in (dict, list) and bool(item) and _SCALARS.issuperset(
-        map(type, item.values() if kind is dict else item)
-    )
+        sep = "," + here + "  "
+    write(here + "]" if sep[0] == "," else "[]")
 
 
 def _write_batch(batch: list, depth: int, write: Callable[[str], Any]) -> None:

@@ -10,10 +10,11 @@ are in docs/file-formats.md.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, TextIO
 
 from . import SCHEMA_VERSION
-from .jsontext import _encode, _scalar
+from .jsontext import _encode, _encode_items, _scalar
 from .runs import Run, System, ids_of
 
 if TYPE_CHECKING:
@@ -130,7 +131,10 @@ def write_manifest(
         rows = run_events(run)
         return _run_doc(run, lambda depth, write: write(_events_text(rows, depth, heads)))
 
-    doc = _manifest_doc(manifest, _model_doc(manifest.model, map(run_doc, runs)))
+    def encode_runs(depth: int, write: Callable[[str], Any]) -> None:
+        _encode_items("[", zip(repeat(""), map(run_doc, runs)), depth, write)
+
+    doc = _manifest_doc(manifest, _model_doc(manifest.model, encode_runs))
     _write_split(doc, manifest_file, system_file)
 
 

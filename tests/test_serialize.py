@@ -445,8 +445,8 @@ def test_dump_json_writes_lists_of_flat_containers_in_batches(length):
 
 @pytest.mark.parametrize("length", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
 def test_dump_json_writes_an_iterator_as_the_list_of_its_items(length):
-    # flat items and scalars go a batch at a time, anything else one by
-    # one, and a batch that mixes kinds item by item
+    # a batch of flat items or scalars is one encoder call, and any
+    # other batch, one that mixes kinds too, is written item by item
     rows = {
         "dicts": [{"point": f'r"{i}\\\u00e9@{i}', "holds": i % 3 == 0} for i in range(length)],
         "lines": [f"{'TF'[i % 2]}  r{i}@0" for i in range(length)],
@@ -460,9 +460,9 @@ def test_dump_json_writes_an_iterator_as_the_list_of_its_items(length):
 
 
 @pytest.mark.parametrize("deep", [False, True], ids=["flat", "deep"])
-def test_write_json_takes_a_stream_a_batch_or_an_item_at_a_time(deep):
-    # when an item of a stream is taken, every item before it is written,
-    # or every item before its batch when the items are flat
+def test_write_json_takes_a_stream_a_batch_at_a_time(deep):
+    # when an item of a stream is taken, every item before its batch is
+    # written, and no item after it
     written: list[str] = []
 
     def item(i):
@@ -470,7 +470,7 @@ def test_write_json_takes_a_stream_a_batch_or_an_item_at_a_time(deep):
 
     def items():
         for i in range(2 * _BATCH + 1):
-            assert "".join(written).count('"i"') == (i if deep else i - i % _BATCH)
+            assert "".join(written).count('"i"') == i - i % _BATCH
             yield item(i)
 
     write_json(items(), written.append)
