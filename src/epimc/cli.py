@@ -130,7 +130,7 @@ def _cmd_eval(args) -> int:
     timing = None if args.no_timing else time.monotonic() - started
 
     def rows():
-        return zip(map(str, points), map("1".__eq__, bits))
+        return ((f"{run_id}@{t}", bit == "1") for (run_id, t), bit in zip(points, bits))
 
     report = {
         "formula": args.formula,

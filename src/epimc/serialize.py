@@ -33,6 +33,7 @@ from .runs import (
     EVENT_KINDS,
     RECEIVE,
     SEND,
+    Event,
     ModelError,
     Point,
     Run,
@@ -41,7 +42,6 @@ from .runs import (
     inconsistencies,
     make_system,
     mask_from_ids,
-    timeline_entry,
 )
 
 if TYPE_CHECKING:
@@ -188,6 +188,7 @@ def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: d
 
     per_agent: list[list[tuple]] = [[] for _ in keys]
     append = [entries.append for entries in per_agent]
+    known, share = interned.get, interned.setdefault
     for ev in raw_events:
         try:
             t, agent, kind = ev["time"], ev["agent"], ev["kind"]
@@ -212,7 +213,12 @@ def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: d
         stamp = None
         if stamps is not None and t >= wake[agent]:
             stamp = stamps[agent][t - wake[agent]]
-        append[agent](timeline_entry(interned, t, kind, peer, message, stamp))
+        # runs.timeline_entry, inline: this runs once per event of a file
+        event = known((kind, peer, message, stamp))
+        if event is None:
+            event = interned[event] = Event(kind, peer, message, stamp)
+        pair = (t, event)
+        append[agent]((t, receive, peer, message, share(pair, pair)))
 
     if short_clock is not None:
         a = short_clock
@@ -396,6 +402,8 @@ _scan = json.decoder.scanstring
 _value = json.JSONDecoder().raw_decode
 #: What may follow a number's first characters and still belong to it.
 _number_tail = re.compile(r"[-+.0-9eE]*").match
+#: A comma between two items, with the whitespace around it.
+_comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 
 #: The bytes ``load_document`` asks its file for at once. A value that
 #: runs past the text it holds is parsed again after one chunk more, then
@@ -560,7 +568,13 @@ def _items(reader: _Reader) -> Iterator[int]:
     while more:
         yield i
         i += 1
-        more = _step(reader, "]", True)
+        # most items are followed by a comma and the next item's start
+        # within the text held: one match steps past them
+        comma = _comma(reader.text, reader.idx)
+        if comma and comma.end() < len(reader.text):
+            reader.idx = comma.end()
+        else:
+            more = _step(reader, "]", True)
 
 
 def _runs(reader: _Reader, obj: dict, path: str) -> tuple[Run, ...]:
