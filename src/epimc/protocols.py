@@ -617,6 +617,7 @@ def shift_run(
         if a != agent:
             new_timeline.append(run.timeline[a])
             continue
+        interned = {ev: ev for _, ev in run.timeline[a]}  # keeps the run's events
         moved = []
         for tt, ev in run.timeline[a]:
             nt = tt + delta
@@ -625,7 +626,7 @@ def shift_run(
                     f"shift moves {ev.kind} of {ev.message!r} to {nt}, past the "
                     f"horizon"
                 )
-            moved.append((nt, ev.kind != SEND, ev.peer, ev.message, (nt, ev)))
+            moved.append(timeline_entry(interned, nt, *ev))
         new_timeline.append(canonical_timeline(moved))
 
     if delivery is not None:

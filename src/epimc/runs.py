@@ -13,6 +13,10 @@ records the range of clock values read so far. Real event times stay out
 of histories on purpose; shifting one agent's timeline must be invisible
 to everyone else.
 
+``timeline_entry`` and ``canonical_timeline`` are the one definition of
+a timeline entry's layout and of the canonical event order: every
+timeline, decoded, explored, shifted or built, is made through them.
+
 Points are numbered densely: ``System.runs_in_point_order`` lists the
 runs by id, and point ``r*(horizon+1) + t`` is time ``t`` of the ``r``-th
 of them, which is also its position in ``System.points``. A point set is
@@ -223,9 +227,9 @@ def make_run(
     times, ticks, agents, peers and readings are ints, initial states
     and messages strings.
 
-    ``interned`` is a table of ``timeline_entry``'s, as in
-    ``serialize.run_from_dict``: equal events, and equal (tick, event)
-    pairs, of the runs built with one table are one object.
+    ``interned`` is a table of ``timeline_entry``'s: equal events, and
+    equal (tick, event) pairs, of the runs built with one table are one
+    object.
     """
     n = len(wake_up)
     wake = tuple(wake_up)

@@ -32,10 +32,13 @@ from .runs import (
     ModelError,
     Point,
     RECEIVE,
+    Run,
     SEND,
     System,
+    canonical_timeline,
     make_run,
     make_system,
+    timeline_entry,
 )
 from .views import ViewPolicy
 
@@ -95,7 +98,8 @@ def muddy_children(
     variant per vector delays child 0's copy to tick 1, after that
     round's answers. At tick q each child answers yes exactly when, given
     the runs consistent with its history, its own forehead must be muddy;
-    answers are public.
+    answers are public. The histories read are ``run_history``'s, grown
+    tick by tick from the timeline entries the runs are built from.
     """
     if not 1 <= n <= 6:
         raise ModelError("between one and six children are supported")
@@ -114,27 +118,27 @@ def muddy_children(
     )
 
     meta: dict[str, tuple[tuple[int, ...], bool]] = {}
-    events: dict[str, list[tuple[int, int, str, int, str]]] = {}
-    # per run and child: tick -> the child's events at that tick, as the
-    # (kind != SEND, peer, message) keys that canonical order sorts by
-    observed: dict[str, list[dict[int, list[tuple[bool, int, str]]]]] = {}
-
-    def add(rid: str, t: int, agent: int, kind: str, peer: int, message: str) -> None:
-        events[rid].append((t, agent, kind, peer, message))
-        if agent < n:
-            observed[rid][agent].setdefault(t, []).append((kind != SEND, peer, message))
-
+    # per run and agent: tick -> the agent's timeline entries at that tick,
+    # until the tick is read; then its (tick, event) pairs join ``read``,
+    # the pairs of the ticks read so far in canonical order
+    lines: dict[str, list[dict[int, list[tuple]]]] = {}
+    read: dict[str, list[tuple]] = {}
+    interned: dict = {}
     for vec in vectors:
         for late in variants:
             rid = "v" + "".join(map(str, vec)) + ("s" if late else "")
             meta[rid] = (vec, late)
-            events[rid] = []
-            observed[rid] = [{} for _ in range(n)]
+            lines[rid] = ticks = [{} for _ in range(n + 1)]
+            read[rid] = [()] * (n + 1)
             if announce and any(vec):
+                ticks[announcer][0] = [
+                    timeline_entry(interned, 0, SEND, child, "ann", None) for child in range(n)
+                ]
                 for child in range(n):
                     tick = 1 if (late and child == 0) else 0
-                    add(rid, 0, announcer, SEND, child, "ann")
-                    add(rid, tick, child, RECEIVE, announcer, "ann")
+                    ticks[child][tick] = [
+                        timeline_entry(interned, tick, RECEIVE, announcer, "ann", None)
+                    ]
 
     def initial(vec: tuple[int, ...], child: int) -> str:
         return "sees:" + "".join(
@@ -152,34 +156,33 @@ def muddy_children(
             # history -> whether every run with it has child c muddy
             proves: dict[tuple, bool] = {}
             for rid, (vec, _) in meta.items():
-                h = history[rid][c] + tuple(sorted(observed[rid][c].get(q - 1, ())))
-                history[rid][c] = h
+                new = canonical_timeline(lines[rid][c].pop(q - 1, []))
+                read[rid][c] += new
+                h = history[rid][c] = history[rid][c] + tuple(ev for _, ev in new)
                 proves[h] = proves.get(h, True) and vec[c] == 1
             for rid in meta:
                 answers[rid][(c, q)] = proves[history[rid][c]]
         for rid in meta:
+            now = [ticks.setdefault(q, []) for ticks in lines[rid][:n]]
             for c in range(n):
                 body = f"a{q}:{c}:" + ("y" if answers[rid][(c, q)] else "n")
                 for other in range(n):
                     if other != c:
-                        add(rid, q, c, SEND, other, body)
-                        add(rid, q, other, RECEIVE, c, body)
+                        now[c].append(timeline_entry(interned, q, SEND, other, body, None))
+                        now[other].append(timeline_entry(interned, q, RECEIVE, c, body, None))
 
-    # the answers are known: drop the scaffolding, and each run's event
-    # list once its run is built
-    del observed, history
-    interned: dict = {}
-    runs = [
-        make_run(
-            rid,
-            horizon=horizon,
-            wake_up=[0] * (n + 1),
-            initial_state=[initial(meta[rid][0], c) for c in range(n)] + ["announcer"],
-            events=events.pop(rid),
-            interned=interned,
+    # the answers are known: drop the histories, and each run's entries
+    # once its run is built; its ticks not read all follow those read
+    del history
+    wake = (0,) * (n + 1)
+    runs = []
+    for rid in sorted(meta):
+        init = tuple(initial(meta[rid][0], c) for c in range(n)) + ("announcer",)
+        timeline = tuple(
+            done + canonical_timeline([e for t in sorted(ticks) for e in ticks[t]])
+            for done, ticks in zip(read.pop(rid), lines.pop(rid))
         )
-        for rid in sorted(meta)
-    ]
+        runs.append(Run(rid, wake, init, timeline))
     system = make_system(n + 1, horizon, runs)
     truth: dict[str, int] = {
         "m": _holds_from(system, {rid: 0 for rid in meta if any(meta[rid][0])}),

@@ -123,7 +123,7 @@ class Model:
     @cached_property
     def _run_heads(self) -> int:
         """Tick 0 of every run."""
-        n = len(self.system.points)
+        n = len(self.system.runs) * (self.system.horizon + 1)
         return mask_from_ids(range(0, n, self.system.horizon + 1), n)
 
     @cached_property

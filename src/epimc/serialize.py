@@ -31,9 +31,6 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, NoReturn
 from . import SCHEMA_VERSION
 from .runs import (
     EVENT_KINDS,
-    RECEIVE,
-    SEND,
-    Event,
     ModelError,
     Point,
     Run,
@@ -42,6 +39,7 @@ from .runs import (
     inconsistencies,
     make_system,
     mask_from_ids,
+    timeline_entry,
 )
 
 if TYPE_CHECKING:
@@ -188,20 +186,18 @@ def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: d
 
     per_agent: list[list[tuple]] = [[] for _ in keys]
     append = [entries.append for entries in per_agent]
-    known, share = interned.get, interned.setdefault
     for ev in raw_events:
         try:
             t, agent, kind = ev["time"], ev["agent"], ev["kind"]
             peer, message = ev["peer"], ev["message"]
         except (KeyError, TypeError):  # a missing field, or not an object
             _event_error(ev, raw_events, path, horizon)
-        receive = kind == RECEIVE
         if (
             type(t) is not int
             or type(agent) is not int
             or type(peer) is not int
             or not 0 <= t <= horizon
-            or not (receive or kind == SEND)
+            or kind not in EVENT_KINDS
         ):
             _event_error(ev, raw_events, path, horizon)
         if not 0 <= agent < n_agents:
@@ -213,12 +209,7 @@ def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: d
         stamp = None
         if stamps is not None and t >= wake[agent]:
             stamp = stamps[agent][t - wake[agent]]
-        # runs.timeline_entry, inline: this runs once per event of a file
-        event = known((kind, peer, message, stamp))
-        if event is None:
-            event = interned[event] = Event(kind, peer, message, stamp)
-        pair = (t, event)
-        append[agent]((t, receive, peer, message, share(pair, pair)))
+        append[agent](timeline_entry(interned, t, kind, peer, message, stamp))
 
     if short_clock is not None:
         a = short_clock

@@ -17,7 +17,7 @@ from epimc import serialize
 from epimc.cli import EXIT_BROKEN_PIPE, CliError, _read, main
 from epimc.runs import ModelError, System
 from epimc.scenarios import _depth_formula
-from epimc.semantics import Model, ScenarioManifest, evaluate
+from epimc.semantics import Model, ScenarioManifest, evaluate, verify_manifest
 from epimc.formulas import parse
 from epimc.serialize import (
     dump_json,
@@ -1013,6 +1013,18 @@ def test_read_peaks_at_the_model_and_its_largest_proposition(bench_broadcast):
     model, held, peak = _traced(lambda: _read(str(bench_broadcast), model_from_dict))
     assert len(model.system.points) == 6561
     assert peak <= held + largest + 6 * serialize.CHUNK
+
+
+def test_verifying_clocked_expectations_builds_no_point_tuple(tmp_path, capsys):
+    # Ceps, Cv and Ct count a system's points from its runs and horizon,
+    # so replaying their expectations leaves ``system.points`` unbuilt
+    assert main(["scenario", "broadcast_channel", "--param", "L=1", "--param", "eps=1",
+                 "--param", "n=3", "--param", "horizon=5", "--param", "clocked=true",
+                 "--out", str(tmp_path)]) == 0
+    manifest = _read(str(tmp_path / "broadcast_channel.manifest.json"), manifest_from_dict)
+    assert any(e.formula.startswith("Ceps") for e in manifest.expectations)
+    assert verify_manifest(manifest) == ()
+    assert "points" not in vars(manifest.model.system)
 
 
 def test_eval_all_peaks_near_the_read_alone(bench_broadcast):

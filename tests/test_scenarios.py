@@ -441,8 +441,8 @@ def test_equal_events_of_generated_runs_are_one_object():
 
 
 def test_muddy_children_drops_its_scaffolding_before_building_runs():
-    # the per-child histories and observations, and each run's event list
-    # once its run is built, are gone before the system and valuation
+    # the per-child histories, and each run's timeline entries once its
+    # run is built, are gone before the system and valuation
     muddy_children(4, True, 4, True)  # imports and caches
     tracemalloc.start()
     try:
@@ -452,3 +452,17 @@ def test_muddy_children_drops_its_scaffolding_before_building_runs():
         tracemalloc.stop()
     assert manifest.expectations
     assert peak <= held + 100 * 1024
+
+
+def test_muddy_children_peaks_near_what_its_manifest_holds():
+    # the runs are built from the timeline entries that the children's
+    # histories are read from, with no second list of events beside them
+    muddy_children(5, True, 5, staggered_announcement=True)  # imports and caches
+    tracemalloc.start()
+    try:
+        manifest = muddy_children(5, True, 5, staggered_announcement=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(manifest.model.system.runs) == 64
+    assert peak <= 2.4 * held
