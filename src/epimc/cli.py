@@ -117,20 +117,24 @@ def _cmd_eval(args) -> int:
         raise CliError(str(exc), 1) from None
     except RecursionError:
         raise CliError(TOO_DEEP, 1) from None
-    # the report's points, and a "1" or "0" per point for its truth
+    # the report's points, each run's ticks in dense order, and a "1" or
+    # "0" per point for its truth
+    system = model.system
     if point is None:
-        points = model.system.points
-        bits = bin(sat)[:1:-1].ljust(len(points), "0")
+        ticks = range(system.horizon + 1)
+        where = [(run.id, ticks) for run in system.runs_in_point_order]
+        bits = bin(sat)[:1:-1].ljust(len(where) * len(ticks), "0")
     else:
         try:
-            bits = str(sat >> model.system.point_id(point) & 1)
+            bits = str(sat >> system.point_id(point) & 1)
         except ModelError as exc:
             raise CliError(str(exc), 1) from None
-        points = (point,)
+        where = [(point.run_id, (point.time,))]
     timing = None if args.no_timing else time.monotonic() - started
 
     def rows():
-        return ((f"{run_id}@{t}", bit == "1") for (run_id, t), bit in zip(points, bits))
+        names = (f"{run_id}@{t}" for run_id, times in where for t in times)
+        return ((name, bit == "1") for name, bit in zip(names, bits))
 
     report = {
         "formula": args.formula,

@@ -20,14 +20,6 @@ import math
 
 from .formulas import fmt_group
 from .semantics import Expectation, Model, ScenarioManifest, Valuation
-from .protocols import (
-    DROPPED,
-    DeliveryModel,
-    InitialConfiguration,
-    enumerate_runs,
-    handshake,
-    ok_protocol,
-)
 from .runs import (
     ModelError,
     Point,
@@ -72,6 +64,8 @@ def _enumerate(protocol, delivery, configs, horizon, **options):
     """``enumerate_runs`` under the size limit: refused before it starts
     when one run per configuration is already too large, and after it,
     before a system is built, when the runs are."""
+    from .protocols import enumerate_runs
+
     _check_size(len(configs) * (horizon + 1), 0)
     pairs = enumerate_runs(protocol, delivery, configs, horizon, **options)
     _check_size(
@@ -287,6 +281,8 @@ def coordinated_attack(k_legs: int, horizon: int) -> ScenarioManifest:
     preference is not system-valid. ``both_attack`` is false everywhere
     because no correct protocol ever attacks.
     """
+    from .protocols import DeliveryModel, InitialConfiguration, handshake
+
     if horizon < k_legs + 1:
         raise ModelError("the horizon must leave room for every leg")
     configs = [
@@ -530,6 +526,8 @@ def ok_protocol_scenario(horizon: int) -> ScenarioManifest:
     property the unbounded-time protocol has. ``psi`` states that some
     message sent before now has been lost.
     """
+    from .protocols import DROPPED, DeliveryModel, InitialConfiguration, ok_protocol
+
     if horizon < 3:
         raise ModelError("a horizon of at least three ticks is required")
     stop = horizon - 1
@@ -625,6 +623,8 @@ def broadcast_channel(
     )
     runs = []
     interned: dict = {}
+    # every agent wakes at 0 and reads the tick: one table for every run
+    clock = (tuple(range(horizon + 1)),) * n if clocked else None
     arrivals: dict[str, tuple[int, ...]] = {}
     for combo in itertools.product(range(L, L + eps + 1), repeat=n):
         rid = "d" + "".join(map(str, combo))
@@ -640,7 +640,7 @@ def broadcast_channel(
                 initial_state=[f"a{j}" for j in range(n)],
                 events=evs,
                 interned=interned,
-                clock=(lambda a, t: t) if clocked else None,
+                clock=clock,
             )
         )
         arrivals[rid] = tuple(send_tick + d for d in combo)

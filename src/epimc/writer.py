@@ -3,9 +3,10 @@ manifests, and the scenario command's two files.
 
 ``*_to_dict`` give each document as a dict, which ``jsontext.dump_json``
 writes as text; ``write_manifest`` writes a scenario's manifest and
-system files while it encodes them, one run at a time. The reading side
-is ``serialize``, which a query loads without this module; its formats
-are in docs/file-formats.md.
+system files while it encodes them, one run at a time, and makes each
+distinct wake-up, initial-state, clock and event text once per write.
+The reading side is ``serialize``, which a query loads without this
+module; its formats are in docs/file-formats.md.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, TextIO
 
 from . import SCHEMA_VERSION
-from .jsontext import _encode, _encode_items, _scalar
+from .jsontext import _encode, _scalar
 from .runs import Run, System, ids_of
 
 if TYPE_CHECKING:
@@ -35,19 +36,14 @@ def run_events(run: Run) -> list[tuple[int, int, str, int, str]]:
 
 
 def run_to_dict(run: Run) -> dict:
-    return _run_doc(run, [
-        {"time": t, "agent": agent, "kind": kind, "peer": peer, "message": message}
-        for t, agent, kind, peer, message in run_events(run)
-    ])
-
-
-def _run_doc(run: Run, events: Any) -> dict:
-    """``run_to_dict(run)`` with ``events`` as its ``events`` value."""
     out = {
         "id": run.id,
         "wake_up": {str(a): run.wake_up[a] for a in range(run.n_agents)},
         "initial_state": {str(a): run.initial_state[a] for a in range(run.n_agents)},
-        "events": events,
+        "events": [
+            {"time": t, "agent": agent, "kind": kind, "peer": peer, "message": message}
+            for t, agent, kind, peer, message in run_events(run)
+        ],
     }
     if run.clock is not None:
         out["clock"] = {str(a): list(run.clock[a]) for a in range(run.n_agents)}
@@ -64,10 +60,14 @@ def system_to_dict(system: System) -> dict:
 
 
 def valuation_to_dict(valuation: Valuation) -> dict:
-    """Each truth set's points in dense order, which is sorted order."""
-    points = valuation.system.points
+    """Each truth set's points in dense order, which is sorted order:
+    dense point ``r * width + t`` is time ``t`` of the ``r``-th run of
+    ``runs_in_point_order``."""
+    system = valuation.system
+    ids = [run.id for run in system.runs_in_point_order]
+    width = system.horizon + 1
     return {
-        name: [list(points[i]) for i in ids_of(valuation.masks[name])]
+        name: [[ids[r], t] for r, t in map(divmod, ids_of(valuation.masks[name]), repeat(width))]
         for name in valuation.names
     }
 
@@ -118,24 +118,56 @@ def write_manifest(
     ``model_to_dict(manifest.model)`` to ``system_file``, each byte for
     byte as ``dump_json`` writes it, while the texts are made.
 
-    Each run's document is made, encoded and dropped in turn, so neither
-    file's text, nor the list of run documents, is ever held whole. A
-    run's events are written from its ``run_events`` rows by
-    ``_events_text``, which encodes each distinct (agent, kind, peer,
-    message) once per call.
+    The runs are written by ``_write_runs``, one run at a time, so
+    neither file's text, nor a list of run documents, is ever held whole.
     """
     runs = manifest.model.system.runs
-    heads: dict[tuple, str] = {}  # every run's events lie at one depth
-
-    def run_doc(run: Run) -> dict:
-        rows = run_events(run)
-        return _run_doc(run, lambda depth, write: write(_events_text(rows, depth, heads)))
-
-    def encode_runs(depth: int, write: Callable[[str], Any]) -> None:
-        _encode_items("[", zip(repeat(""), map(run_doc, runs)), depth, write)
-
-    doc = _manifest_doc(manifest, _model_doc(manifest.model, encode_runs))
+    doc = _manifest_doc(
+        manifest, _model_doc(manifest.model, lambda depth, write: _write_runs(runs, depth, write))
+    )
     _write_split(doc, manifest_file, system_file)
+
+
+def _write_runs(runs: tuple[Run, ...], depth: int, write: Callable[[str], Any]) -> None:
+    """Write the text of ``[run_to_dict(run) for run in runs]``, whose
+    first line is indented to ``depth``, three pieces a run: its text up
+    to its events, its events' text (``_events_text``) and the rest.
+
+    A run's wake-up, initial state and clock are each an object keyed by
+    agent, whose text at the fields' depth is made once per distinct
+    value and kept in that field's table; the runs lie at one depth, so
+    each table holds one depth's texts. Only the id is encoded per run.
+    """
+    if not runs:
+        write("[]")
+        return
+    item = "\n" + "  " * (depth + 1)
+    field = item + "  "
+    wakes: dict[tuple, str] = {}
+    inits: dict[tuple, str] = {}
+    clocks: dict[tuple, str] = {}
+    heads: dict[tuple, str] = {}
+
+    def text(table: dict[tuple, str], value: tuple) -> str:
+        found = table.get(value)
+        if found is None:
+            pieces: list[str] = []
+            _encode({str(a): v for a, v in enumerate(value)}, depth + 2, pieces.append)
+            found = table[value] = "".join(pieces)
+        return found
+
+    sep = "[" + item
+    for run in runs:
+        clock = "" if run.clock is None else f'"clock": {text(clocks, run.clock)},{field}'
+        write(f'{sep}{{{field}{clock}"events": ')
+        write(_events_text(run_events(run), depth + 2, heads))
+        write(
+            f',{field}"id": {_scalar(run.id)},'
+            f'{field}"initial_state": {text(inits, run.initial_state)},'
+            f'{field}"wake_up": {text(wakes, run.wake_up)}{item}}}'
+        )
+        sep = "," + item
+    write(item[:-2] + "]")
 
 
 def _events_text(rows: list[tuple], depth: int, heads: dict[tuple, str]) -> str:

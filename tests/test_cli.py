@@ -16,13 +16,14 @@ from hypothesis import given, settings, strategies as st
 from epimc import serialize
 from epimc.cli import EXIT_BROKEN_PIPE, CliError, _read, main
 from epimc.runs import ModelError, System
-from epimc.scenarios import _depth_formula
+from epimc.scenarios import SCENARIOS, _depth_formula
 from epimc.semantics import Model, ScenarioManifest, evaluate, verify_manifest
 from epimc.formulas import parse
 from epimc.serialize import (
     dump_json,
     load_json,
     manifest_from_dict,
+    manifest_to_dict,
     model_from_dict,
     model_to_dict,
     system_from_dict,
@@ -885,6 +886,25 @@ def test_query_children_import_only_what_their_command_uses(attack_files, comman
         assert imported == core | {"epimc.formulas", "epimc.semantics", "epimc.views"}
 
 
+@pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
+def test_scenario_children_load_protocol_code_only_to_enumerate_runs(tmp_path, name):
+    # four builders make their runs themselves; the attack and the
+    # liveness confirmations enumerate a protocol's runs, and every
+    # builder writes the files that its manifest encodes
+    params = SMALL_PARAMS[name]
+    argv = ["scenario", name, "--out", str(tmp_path)]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
+    code, imported = _epimc_modules_imported(argv)
+    assert code == 0
+    assert ("epimc.protocols" in imported) == (name in ("coordinated_attack", "ok_protocol"))
+    manifest = SCENARIOS[name](**params)
+    for kind, doc in (("manifest", manifest_to_dict(manifest)),
+                      ("system", model_to_dict(manifest.model))):
+        text = (tmp_path / f"{name}.{kind}.json").read_text()
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_closed_stdout_ends_quietly(tmp_path):
     """A reader that stops after one line, as ``| head -1`` does."""
     system = tmp_path / "long.system.json"
@@ -1025,6 +1045,28 @@ def test_verifying_clocked_expectations_builds_no_point_tuple(tmp_path, capsys):
     assert any(e.formula.startswith("Ceps") for e in manifest.expectations)
     assert verify_manifest(manifest) == ()
     assert "points" not in vars(manifest.model.system)
+
+
+def test_eval_all_builds_no_point_tuple(tmp_path, capsys):
+    # the rows are made from the runs in point order and the ticks, so
+    # an eval --all leaves ``system.points`` unbuilt
+    assert main(["scenario", "broadcast_channel", "--param", "L=1", "--param", "eps=1",
+                 "--param", "n=3", "--param", "horizon=5", "--param", "clocked=true",
+                 "--out", str(tmp_path)]) == 0
+    models = []
+
+    def read(path, decode):
+        models.append(_read(path, decode))
+        return models[-1]
+
+    with mock.patch("epimc.cli._read", read):
+        assert main(["eval", "--system", str(tmp_path / "broadcast_channel.system.json"),
+                     "--formula", "C{0,1,2} psi_recv", "--all", "--no-timing"]) == 0
+    [model] = models
+    assert "points" not in vars(model.system)
+    lines = capsys.readouterr().out.splitlines()[3:]
+    assert lines[:2] == ["F  d111@0", "F  d111@1"] and lines[-1] == "T  d222@5"
+    assert len(lines) == len(model.system.runs) * 6
 
 
 def test_eval_all_peaks_near_the_read_alone(bench_broadcast):

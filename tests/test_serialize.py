@@ -24,6 +24,7 @@ from epimc.scenarios import (
     timestamped_demo,
 )
 from epimc.cli import _read
+from epimc import jsontext
 from epimc.jsontext import _BATCH, write_json
 from epimc.writer import _write_split
 from epimc.serialize import (
@@ -578,6 +579,55 @@ def test_write_manifest_encodes_each_distinct_event_once(monkeypatch):
     distinct = 2  # each encoded once: its kind and its message
     per_run = 8  # the id, and the agents' keys and initial states
     assert calls <= 2 * distinct + per_run * len(runs) + 8
+
+
+def test_write_manifest_encodes_each_distinct_table_once(monkeypatch):
+    # Every string the writer encodes, key or value, goes through
+    # json.encoder.encode_basestring_ascii (which the C encoder too calls
+    # when it is not the C function) or jsontext's key encoder. The runs
+    # share their wake-up, initial states and clock table, so each run
+    # past the first costs one string, its id. The tables are the write's
+    # own: a second write encodes as much as the first. The valuation is
+    # written from the runs' ids, so ``system.points`` is never built.
+    calls = 0
+
+    def counted(encode):
+        def count(text):
+            nonlocal calls
+            calls += 1
+            return encode(text)
+
+        return count
+
+    def encoded(n_runs: int) -> list[int]:
+        nonlocal calls
+        runs = [
+            make_run(f"r{i}", horizon=3, wake_up=[0, 1], initial_state=["a", "b"],
+                     clock=[[0, 1, 2, 3], [5, 5, 6]],
+                     events=[(1, 0, "send", 1, "m"), (2, 1, "receive", 0, "m")])
+            for i in range(n_runs)
+        ]
+        system = make_system(2, 3, runs)
+        model = Model(system, make_valuation({"p": [Point("r0", 0)]}),
+                      ViewPolicy.complete_history())
+        manifest = ScenarioManifest("shared", {}, model, ())
+        counts = []
+        for _ in range(2):
+            calls = 0
+            manifest_file, system_file = io.StringIO(), io.StringIO()
+            write_manifest(manifest, manifest_file, system_file)
+            counts.append(calls)
+            assert system_file.getvalue() == _indented(model_to_dict(model))
+            assert manifest_file.getvalue() == _indented(manifest_to_dict(manifest))
+        assert "points" not in vars(system)
+        return counts
+
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                        counted(json.encoder.encode_basestring_ascii))
+    monkeypatch.setattr(jsontext, "_key", counted(jsontext._key))
+    first, second = encoded(4)
+    assert first == second
+    assert encoded(8)[0] - first == 4
 
 
 def test_load_json_rejects_non_objects():
