@@ -23,9 +23,9 @@ _LAZY = {
         ("views", "IndistIndex ViewPolicy build_index export_graph g_reachable "
                   "reachable_set"),
         ("formulas", "Formula check_positivity expand_fixpoints parse print_formula"),
-        ("semantics", "Model ScenarioManifest Valuation axiom_suite check_induction_rule "
-                      "check_validity evaluate gfp holds make_valuation "
-                      "verify_manifest"),
+        ("semantics", "Model ScenarioManifest Valuation check_validity evaluate gfp "
+                      "holds make_valuation verify_manifest"),
+        ("axioms", "axiom_suite check_induction_rule"),
         ("protocols", "DeliveryModel InitialConfiguration JointProtocol check_ng1 "
                       "check_ng1prime check_ng2 check_temporal_imprecision "
                       "close_under_shifts generate_runs shift_run"),

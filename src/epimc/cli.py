@@ -41,10 +41,10 @@ def _read(path: str, decode):
     """The document in file ``path``, decoded by ``decode``.
 
     ``load_document`` reads the file in chunks and decodes each item of
-    it (a run, a proposition, an expectation) as it parses it, so it
-    never holds more than a chunk of the text besides the item it is
-    reading; for ``system_from_dict``, which reads the runs alone, it
-    decodes no other item. If opening, reading or decoding raises, the
+    it (a run, a batch of a proposition's entries, an expectation) as it
+    parses it, so it never holds more than a few chunks of the text
+    besides the item it is reading; for ``system_from_dict``, which reads
+    the runs alone, it decodes no other item and loads no model decoder. If opening, reading or decoding raises, the
     file's whole text is read and its whole document decoded, so that a
     bad file is reported as ``decode(load_json(text))`` reports it.
     """
@@ -100,9 +100,10 @@ def _emit(report: dict, fmt: str, timing: float | None) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from .decoders import model_from_dict
     from .runs import ModelError
     from .semantics import EvalError, truth_mask
-    from .serialize import SchemaError, model_from_dict, parse_point
+    from .serialize import SchemaError, parse_point
 
     model = _read(args.system, model_from_dict)
     formula = _parse_formula(args.formula)
@@ -205,9 +206,10 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from .axioms import axiom_suite
+    from .decoders import model_from_dict
     from .runs import ModelError
-    from .semantics import EvalError, axiom_suite
-    from .serialize import model_from_dict
+    from .semantics import EvalError
 
     if args.max_k < 1:  # E^k needs k >= 1
         raise CliError(f"--max-k must be at least 1, got {args.max_k}", 2)
@@ -279,8 +281,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .decoders import model_from_dict
     from .runs import ModelError
-    from .serialize import model_from_dict
     from .views import graph_chunks
 
     model = _read(args.system, model_from_dict)
@@ -306,10 +308,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .decoders import manifest_from_dict
     from .formulas import FormulaError
     from .runs import ModelError
     from .semantics import verify_manifest
-    from .serialize import manifest_from_dict
 
     manifest = _read(args.manifest, manifest_from_dict)
     started = time.monotonic()

@@ -1,23 +1,25 @@
-"""Decoding of the JSON files epimc reads: systems, models and scenario
-manifests.
+"""Decoding of the JSON files epimc reads: the run part of a system, and
+the reader that walks a file a chunk at a time.
 
 Top level of a system file: ``schema`` (currently 1), ``agents`` (count),
 ``horizon``, ``runs``, and optionally ``valuation`` and ``policy``.
 Details and examples live in docs/file-formats.md. ``system_from_dict``
-decodes the run part alone; the model and manifest decoders import the
-evaluator and the view policies when called.
+decodes the run part alone.
 
 A file is parsed by ``load_document``, which reads it in chunks of
-``CHUNK`` bytes and decodes each run, each proposition of a valuation
-and each expectation as soon as it is parsed, so neither the whole text
-nor the whole JSON document is ever held. ``load_json`` parses a text
-whole, for the key orders and errors that ``load_document`` leaves to
-it.
+``CHUNK`` bytes and decodes each run as soon as it is parsed, and, when
+asked for values, each proposition of a valuation a batch of entries at
+a time and each expectation, so neither the whole text nor the whole
+JSON document is ever held. ``load_json`` parses a text whole, for the
+key orders and errors that ``load_document`` leaves to it.
 
-The writing side, ``dump_json`` (from ``jsontext``) and the
-``*_to_dict`` functions and ``write_manifest`` (from ``writer``), is
-read from its module on first use, so a query that only reads loads
-none of it.
+Other names are read from their modules on first use: the model and
+manifest decoders (``valuation_from_dict``, ``model_from_dict`` and
+``manifest_from_dict``, from ``decoders``) and the writing side
+(``dump_json`` from ``jsontext``, and the ``*_to_dict`` functions and
+``write_manifest`` from ``writer``). So a query that reads runs alone,
+as ``check`` does, loads none of them, and one that only reads loads no
+writer.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import codecs
 import json
 import os
 import re
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterator, NoReturn
+from typing import Any, BinaryIO, Callable, Iterator, NoReturn
 
 from . import SCHEMA_VERSION
 from .runs import (
@@ -38,16 +40,15 @@ from .runs import (
     canonical_timeline,
     inconsistencies,
     make_system,
-    mask_from_ids,
     timeline_entry,
 )
 
-if TYPE_CHECKING:
-    from .semantics import Model, ScenarioManifest, Valuation
-
-#: The writing side's names, by the module that defines them.
-_WRITERS = {
+#: The names defined elsewhere, by the module that defines them: the
+#: model and manifest decoders and the writing side.
+_LAZY = {
     "dump_json": "jsontext",
+    **dict.fromkeys(("valuation_from_dict", "model_from_dict", "manifest_from_dict"),
+                    "decoders"),
     **dict.fromkeys(
         ("run_events", "run_to_dict", "system_to_dict", "valuation_to_dict",
          "model_to_dict", "manifest_to_dict", "write_manifest"),
@@ -57,7 +58,7 @@ _WRITERS = {
 
 
 def __getattr__(name: str) -> Any:
-    module = _WRITERS.get(name)
+    module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
@@ -260,119 +261,6 @@ def system_from_dict(obj: dict, path: str = "system") -> System:
         raise SchemaError(f"{path}.runs[{i}].id: {exc}") from None
 
 
-def valuation_from_dict(obj: Any, system: System, path: str = "valuation") -> Valuation:
-    """One mask of ``system``'s points per name; an entry naming a point
-    outside the system is a schema error. ``obj`` is a JSON object of
-    point lists, or the tuple of (name, mask) pairs that ``load_document``
-    decoded with ``system``'s runs."""
-    from .semantics import Valuation
-
-    if type(obj) is tuple:
-        return Valuation(system, dict(obj))
-    slots, width = system.run_slots, system.horizon + 1
-    size = len(system.runs) * width
-    masks = {
-        name: _truth_mask(entries, slots, width, size, f"{path}.{name}")
-        for name, entries in _expect(obj, dict, path).items()
-    }
-    return Valuation(system, masks)
-
-
-def _truth_mask(entries: Any, slots: dict[str, int], width: int, size: int, path: str) -> int:
-    """The mask of the ``[run_id, time]`` points of ``entries``, among
-    ``size`` points of ``width`` ticks per run whose run ids map to their
-    ``slots``."""
-    return mask_from_ids(_point_ids(_expect(entries, list, path), slots, width, path), size)
-
-
-def _point_ids(entries: list, slots: dict[str, int], width: int, path: str) -> Iterator[int]:
-    """The dense id of each entry, worked out inline as it is asked for."""
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise SchemaError(f"{path}[{i}]: expected [run_id, time]")
-        run_id, time = entry
-        if type(time) is not int:
-            raise SchemaError(f"{path}[{i}]: time {time!r} is not an integer")
-        slot = slots.get(str(run_id))
-        if slot is None or not 0 <= time < width:
-            raise SchemaError(
-                f"{path}[{i}]: point {Point(str(run_id), time)} is not in the system"
-            )
-        yield slot * width + time
-
-
-def model_from_dict(obj: dict, path: str = "system") -> Model:
-    from .semantics import Model
-    from .views import policy_from_name
-
-    system = system_from_dict(obj, path)
-    valuation = valuation_from_dict(obj.get("valuation", {}), system, f"{path}.valuation")
-    name = _expect(obj.get("policy", "complete"), str, f"{path}.policy")
-    try:
-        policy = policy_from_name(name)
-    except ModelError as exc:
-        raise SchemaError(f"{path}.policy: {exc}") from None
-    return Model(system, valuation, policy)
-
-
-def manifest_from_dict(obj: dict) -> ScenarioManifest:
-    """A manifest; an expectation at a point outside its system is a
-    schema error. Its ``expectations`` are an array of objects, or the
-    tuple of expectations that ``load_document`` decoded, whose points
-    are checked against the system here."""
-    from .semantics import Expectation, ScenarioManifest
-
-    schema = obj.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise SchemaError(f"manifest.schema: unsupported version {schema!r}")
-    model = model_from_dict(_need(obj, "system", "manifest", dict), "manifest.system")
-    raw = obj.get("expectations", [])
-    if type(raw) is tuple:
-        expectations = raw
-        for i, e in enumerate(expectations):
-            if e.point is not None:
-                _check_point(model.system, e.point, f"manifest.expectations[{i}]")
-    else:
-        expectations = tuple(
-            Expectation(*_expectation(e, f"manifest.expectations[{i}]", model.system))
-            for i, e in enumerate(_expect(raw, list, "manifest.expectations"))
-        )
-    return ScenarioManifest(
-        str(obj.get("scenario", "unnamed")),
-        dict(_expect(obj.get("parameters", {}), dict, "manifest.parameters")),
-        model,
-        expectations,
-    )
-
-
-def _expectation(e: Any, path: str, system: System | None) -> tuple:
-    """The fields of the ``Expectation`` of JSON object ``e``; its point
-    is checked against ``system`` when one is given."""
-    _expect(e, dict, path)
-    point = None
-    if e.get("point") is not None:
-        text = _need(e, "point", path, str)
-        try:
-            point = parse_point(text)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}.point: {exc}") from None
-        if system is not None:
-            _check_point(system, point, path)
-    return (
-        _need(e, "formula", path, str),
-        point,
-        _need(e, "expected", path, bool),
-        str(e.get("note", "")),
-    )
-
-
-def _check_point(system: System, point: Point, path: str) -> None:
-    try:
-        system.point_id(point)
-    except ModelError:
-        raise SchemaError(f"{path}.point: {point} is not in the system") from None
-
-
 def load_json(text: str) -> dict:
     """The JSON object in ``text``, parsed whole."""
     try:
@@ -412,13 +300,14 @@ def load_document(file: BinaryIO, values: bool = True) -> dict:
     - each ``runs`` array, at the top or in the top's ``system`` object,
       becomes a tuple of runs, each decoded by ``run_from_dict``;
     - with ``values``, a ``valuation`` object that follows its object's
-      runs becomes a tuple of (name, mask) pairs, one proposition at a
-      time, as ``valuation_from_dict`` reads it;
+      runs becomes a tuple of (name, mask) pairs, as
+      ``valuation_from_dict`` reads it, each point list a batch of
+      entries at a time (see ``decoders._batches``);
     - with ``values``, the top's ``expectations`` array becomes a tuple
       of ``Expectation``\\ s, whose points are not yet checked.
 
-    Only one item's raw value is alive at a time, and neither the whole
-    text nor the whole document is ever held.
+    Only one item's raw value, or one batch of entries, is alive at a
+    time, and neither the whole text nor the whole document is ever held.
 
     It raises on anything else: text that is not UTF-8 or not one JSON
     object, a repeated key in an object it walks, an item that does not
@@ -474,17 +363,22 @@ class _Reader:
                 return self.text[self.idx : self.idx + 1]
             self.more()
 
+    def ahead(self, n: int) -> None:
+        """Read on until ``n`` characters follow ``idx``, or to the end of
+        the file."""
+        short = n - (len(self.text) - self.idx)
+        while short > 0 and not self.eof:
+            self.request = max(CHUNK, short)
+            self.more()
+            short = n - len(self.text)
+
     def take(self, parse: Callable[[str, int], tuple[Any, int]], ahead: int = 0) -> Any:
         """The value that ``parse`` (``_scan`` or ``_value``) reads at
         ``idx``, which is left past it. At least ``ahead`` characters are
         read first, when the file has them. A value that does not parse,
         or a number that may go on past the text, is read again with more
         text until the end of the file, where a failure raises."""
-        short = ahead - (len(self.text) - self.idx)
-        while short > 0 and not self.eof:
-            self.request = max(CHUNK, short)
-            self.more()
-            short = ahead - len(self.text)
+        self.ahead(ahead)
         while True:
             try:
                 value, end = parse(self.text, self.idx)
@@ -510,6 +404,8 @@ def _object(reader: _Reader, path: str, values: bool) -> dict:
     after them; at the top (``path`` "system"), a ``system`` object is
     walked the same way, as a manifest's, and with ``values`` the
     expectations are decoded."""
+    if values:
+        from .decoders import _expectations, _valuation
     obj: dict = {}
     for key in _keys(reader):
         opener = reader.peek()
@@ -585,35 +481,6 @@ def _runs(reader: _Reader, obj: dict, path: str) -> tuple[Run, ...]:
         runs.append(run_from_dict(raw, n, horizon, f"{path}.runs[{i}]", interned))
         del raw  # before the next run's object is parsed
     return tuple(runs)
-
-
-def _valuation(
-    reader: _Reader, runs: tuple[Run, ...], horizon: int, path: str
-) -> tuple[tuple[str, int], ...]:
-    """The (name, mask) pairs of the valuation object that opens at the
-    reader's next character, over the points of ``runs``, each mask made
-    as soon as its proposition's entries are parsed."""
-    ids = sorted(run.id for run in runs)
-    slots = {run_id: slot for slot, run_id in enumerate(ids)}
-    if len(slots) != len(ids):
-        raise ValueError("a run id is repeated")
-    width = horizon + 1
-    return tuple(
-        (name, _truth_mask(reader.take(_value), slots, width, len(ids) * width,
-                           f"{path}.{name}"))
-        for name in _keys(reader)
-    )
-
-
-def _expectations(reader: _Reader) -> tuple:
-    """The expectations of the array that opens at the reader's next
-    character, each decoded as soon as it is parsed."""
-    from .semantics import Expectation
-
-    return tuple(
-        Expectation(*_expectation(reader.take(_value), f"manifest.expectations[{i}]", None))
-        for i in _items(reader)
-    )
 
 
 def _step(reader: _Reader, closer: str, comma: bool) -> bool:

@@ -149,8 +149,9 @@ class IndistIndex:
         """Masks of the connected components of the subgraph with edges
         labelled by ``group``, ordered by least member.
 
-        Union-find over the classes of the members: two classes are
-        joined when some point lies in both. Each component is then the
+        Union-find over the classes of the members: the first member's
+        class at each point is joined with each other member's class
+        there, taken once per distinct pair. Each component is then the
         union of its first member's classes.
         """
         members = self._members(group)
@@ -168,10 +169,10 @@ class IndistIndex:
                 node = parent[node]
             return node
 
-        for key in set(zip(*(self.class_ids[a] for a in members))):
-            root = find(key[0])
-            for off, cls in zip(offsets[1:], key[1:]):
-                other = find(off + cls)
+        first = self.class_ids[members[0]]
+        for off, agent in zip(offsets[1:], members[1:]):
+            for cls, other_cls in set(zip(first, self.class_ids[agent])):
+                root, other = find(cls), find(off + other_cls)
                 if other != root:
                     parent[other] = root
         by_root: dict[int, list[int]] = {}
@@ -199,11 +200,16 @@ def partition(
     Returns the class number of each key, the class id at each dense
     point, and the mask of each class. History ids are numbered in order
     of first appearance, so classes numbered in order of their first key
-    are ordered by least member.
+    are ordered by least member. When each distinct history is a class
+    of its own, as under the complete policy, the class ids are the
+    table's history ids, and that row itself is returned.
     """
     class_of: dict[Hashable, int] = {}
     of_history = [class_of.setdefault(key(h), len(class_of)) for h in table.distinct]
-    ids = tuple(map(of_history.__getitem__, table.ids))
+    if len(class_of) == len(of_history):
+        ids = table.ids
+    else:
+        ids = tuple(map(of_history.__getitem__, table.ids))
     members: list[list[int]] = [[] for _ in class_of]
     for i, cls in enumerate(ids):
         members[cls].append(i)

@@ -3,10 +3,11 @@ manifests, and the scenario command's two files.
 
 ``*_to_dict`` give each document as a dict, which ``jsontext.dump_json``
 writes as text; ``write_manifest`` writes a scenario's manifest and
-system files while it encodes them, one run at a time, and makes each
-distinct wake-up, initial-state, clock and event text once per write.
-The reading side is ``serialize``, which a query loads without this
-module; its formats are in docs/file-formats.md.
+system files while it encodes them, one run and one batch of
+expectations at a time, and makes each distinct wake-up, initial-state,
+clock and event text once per write. The reading side is ``serialize``
+and ``decoders``, which a query loads without this module; its formats
+are in docs/file-formats.md.
 """
 
 from __future__ import annotations
@@ -89,17 +90,20 @@ def _model_doc(model: Model, runs: Any) -> dict:
 
 
 def manifest_to_dict(manifest: ScenarioManifest) -> dict:
-    return _manifest_doc(manifest, model_to_dict(manifest.model))
+    doc = _manifest_doc(manifest, model_to_dict(manifest.model))
+    doc["expectations"] = list(doc["expectations"])
+    return doc
 
 
 def _manifest_doc(manifest: ScenarioManifest, system: Any) -> dict:
-    """``manifest_to_dict(manifest)`` with ``system`` as its ``system`` value."""
+    """``manifest_to_dict(manifest)`` with ``system`` as its ``system``
+    value and an iterator of the expectations' objects."""
     return {
         "schema": SCHEMA_VERSION,
         "scenario": manifest.name,
         "parameters": dict(manifest.parameters),
         "system": system,
-        "expectations": [
+        "expectations": (
             {
                 "formula": e.formula,
                 "point": str(e.point) if e.point is not None else None,
@@ -107,7 +111,7 @@ def _manifest_doc(manifest: ScenarioManifest, system: Any) -> dict:
                 "note": e.note,
             }
             for e in manifest.expectations
-        ],
+        ),
     }
 
 
@@ -118,8 +122,10 @@ def write_manifest(
     ``model_to_dict(manifest.model)`` to ``system_file``, each byte for
     byte as ``dump_json`` writes it, while the texts are made.
 
-    The runs are written by ``_write_runs``, one run at a time, so
-    neither file's text, nor a list of run documents, is ever held whole.
+    The runs are written by ``_write_runs``, one run at a time, and the
+    expectations' objects are made a batch at a time as they are
+    written, so neither file's text, nor a list of run or expectation
+    documents, is ever held whole.
     """
     runs = manifest.model.system.runs
     doc = _manifest_doc(

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epimc import serialize
+from epimc import decoders, serialize
 from epimc.cli import EXIT_BROKEN_PIPE, CliError, _read, main
 from epimc.runs import ModelError, System
 from epimc.scenarios import SCENARIOS, _depth_formula
@@ -413,15 +413,17 @@ def test_read_holds_less_than_a_chunked_text_beyond_the_manifest(muddy_manifest,
 def test_read_parses_each_run_about_once(muddy_manifest, capsys):
     # a run that runs past the text held is parsed again; reading each
     # run's text ahead by the length of the last one avoids most of that.
-    # The expectations and the valuation are parsed item by item and
-    # proposition by proposition, so no long value is parsed again
+    # The expectations are parsed item by item and the valuation a batch
+    # of entries at a time, so no long value is parsed again. The parser
+    # is patched in each module that calls it, so every parse counts
     parsed = mock.Mock(wraps=serialize._value)
-    with mock.patch.object(serialize, "_value", parsed):
+    with mock.patch.object(serialize, "_value", parsed), \
+            mock.patch.object(decoders, "_value", parsed):
         manifest = _read(muddy_manifest, manifest_from_dict)
     runs = manifest.model.system.runs
     names = manifest.model.valuation.names
-    # 32 runs, 544 expectations, 22 propositions and 7 other values; an
-    # item that a chunk's end cuts may need a retry
+    # 32 runs, 544 expectations, 22 propositions (each within one batch)
+    # and 7 other values; an item that a chunk's end cuts may need a retry
     assert (len(runs), len(manifest.expectations), len(names)) == (32, 544, 22)
     assert parsed.call_count <= len(runs) + len(manifest.expectations) + len(names) + 7 + 4
 
@@ -881,9 +883,12 @@ def test_query_children_import_only_what_their_command_uses(attack_files, comman
     assert code == 0
     core = {"epimc", "epimc.cli", "epimc.runs", "epimc.serialize"}
     if command == "check":
+        # the run part alone: neither the model decoders nor the evaluator
         assert imported == core | {"epimc.protocols"}
+        assert not {"epimc.decoders", "epimc.semantics"} & imported
     else:
-        assert imported == core | {"epimc.formulas", "epimc.semantics", "epimc.views"}
+        query = {"epimc.decoders", "epimc.formulas", "epimc.semantics", "epimc.views"}
+        assert imported == core | query | ({"epimc.axioms"} if command == "axioms" else set())
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
@@ -1017,22 +1022,16 @@ def _traced(call) -> tuple:
     return value, held, peak
 
 
-def test_read_peaks_at_the_model_and_its_largest_proposition(bench_broadcast):
-    # the runs are decoded as they are parsed, and the valuation one
-    # proposition at a time, so while the file is read nothing else is
-    # alive beside the finished model than the largest proposition's
-    # entries, parsed and as text, and a few chunks of text: a chunk read
-    # as bytes, as text, and the text it is joined to
-    doc = json.loads(bench_broadcast.read_text())
-    largest = 0
-    for name, entries in doc["valuation"].items():
-        text = dump_json({"valuation": {name: entries}})
-        (_, parsed, _) = _traced(lambda: json.loads(text))
-        largest = max(largest, parsed + len(text))
-    del doc
+def test_read_peaks_at_the_model_and_a_few_chunks(bench_broadcast):
+    # the runs are decoded as they are parsed, and the valuation a batch of
+    # entries at a time, so while the file is read nothing else is alive
+    # beside the finished model than a few chunks of text (a chunk read as
+    # bytes, as text, the text it is joined to and the join), one run or
+    # one batch of entries with its text, and the table that shares the
+    # runs' events
     model, held, peak = _traced(lambda: _read(str(bench_broadcast), model_from_dict))
-    assert len(model.system.points) == 6561
-    assert peak <= held + largest + 6 * serialize.CHUNK
+    assert len(model.system.runs) * (model.system.horizon + 1) == 6561
+    assert peak <= held + 8 * serialize.CHUNK
 
 
 def test_verifying_clocked_expectations_builds_no_point_tuple(tmp_path, capsys):
@@ -1069,12 +1068,18 @@ def test_eval_all_builds_no_point_tuple(tmp_path, capsys):
     assert len(lines) == len(model.system.runs) * 6
 
 
-def test_eval_all_peaks_near_the_read_alone(bench_broadcast):
-    # the report of every point is streamed, so an eval --all holds little
-    # beyond the model that reading the file holds at its peak; stdout is
-    # a file, which keeps no copy of what is written
+def test_eval_all_peaks_near_its_model_and_index(bench_broadcast):
+    # the report of every point is streamed and the file's text is gone
+    # before the index is built, so an eval --all holds little beyond the
+    # model and its index; stdout is a file, which keeps no copy of what
+    # is written
     path = str(bench_broadcast)
-    _, _, read_peak = _traced(lambda: _read(path, model_from_dict))
+
+    def model_and_index():
+        model = _read(path, model_from_dict)
+        return model, model.index
+
+    _, held, _ = _traced(model_and_index)
 
     def eval_all():
         with open(os.devnull, "w") as devnull, mock.patch("sys.stdout", new=devnull):
@@ -1083,7 +1088,7 @@ def test_eval_all_peaks_near_the_read_alone(bench_broadcast):
 
     code, _, eval_peak = _traced(eval_all)
     assert code == 0
-    assert eval_peak <= 1.25 * read_peak
+    assert eval_peak <= held + 6 * serialize.CHUNK
 
 
 # Item-by-item decoding. A valuation that follows the runs is decoded one
@@ -1153,14 +1158,95 @@ def test_read_decodes_each_proposition_once_without_the_whole_text(tmp_path):
     assert model.valuation.masks == {"p": 0b01, "q": 0, "r": 0b11}
 
 
+#: Run ids that a reader cutting the text at a "]" must not split: a
+#: bracket, a bracket and a comma, a quote, a backslash, a non-ASCII
+#: letter, and one longer than a batch's window.
+_AWKWARD_IDS = ("a]", "b],", 'c"', "d\\", "é", 'f"],["g', "h" + "],x" * 6000)
+
+
+def _awkward_system(ids=_AWKWARD_IDS, horizon: int = 39) -> dict:
+    """A one-agent system of runs ``ids`` with an empty, a one-entry, a
+    sparse and a full proposition; the full one spans several windows
+    and, indented, more than one chunk."""
+    points = [[run_id, t] for run_id in ids for t in range(horizon + 1)]
+    return {
+        "schema": 1, "agents": 1, "horizon": horizon,
+        "runs": [{"id": run_id, "wake_up": {"0": 0}, "initial_state": {"0": "s"}}
+                 for run_id in ids],
+        "valuation": {"empty": [], "one": [points[-1]], "sparse": points[::7],
+                      "full": points},
+    }
+
+
+#: The layouts a file may come in: minified, and indented by 1 and by 2.
+_LAYOUTS = {"minified": {"separators": (",", ":")}, "indent1": {"indent": 1},
+            "indent2": {"indent": 2}}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("window", [decoders.WINDOW, 40])
+def test_read_decodes_the_valuation_a_batch_at_a_time(tmp_path, layout, window):
+    # whatever the layout, the chunk size and where a window's last "]"
+    # falls, the masks are those of the whole document's decode
+    text = json.dumps(_awkward_system(), **_LAYOUTS[layout])
+    assert len(text) > serialize.CHUNK
+    path = tmp_path / "awkward.json"
+    path.write_text(text)
+    whole = model_from_dict(load_json(text)).valuation.masks
+    assert whole["full"] == (1 << 7 * 40) - 1 and whole["empty"] == 0
+    for chunk in _CHUNKS:
+        with mock.patch.object(serialize, "CHUNK", chunk), \
+                mock.patch.object(decoders, "WINDOW", window), \
+                mock.patch.object(serialize, "load_json", side_effect=AssertionError("whole")):
+            assert _read(str(path), model_from_dict).valuation.masks == whole
+
+
+def test_read_parses_an_awkward_valuation_in_linear_time(tmp_path):
+    # every run id starts with "],", so a window's last "]" often lies
+    # inside a string; the entries up to it are then taken one by one,
+    # and no text is parsed again and again: the parses, and the
+    # characters they pass over, grow linearly with the entries
+    ids = [f"],{i:03d}" + "y" * (i % 11) for i in range(60)]
+    text = json.dumps(_awkward_system(ids), indent=2)
+    path = tmp_path / "awkward.json"
+    path.write_text(text)
+    spans, failed = [], []
+    decode = json.JSONDecoder().raw_decode
+
+    def parse(text, idx=0):
+        try:
+            value, end = decode(text, idx)
+        except ValueError as exc:
+            failed.append(exc)
+            spans.append(getattr(exc, "pos", len(text)) - idx)
+            raise
+        spans.append(end - idx)
+        return value, end
+
+    with mock.patch.object(serialize, "_value", parse), \
+            mock.patch.object(decoders, "_value", parse), \
+            mock.patch.object(serialize, "load_json", side_effect=AssertionError("whole")):
+        model = _read(str(path), model_from_dict)
+    entries = sum(bin(mask).count("1") for mask in model.valuation.masks.values())
+    assert entries == 1 + 343 + 2400
+    assert failed  # some window was cut inside a string
+    # one parse per run, per entry and per batch at most, and about five
+    # other values; a batch that failed is parsed again item by item, and
+    # no text a third time
+    assert len(spans) <= len(ids) + entries + len(text) // decoders.WINDOW + 10
+    assert sum(spans) <= 2 * len(text)
+
+
 def test_check_reads_no_valuation(tmp_path, capsys):
     # check reads the run part alone: a valuation that no query could
     # decode is neither decoded nor reported, and the file is read once
     path = tmp_path / "valued.json"
     path.write_text(_valued('{"p": [["zz", 0]], "q": 5}'))
-    decoded = mock.Mock(wraps=serialize._truth_mask)
+    # the mask maker is patched where it is defined and called, so that a
+    # call would count
+    decoded = mock.Mock(wraps=decoders._truth_mask)
     with mock.patch.object(serialize, "load_json", side_effect=AssertionError("whole")), \
-            mock.patch.object(serialize, "_truth_mask", decoded):
+            mock.patch.object(decoders, "_truth_mask", decoded):
         assert main(["check", "--system", str(path), "--which", "ng1", "--no-timing"]) == 0
     assert decoded.call_count == 0
     assert capsys.readouterr().out.startswith("ng1: pass\n")

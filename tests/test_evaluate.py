@@ -7,6 +7,7 @@ import pytest
 from epimc import SCENARIOS
 from epimc import formulas as fm
 from epimc import semantics, views
+from epimc.axioms import axiom_suite, check_induction_rule
 from epimc.semantics import (
     EvalError,
     Expectation,
@@ -14,8 +15,6 @@ from epimc.semantics import (
     ScenarioManifest,
     UnboundVariableError,
     UnknownPropError,
-    axiom_suite,
-    check_induction_rule,
     check_validity,
     evaluate,
     gfp,

@@ -23,10 +23,10 @@ EXPORTS = {
         "Formula", "check_positivity", "expand_fixpoints", "parse", "print_formula",
     ),
     "epimc.semantics": (
-        "Model", "ScenarioManifest", "Valuation", "axiom_suite",
-        "check_induction_rule", "check_validity", "evaluate", "gfp",
-        "holds", "make_valuation", "verify_manifest",
+        "Model", "ScenarioManifest", "Valuation", "check_validity", "evaluate",
+        "gfp", "holds", "make_valuation", "verify_manifest",
     ),
+    "epimc.axioms": ("axiom_suite", "check_induction_rule"),
     "epimc.protocols": (
         "DeliveryModel", "InitialConfiguration", "JointProtocol", "check_ng1",
         "check_ng1prime", "check_ng2", "check_temporal_imprecision",

@@ -58,7 +58,7 @@ def test_muddy_children_two_step_reachability_between_single_muddy_worlds():
 
 
 def test_muddy_children_announcement_supports_the_induction_rule():
-    from epimc.semantics import check_induction_rule
+    from epimc.axioms import check_induction_rule
 
     model = muddy_children(2, True, 2).model
     report = check_induction_rule(model, parse("announced"), parse("m"), (0, 1))
@@ -66,7 +66,7 @@ def test_muddy_children_announcement_supports_the_induction_rule():
 
 
 def test_muddy_children_hierarchy_suite():
-    from epimc.semantics import axiom_suite
+    from epimc.axioms import axiom_suite
 
     model = muddy_children(2, True, 2).model
     report = axiom_suite(model, ["m"], max_k=4, groups=[(0, 1)])
@@ -74,7 +74,7 @@ def test_muddy_children_hierarchy_suite():
 
 
 def test_attack_induction_rule_is_vacuous_for_the_attack_fact():
-    from epimc.semantics import check_induction_rule
+    from epimc.axioms import check_induction_rule
 
     model = coordinated_attack(2, 3).model
     report = check_induction_rule(

@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+import os
 import random
 import tracemalloc
 
@@ -26,7 +28,7 @@ from epimc.scenarios import (
 from epimc.cli import _read
 from epimc import jsontext
 from epimc.jsontext import _BATCH, write_json
-from epimc.writer import _write_split
+from epimc.writer import _manifest_doc, _write_split
 from epimc.serialize import (
     SchemaError,
     dump_json,
@@ -493,6 +495,37 @@ def test_write_manifest_holds_no_list_of_flat_items_whole(tmp_path):
                 tracemalloc.stop()
     assert paths[0].read_text() == _indented(manifest_to_dict(manifest))
     assert peak <= 1100 * 1024
+
+
+def _write_peak(manifest) -> int:
+    """The traced peak of writing ``manifest`` to /dev/null, after a
+    first write has filled the writer's caches."""
+    for _ in range(2):
+        with open(os.devnull, "w") as manifest_file, open(os.devnull, "w") as system_file:
+            tracemalloc.start()
+            try:
+                write_manifest(manifest, manifest_file, system_file)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    return peak
+
+
+def test_write_manifest_makes_the_expectations_objects_a_batch_at_a_time():
+    # the 4,736 expectations of the bench's muddy manifest are made into
+    # objects as they are written, so they cost the write no more than
+    # two batches of objects, where the list of them all holds 18.5
+    manifest = muddy_children(6, True, 6, True)
+    objects = _manifest_doc(manifest, None)["expectations"]
+    tracemalloc.start()
+    try:
+        batch = list(itertools.islice(objects, _BATCH))
+        one_batch = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == _BATCH and len(manifest.expectations) == 4736
+    bare = _write_peak(manifest._replace(expectations=()))
+    assert _write_peak(manifest) <= bare + 2 * one_batch
 
 
 # Messages the writer must escape: quotes, backslashes, control
