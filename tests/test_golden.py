@@ -43,6 +43,22 @@ SCENARIOS = {
     "timestamped_demo": (["delta=1", "eps=1"], "sent_mp"),
 }
 
+#: Scenario -> more ``--param`` sets, each written after the commands
+#: above and only its ``scenario`` command digested: the builder
+#: branches that the sets above do not reach.
+BUILDS = {
+    "muddy_children": (
+        ["n=2", "announce=false", "rounds=3"],
+        ["n=3", "announce=true", "rounds=4"],
+        ["n=1", "announce=true", "rounds=2", "staggered_announcement=true"],
+    ),
+    "r2d2": (
+        ["eps=1", "t_S=3", "k_max=2", "closed_window=true"],
+        ["eps=2", "t_S=5", "k_max=2"],
+        ["eps=2", "t_S=5", "k_max=2", "closed_window=true"],
+    ),
+}
+
 #: One formula per modal head, and a nu form; ``{g}`` is the group of
 #: every agent and ``{p}`` the scenario's proposition. The clock heads
 #: (Kt, Et, Ct) exit 1 on a system without clocks.
@@ -123,14 +139,8 @@ def digests(name: str) -> dict[str, dict]:
         for file, doc in FILES.items():
             Path(f"{file}.json").write_text(json.dumps(dict(doc, schema=1)))
         return {shlex.join(argv): _run(argv) for argv in INPUT_COMMANDS}
-    argv = ["scenario", name, "--out", "."]
     params, prop = SCENARIOS[name]
-    for param in params:
-        argv += ["--param", param]
-    result = _run(argv)
-    written = sorted(Path(".").glob(f"{name}.*.json"))
-    result["files"] = {path.name: _sha(path.read_bytes()) for path in written}
-    out = {shlex.join(argv): result}
+    out = _written(name, params)
     doc = json.loads(Path(f"{name}.system.json").read_text())
     agents = ",".join(map(str, range(doc["agents"])))
     for argv in _scenario_commands(name):
@@ -138,7 +148,21 @@ def digests(name: str) -> dict[str, dict]:
             arg.format(g="{" + agents + "}", p=prop, agents=agents) for arg in argv
         ]
         out[shlex.join(argv)] = _run(argv)
+    for params in BUILDS.get(name, ()):
+        out.update(_written(name, params))
     return out
+
+
+def _written(name: str, params: list[str]) -> dict[str, dict]:
+    """The ``scenario`` command line that writes scenario ``name``'s
+    files with ``params`` -> its result and the digest of each file."""
+    argv = ["scenario", name, "--out", "."]
+    for param in params:
+        argv += ["--param", param]
+    result = _run(argv)
+    written = sorted(Path(".").glob(f"{name}.*.json"))
+    result["files"] = {path.name: _sha(path.read_bytes()) for path in written}
+    return {shlex.join(argv): result}
 
 
 @contextlib.contextmanager
