@@ -44,9 +44,11 @@ def _read(path: str, decode):
     it (a run, a batch of a proposition's entries, an expectation) as it
     parses it, so it never holds more than a few chunks of the text
     besides the item it is reading; for ``system_from_dict``, which reads
-    the runs alone, it decodes no other item and loads no model decoder. If opening, reading or decoding raises, the
-    file's whole text is read and its whole document decoded, so that a
-    bad file is reported as ``decode(load_json(text))`` reports it.
+    the runs alone, it decodes no other item, steps over a valuation one
+    entry at a time and loads no model decoder. If opening, reading or
+    decoding raises, the file's whole text is read and its whole document
+    decoded, so that a bad file is reported as ``decode(load_json(text))``
+    reports it.
     """
     from .runs import ModelError
     from .serialize import load_document, load_json, system_from_dict

@@ -16,7 +16,6 @@ named.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .formulas import fmt_group
 from .semantics import Expectation, Model, ScenarioManifest, Valuation
@@ -92,8 +91,14 @@ def muddy_children(
     variant per vector delays child 0's copy to tick 1, after that
     round's answers. At tick q each child answers yes exactly when, given
     the runs consistent with its history, its own forehead must be muddy;
-    answers are public. The histories read are ``run_history``'s, grown
-    tick by tick from the timeline entries the runs are built from.
+    answers are public.
+
+    The runs are built in one loop over ticks 0..rounds. At tick t it
+    reads round t's answers from each child's history, then makes the
+    tick's events (the announcement, and round t's answers) and appends
+    them once to each agent's timeline and history. So the histories
+    read are ``run_history``'s, and each run is made from its finished
+    timelines.
     """
     if not 1 <= n <= 6:
         raise ModelError("between one and six children are supported")
@@ -111,72 +116,58 @@ def muddy_children(
         + (2 * n * (len(vectors) - 1) * len(variants) if announce else 0),
     )
 
-    meta: dict[str, tuple[tuple[int, ...], bool]] = {}
-    # per run and agent: tick -> the agent's timeline entries at that tick,
-    # until the tick is read; then its (tick, event) pairs join ``read``,
-    # the pairs of the ticks read so far in canonical order
-    lines: dict[str, list[dict[int, list[tuple]]]] = {}
-    read: dict[str, list[tuple]] = {}
-    interned: dict = {}
-    for vec in vectors:
-        for late in variants:
-            rid = "v" + "".join(map(str, vec)) + ("s" if late else "")
-            meta[rid] = (vec, late)
-            lines[rid] = ticks = [{} for _ in range(n + 1)]
-            read[rid] = [()] * (n + 1)
-            if announce and any(vec):
-                ticks[announcer][0] = [
-                    timeline_entry(interned, 0, SEND, child, "ann", None) for child in range(n)
-                ]
-                for child in range(n):
-                    tick = 1 if (late and child == 0) else 0
-                    ticks[child][tick] = [
-                        timeline_entry(interned, tick, RECEIVE, announcer, "ann", None)
-                    ]
+    meta = {
+        "v" + "".join(map(str, vec)) + ("s" if late else ""): (vec, late)
+        for vec in vectors
+        for late in variants
+    }
 
     def initial(vec: tuple[int, ...], child: int) -> str:
         return "sees:" + "".join(
             "?" if j == child else str(vec[j]) for j in range(n)
         )
 
-    # Child c's history at tick q is its initial state and its events
-    # before q in canonical order, without their ticks (``run_history``).
-    # Round q adds only events at ticks >= q, so the key for round q is
-    # the key for round q - 1 extended by the events of tick q - 1.
-    history = {rid: [(initial(meta[rid][0], c),) for c in range(n)] for rid in meta}
-    answers: dict[str, dict[tuple[int, int], bool]] = {rid: {} for rid in meta}
-    for q in range(1, rounds + 1):
-        for c in range(n):
-            # history -> whether every run with it has child c muddy
-            proves: dict[tuple, bool] = {}
-            for rid, (vec, _) in meta.items():
-                new = canonical_timeline(lines[rid][c].pop(q - 1, []))
-                read[rid][c] += new
-                h = history[rid][c] = history[rid][c] + tuple(ev for _, ev in new)
-                proves[h] = proves.get(h, True) and vec[c] == 1
-            for rid in meta:
-                answers[rid][(c, q)] = proves[history[rid][c]]
-        for rid in meta:
-            now = [ticks.setdefault(q, []) for ticks in lines[rid][:n]]
+    # Per run and agent: the timeline so far, and the history key, its
+    # initial state and its events so far in canonical order without
+    # their ticks. At tick t, before the tick's events are added, a
+    # child's key is its ``run_history`` at t.
+    timelines = {rid: [[] for _ in range(n + 1)] for rid in meta}
+    keys = {
+        rid: [(initial(vec, c),) for c in range(n)] + [("announcer",)]
+        for rid, (vec, _) in meta.items()
+    }
+    said: dict[tuple[int, int], set[str]] = {}  # (child, round) -> runs it says yes in
+    interned: dict = {}
+    for t in range(rounds + 1):
+        if t:
             for c in range(n):
-                body = f"a{q}:{c}:" + ("y" if answers[rid][(c, q)] else "n")
+                # a history proves child c muddy when no run with it has c clean
+                clean = {keys[rid][c] for rid, (vec, _) in meta.items() if not vec[c]}
+                said[c, t] = {rid for rid in meta if keys[rid][c] not in clean}
+        for rid, (vec, late) in meta.items():
+            now: list[list[tuple]] = [[] for _ in range(n + 1)]
+            if announce and any(vec):
+                for c in range(n):
+                    if t == 0:
+                        now[announcer].append(timeline_entry(interned, 0, SEND, c, "ann", None))
+                    if t == (1 if late and c == 0 else 0):
+                        now[c].append(timeline_entry(interned, t, RECEIVE, announcer, "ann", None))
+            for c in range(n) if t else ():
+                body = f"a{t}:{c}:" + ("y" if rid in said[c, t] else "n")
                 for other in range(n):
                     if other != c:
-                        now[c].append(timeline_entry(interned, q, SEND, other, body, None))
-                        now[other].append(timeline_entry(interned, q, RECEIVE, c, body, None))
+                        now[c].append(timeline_entry(interned, t, SEND, other, body, None))
+                        now[other].append(timeline_entry(interned, t, RECEIVE, c, body, None))
+            for a, entries in enumerate(now):
+                pairs = canonical_timeline(entries)
+                timelines[rid][a] += pairs
+                keys[rid][a] += tuple(ev for _, ev in pairs)
 
-    # the answers are known: drop the histories, and each run's entries
-    # once its run is built; its ticks not read all follow those read
-    del history
     wake = (0,) * (n + 1)
     runs = []
     for rid in sorted(meta):
-        init = tuple(initial(meta[rid][0], c) for c in range(n)) + ("announcer",)
-        timeline = tuple(
-            done + canonical_timeline([e for t in sorted(ticks) for e in ticks[t]])
-            for done, ticks in zip(read.pop(rid), lines.pop(rid))
-        )
-        runs.append(Run(rid, wake, init, timeline))
+        init = tuple(key[0] for key in keys.pop(rid))  # a key starts with the initial state
+        runs.append(Run(rid, wake, init, tuple(map(tuple, timelines.pop(rid)))))
     system = make_system(n + 1, horizon, runs)
     truth: dict[str, int] = {
         "m": _holds_from(system, {rid: 0 for rid in meta if any(meta[rid][0])}),
@@ -187,9 +178,7 @@ def muddy_children(
     for c in range(n):
         truth[f"muddy_{c}"] = _holds_from(system, {rid: 0 for rid in meta if meta[rid][0][c]})
         for q in range(1, rounds + 1):
-            truth[f"said_yes_{c}_{q}"] = _holds_from(
-                system, {rid: q for rid in meta if answers[rid][(c, q)]}
-            )
+            truth[f"said_yes_{c}_{q}"] = _holds_from(system, dict.fromkeys(said[c, q], q))
     model = Model(system, Valuation(system, truth), ViewPolicy.complete_history())
 
     children = fmt_group(range(n))
@@ -205,7 +194,7 @@ def muddy_children(
                 elif not announce:
                     expected = False
                 else:
-                    expected = answers[rid][(c, q)]
+                    expected = rid in said[c, q]
                 expectations.append(
                     Expectation(
                         f"said_yes_{c}_{q}",
@@ -422,11 +411,10 @@ def r2d2(
     runs = []
     interned: dict = {}
     send_tick_of: dict[str, int] = {}
-    i = math.ceil((1 - t_S) / eps)
-    while True:
+    # pair i sends at t_S + i * eps - 1; the first at (t_S - 1) % eps
+    first = -((t_S - 1) // eps)
+    for i in range(first, first + pairs):
         send_tick = t_S + i * eps - 1
-        if closed_window and send_tick + eps > horizon:
-            break
         for variant, delay in (("a", 0), ("b", eps)):
             rid = f"r{i}{variant}"
             evs: list[tuple[int, int, str, int, str]] = []
@@ -447,9 +435,6 @@ def r2d2(
                 )
             )
             send_tick_of[rid] = send_tick
-        if not closed_window and send_tick > horizon:
-            break
-        i += 1
 
     system = make_system(2, horizon, runs)
     truth = {"sent_m": _holds_from(system, {rid: t + 1 for rid, t in send_tick_of.items()})}

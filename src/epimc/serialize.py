@@ -302,7 +302,8 @@ def load_document(file: BinaryIO, values: bool = True) -> dict:
     - with ``values``, a ``valuation`` object that follows its object's
       runs becomes a tuple of (name, mask) pairs, as
       ``valuation_from_dict`` reads it, each point list a batch of
-      entries at a time (see ``decoders._batches``);
+      entries at a time (see ``decoders._batches``); without ``values``,
+      a ``valuation`` is stepped over an entry at a time;
     - with ``values``, the top's ``expectations`` array becomes a tuple
       of ``Expectation``\\ s, whose points are not yet checked.
 
@@ -342,11 +343,16 @@ class _Reader:
         self.request = CHUNK
 
     def more(self) -> None:
-        """Add the next chunk to the text, without the consumed text."""
+        """Add the next chunk to the text, without the consumed text; the
+        old text and the bytes read are dropped before the join."""
+        rest = self.text[self.idx:]
+        self.text = ""
         data = self.file.read(min(self.request, self.left))
         self.left -= len(data)
         self.eof = not data or self.left <= 0
-        self.text = self.text[self.idx:] + self.decode(data, self.eof)
+        added = self.decode(data, self.eof)
+        del data
+        self.text = rest + added
         self.dropped += self.idx
         self.idx = 0
 
@@ -411,7 +417,9 @@ def _object(reader: _Reader, path: str, values: bool) -> dict:
         opener = reader.peek()
         if key == "runs" and opener == "[":
             obj[key] = _runs(reader, obj, path)
-        elif key == "valuation" and opener == "{" and values and type(obj.get("runs")) is tuple:
+        elif key == "valuation" and opener == "{" and not values:
+            _pass_over_valuation(reader)
+        elif key == "valuation" and opener == "{" and type(obj.get("runs")) is tuple:
             obj[key] = _valuation(reader, obj["runs"], obj["horizon"], f"{path}.valuation")
         elif key == "system" and path == "system" and opener == "{":
             obj[key] = _object(reader, "manifest.system", values)
@@ -420,6 +428,17 @@ def _object(reader: _Reader, path: str, values: bool) -> dict:
         else:
             obj[key] = reader.take(_value)
     return obj
+
+
+def _pass_over_valuation(reader: _Reader) -> None:
+    """Step past the valuation object at the reader's next character,
+    an entry of a point list at a time, keeping none of it."""
+    for _ in _keys(reader):
+        if reader.peek() == "[":
+            for _ in _items(reader):
+                reader.take(_value)
+        else:
+            reader.take(_value)
 
 
 def _keys(reader: _Reader) -> Iterator[str]:

@@ -1034,6 +1034,27 @@ def test_read_peaks_at_the_model_and_a_few_chunks(bench_broadcast):
     assert peak <= held + 8 * serialize.CHUNK
 
 
+def test_reading_the_runs_alone_steps_over_the_valuation_an_entry_at_a_time(bench_broadcast):
+    # check decodes no valuation: each entry of its point lists is parsed
+    # on its own and dropped, so the read peaks within a few chunks of
+    # the system it holds, as a query's read does
+    system, held, peak = _traced(lambda: _read(str(bench_broadcast), system_from_dict))
+    assert len(system.runs) == 729
+    assert peak <= held + 8 * serialize.CHUNK
+
+
+def test_read_peak_grows_with_the_chunk_by_a_few_times_as_much(bench_broadcast):
+    # a chunk is added to the unread rest of the text after the old text
+    # and the bytes read are dropped, so each byte more of CHUNK raises
+    # the read's peak by less than 3.2 bytes (3.8 when all are held)
+    above = {}
+    for kib in (16, 128):
+        with mock.patch.object(serialize, "CHUNK", kib * 1024):
+            _, held, peak = _traced(lambda: _read(str(bench_broadcast), model_from_dict))
+        above[kib] = peak - held
+    assert above[128] - above[16] <= 3.2 * (128 - 16) * 1024
+
+
 def test_verifying_clocked_expectations_builds_no_point_tuple(tmp_path, capsys):
     # Ceps, Cv and Ct count a system's points from its runs and horizon,
     # so replaying their expectations leaves ``system.points`` unbuilt

@@ -103,6 +103,15 @@ def test_muddy_children_answers_follow_the_pairwise_rule(n, announce, staggered)
     assert len(expected) == n * rounds
     for name, points in expected.items():
         assert model.valuation.truth_set(name) == points, name
+    # and by the definition of the answer: at tick q, child c says yes
+    # exactly where it knows its own forehead muddy
+    for c in range(n):
+        knows = evaluate(model, parse(f"K{c} muddy_{c}"))
+        for q in range(1, rounds + 1):
+            said = model.valuation.truth_set(f"said_yes_{c}_{q}")
+            for run in model.system.runs:
+                point = Point(run.id, q)
+                assert (point in said) == (point in knows), (c, point)
 
 
 def test_muddy_children_guards():
