@@ -3,17 +3,17 @@ manifests, and the scenario command's two files.
 
 ``*_to_dict`` give each document as a dict, which ``jsontext.dump_json``
 writes as text; ``write_manifest`` writes a scenario's manifest and
-system files while it encodes them, one run and one batch of
-expectations at a time, and makes each distinct wake-up, initial-state,
-clock and event text once per write. The reading side is ``serialize``
-and ``decoders``, which a query loads without this module; its formats
-are in docs/file-formats.md.
+system files while it encodes them, one run, one batch of a truth
+set's entries and one batch of expectations at a time, and makes each
+distinct wake-up, initial-state, clock and event text once per write.
+The reading side is ``serialize`` and ``decoders``, which a query loads
+without this module; its formats are in docs/file-formats.md.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO
 
 from . import SCHEMA_VERSION
 from .jsontext import _encode, _scalar
@@ -64,27 +64,37 @@ def valuation_to_dict(valuation: Valuation) -> dict:
     """Each truth set's points in dense order, which is sorted order:
     dense point ``r * width + t`` is time ``t`` of the ``r``-th run of
     ``runs_in_point_order``."""
+    return {name: list(entries) for name, entries in _valuation_entries(valuation).items()}
+
+
+def _valuation_entries(valuation: Valuation) -> dict[str, Iterator[list]]:
+    """``valuation_to_dict(valuation)`` with an iterator in place of each
+    point list, which makes its entries as they are taken."""
     system = valuation.system
     ids = [run.id for run in system.runs_in_point_order]
     width = system.horizon + 1
-    return {
-        name: [[ids[r], t] for r, t in map(divmod, ids_of(valuation.masks[name]), repeat(width))]
-        for name in valuation.names
-    }
+
+    def entries(mask: int) -> Iterator[list]:
+        for r, t in map(divmod, ids_of(mask), repeat(width)):
+            yield [ids[r], t]
+
+    return {name: entries(valuation.masks[name]) for name in valuation.names}
 
 
 def model_to_dict(model: Model) -> dict:
-    return _model_doc(model, [run_to_dict(r) for r in model.system.runs])
+    runs = [run_to_dict(r) for r in model.system.runs]
+    return _model_doc(model, runs, valuation_to_dict(model.valuation))
 
 
-def _model_doc(model: Model, runs: Any) -> dict:
-    """``model_to_dict(model)`` with ``runs`` as its ``runs`` value."""
+def _model_doc(model: Model, runs: Any, valuation: dict) -> dict:
+    """``model_to_dict(model)`` with ``runs`` and ``valuation`` as its
+    values of those keys."""
     return {
         "schema": SCHEMA_VERSION,
         "agents": model.system.n_agents,
         "horizon": model.system.horizon,
         "runs": runs,
-        "valuation": valuation_to_dict(model.valuation),
+        "valuation": valuation,
         "policy": model.policy.name,
     }
 
@@ -122,16 +132,20 @@ def write_manifest(
     ``model_to_dict(manifest.model)`` to ``system_file``, each byte for
     byte as ``dump_json`` writes it, while the texts are made.
 
-    The runs are written by ``_write_runs``, one run at a time, and the
-    expectations' objects are made a batch at a time as they are
-    written, so neither file's text, nor a list of run or expectation
-    documents, is ever held whole.
+    The runs are written by ``_write_runs``, one run at a time, and a
+    valuation's entries and the expectations' objects are made a batch
+    at a time as they are written, so neither file's text, nor a list of
+    run or expectation documents or of a truth set's entries, is ever
+    held whole.
     """
-    runs = manifest.model.system.runs
-    doc = _manifest_doc(
-        manifest, _model_doc(manifest.model, lambda depth, write: _write_runs(runs, depth, write))
+    model = manifest.model
+    runs = model.system.runs
+    system = _model_doc(
+        model,
+        lambda depth, write: _write_runs(runs, depth, write),
+        _valuation_entries(model.valuation),
     )
-    _write_split(doc, manifest_file, system_file)
+    _write_split(_manifest_doc(manifest, system), manifest_file, system_file)
 
 
 def _write_runs(runs: tuple[Run, ...], depth: int, write: Callable[[str], Any]) -> None:
