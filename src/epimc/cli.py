@@ -101,7 +101,16 @@ def _emit(report: dict, fmt: str, timing: float | None) -> None:
         print(f"elapsed: {timing:.3f}s")
 
 
+#: The rows of ``eval`` that are made and written at a time: a run's, or
+#: this many of a longer run's.
+ROWS = 256
+
+
 def _cmd_eval(args) -> int:
+    from json.encoder import encode_basestring_ascii as escape
+    from operator import add
+    from typing import Callable
+
     from .decoders import model_from_dict
     from .runs import ModelError
     from .semantics import EvalError, truth_mask
@@ -120,31 +129,71 @@ def _cmd_eval(args) -> int:
         raise CliError(str(exc), 1) from None
     except RecursionError:
         raise CliError(TOO_DEEP, 1) from None
-    # the report's points, each run's ticks in dense order, and a "1" or
-    # "0" per point for its truth
+    # the report's points, the same ticks of each run in dense order, and
+    # a "1" or "0" per point for its truth
     system = model.system
     if point is None:
-        ticks = range(system.horizon + 1)
-        where = [(run.id, ticks) for run in system.runs_in_point_order]
-        bits = bin(sat)[:1:-1].ljust(len(where) * len(ticks), "0")
+        run_ids = [run.id for run in system.runs_in_point_order]
+        times = range(system.horizon + 1)
+        bits = bin(sat)[:1:-1].ljust(len(run_ids) * len(times), "0")
     else:
         try:
             bits = str(sat >> system.point_id(point) & 1)
         except ModelError as exc:
             raise CliError(str(exc), 1) from None
-        where = [(point.run_id, (point.time,))]
+        run_ids, times = [point.run_id], (point.time,)
     timing = None if args.no_timing else time.monotonic() - started
 
-    def rows():
-        names = (f"{run_id}@{t}" for run_id, times in where for t in times)
-        return ((name, bit == "1") for name, bit in zip(names, bits))
+    def run_rows(heads, tail: str, sep: str):
+        """Each run's rows, ``ROWS`` at most at a time, joined by ``sep``:
+        the row of tick t is ``heads(run_id)[bit] + str(t) + tail``, so
+        each run id is put into the text once."""
+        width = len(times)
+        tails = [f"{t}{tail}" for t in times] if width <= ROWS else None
+        for at, run_id in zip(range(0, len(bits), width), run_ids):
+            head = heads(run_id).__getitem__
+            for start in range(0, width, ROWS):
+                span = times[start : start + ROWS]
+                run_bits = bits[at + start : at + start + len(span)]
+                yield sep.join(map(add, map(head, run_bits), tails or [f"{t}{tail}" for t in span]))
+
+    if args.format == "table":
+        def line_heads(run_id: str) -> dict[str, str]:
+            return {"0": f"F  {run_id}@", "1": f"T  {run_id}@"}
+
+        # _emit ends each run's lines with a newline
+        _emit({"lines": run_rows(line_heads, "", "\n")}, "table", timing)
+        return 0
+
+    def array(heads, tail: Callable[[int], str]):
+        """A ``jsontext`` value function: the array of the rows of
+        ``run_rows``, each run's written at once; ``heads`` and ``tail``
+        also take the array's depth."""
+        def write_array(depth: int, write) -> None:
+            here = "\n" + "  " * depth
+            sep = "[" + here + "  "
+            rows = run_rows(lambda run_id: heads(run_id, depth), tail(depth), "," + here + "  ")
+            for text in rows:
+                write(sep + text)
+                sep = "," + here + "  "
+            write(here + "]" if sep[0] == "," else "[]")
+        return write_array
+
+    def result_heads(run_id: str, depth: int) -> dict[str, str]:
+        inner = "\n" + "  " * (depth + 2)
+        point = f'{inner}"point": {escape(run_id)[:-1]}@'
+        return {"0": f'{{{inner}"holds": false,{point}', "1": f'{{{inner}"holds": true,{point}'}
+
+    def json_line_heads(run_id: str, depth: int) -> dict[str, str]:
+        inside = escape(run_id)[1:-1]
+        return {"0": f'"F  {inside}@', "1": f'"T  {inside}@'}
 
     report = {
         "formula": args.formula,
-        "results": ({"point": p, "holds": h} for p, h in rows()),
-        "lines": (f"{'T' if h else 'F'}  {p}" for p, h in rows()),
+        "results": array(result_heads, lambda depth: '"\n' + "  " * (depth + 1) + "}"),
+        "lines": array(json_line_heads, lambda depth: '"'),
     }
-    _emit(report, args.format, timing)
+    _emit(report, "json", timing)
     return 0
 
 

@@ -183,10 +183,11 @@ def _batches(reader: _Reader) -> Iterator[list]:
     """The items of the array that opens at the reader's next character,
     a list of them at a time.
 
-    A batch is the text from the next item to the last ``]`` within
-    ``WINDOW`` characters, parsed in brackets by one ``_value`` call.
-    When the array's own ``]`` lies in that text, the parse stops there
-    and the reader resumes at it. A cut inside an item or a string does
+    A batch is the text from the next item to the last ``}`` within
+    ``WINDOW`` characters when that item is an object, else to the last
+    ``]``, parsed in brackets by one ``_value`` call. When the array's
+    own ``]`` lies in that text, the parse stops there and the reader
+    resumes at it. A cut inside an item or a string does
     not parse; the items up to the position the parse failed at are then
     taken one at a time, and the next item starts a batch again, so no
     text is parsed more than twice: in a batch and, where that batch
@@ -200,7 +201,7 @@ def _batches(reader: _Reader) -> Iterator[list]:
         if start > failed:
             reader.ahead(WINDOW)
             text, idx = reader.text, reader.idx
-            cut = text.rfind("]", idx, idx + WINDOW) + 1
+            cut = text.rfind("}" if text[idx] == "{" else "]", idx, idx + WINDOW) + 1
             if cut:
                 try:
                     batch, end = _value("[" + text[idx:cut] + "]")
@@ -216,10 +217,14 @@ def _batches(reader: _Reader) -> Iterator[list]:
 
 def _expectations(reader: _Reader) -> tuple:
     """The expectations of the array that opens at the reader's next
-    character, each decoded as soon as it is parsed."""
+    character, decoded a batch of items at a time (see ``_batches``).
+    Equal formulas, points and notes are one object among them."""
     from .semantics import Expectation
 
-    return tuple(
-        Expectation(*_expectation(reader.take(_value), f"manifest.expectations[{i}]", None))
-        for i in _items(reader)
-    )
+    shared: dict = {}  # equal formulas, points and notes are one object
+    out: list = []
+    for batch in _batches(reader):
+        for e in batch:
+            fields = _expectation(e, f"manifest.expectations[{len(out)}]", None)
+            out.append(Expectation(*map(shared.setdefault, fields, fields)))
+    return tuple(out)

@@ -28,11 +28,15 @@ import codecs
 import json
 import os
 import re
+from functools import cache
+from itertools import chain, islice
+from operator import itemgetter, le
 from typing import Any, BinaryIO, Callable, Iterator, NoReturn
 
 from . import SCHEMA_VERSION
 from .runs import (
     EVENT_KINDS,
+    SEND,
     ModelError,
     Point,
     Run,
@@ -67,6 +71,13 @@ def __getattr__(name: str) -> Any:
 
 
 _INTEGERS_ONLY = {int}
+_LISTS_ONLY = {list}
+
+
+@cache
+def _agent_keys(n_agents: int) -> tuple[str, ...]:
+    """The keys of an object with a value per agent."""
+    return tuple(map(str, range(n_agents)))
 
 
 class SchemaError(ModelError):
@@ -139,78 +150,125 @@ def parse_point(text: str) -> Point:
     return Point(run_id, int(t))
 
 
-def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: dict) -> Run:
-    """A run from its JSON object, decoded in one loop over its events.
+#: An event object's fields, in the order of a ``contexts`` table's keys.
+_FIELDS = itemgetter("time", "agent", "kind", "peer", "message")
+
+
+def run_from_dict(
+    obj: dict, n_agents: int, horizon: int, path: str, interned: dict, contexts: dict
+) -> Run:
+    """A run from its JSON object, decoded in one loop over its events,
+    which also checks every rule of ``runs.inconsistencies``.
 
     ``interned`` is a table of ``runs.timeline_entry``'s, so equal events,
     and equal (tick, event) pairs, decoded with one table are one object.
+    ``contexts`` maps a run's wake-up times and clock tables to a table
+    from an event's fields to its entry and its flow (see ``_sends_first``),
+    holding the events found consistent under them. So each distinct
+    event of the runs decoded with one ``contexts`` is checked and made
+    into an entry once, and each distinct context's clock tables are
+    checked once. True == 1 == 1.0 and the three hash alike, so the types
+    of an event's fields are checked on every event, before the lookup.
+
     The first bad field raises a ``SchemaError`` that starts with its
     path, formatted only then; a bad clock length or agent is reported
     after every field check, and a break of ``runs.inconsistencies``
-    after that.
+    after that, its first in the order it finds them.
     """
-    keys = [str(a) for a in range(n_agents)]
+    keys = _agent_keys(n_agents)
     _expect(obj, dict, path)
     run_id = str(_need(obj, "id", path))
     wake_raw = _need(obj, "wake_up", path, dict)
     init_raw = _need(obj, "initial_state", path, dict)
-    wake = tuple(wake_raw.get(k) for k in keys)
+    wake = tuple(map(wake_raw.get, keys))
     for k, w in zip(keys, wake):
         if type(w) is not int or not 0 <= w <= horizon:
             _need_tick(wake_raw, k, f"{path}.wake_up", horizon)
     for k in keys:
         if k not in init_raw:
             raise SchemaError(f"{path}.initial_state.{k}: missing")
-    init = tuple(str(init_raw[k]) for k in keys)
+    init = tuple(map(str, map(init_raw.__getitem__, keys)))
     raw_events = obj.get("events", [])
     if type(raw_events) is not list:
         raise _type_error(f"{path}.events", list, raw_events)
     raw_clock = obj.get("clock")
-    clock = short_clock = None
+    clock = None
     if raw_clock is not None:
         if type(raw_clock) is not dict:
             raise _type_error(f"{path}.clock", dict, raw_clock)
-        for k in keys:
-            readings = raw_clock.get(k)
-            if type(readings) is not list:
-                _need(raw_clock, k, f"{path}.clock", list)
-            if not _INTEGERS_ONLY.issuperset(map(type, readings)):
-                t = next(t for t, v in enumerate(readings) if type(v) is not int)
-                raise _type_error(f"{path}.clock.{k}[{t}]", int, readings[t])
-        clock = tuple(tuple(raw_clock[k]) for k in keys)
-        short_clock = next(
-            (a for a in range(n_agents) if len(clock[a]) != horizon - wake[a] + 1), None
-        )
-    # a bad clock length or agent is reported only after every field check
+        rows = tuple(map(raw_clock.get, keys))
+        if not (
+            _LISTS_ONLY.issuperset(map(type, rows))
+            and _INTEGERS_ONLY.issuperset(map(type, chain.from_iterable(rows)))
+        ):
+            for k, readings in zip(keys, rows):  # the first bad table
+                if type(readings) is not list:
+                    _need(raw_clock, k, f"{path}.clock", list)
+                if not _INTEGERS_ONLY.issuperset(map(type, readings)):
+                    t = next(t for t, v in enumerate(readings) if type(v) is not int)
+                    raise _type_error(f"{path}.clock.{k}[{t}]", int, readings[t])
+        clock = tuple(map(tuple, rows))
+    # A context already in ``contexts`` has the right clock lengths and
+    # monotone clocks. A bad clock length or agent is reported only after
+    # every field check.
+    bad_agent = short_clock = None
+    broken = False  # a rule of ``inconsistencies`` is broken
+    table = contexts.get((wake, clock))
+    if table is None:
+        table = {}
+        if clock is not None:
+            short_clock = next(
+                (a for a in range(n_agents) if len(clock[a]) != horizon - wake[a] + 1), None
+            )
+        if short_clock is None:
+            if all(all(map(le, row, islice(row, 1, None))) for row in clock or ()):
+                contexts[wake, clock] = table
+            else:
+                broken = True
     stamps = clock if short_clock is None else None
-    bad_agent = None
 
     per_agent: list[list[tuple]] = [[] for _ in keys]
     append = [entries.append for entries in per_agent]
+    first_sent: dict[tuple[int, int, str], int] = {}
+    receives = []
     for ev in raw_events:
         try:
-            t, agent, kind = ev["time"], ev["agent"], ev["kind"]
-            peer, message = ev["peer"], ev["message"]
-        except (KeyError, TypeError):  # a missing field, or not an object
+            t, agent, kind, peer, message = fields = _FIELDS(ev)
+            hit = None
+            if type(t) is int and type(agent) is int and type(peer) is int and type(message) is str:
+                hit = table.get(fields)  # a TypeError if the kind is not hashable
+        except (KeyError, TypeError):  # a missing field, not an object or a bad kind
             _event_error(ev, raw_events, path, horizon)
-        if (
-            type(t) is not int
-            or type(agent) is not int
-            or type(peer) is not int
-            or not 0 <= t <= horizon
-            or kind not in EVENT_KINDS
-        ):
-            _event_error(ev, raw_events, path, horizon)
-        if not 0 <= agent < n_agents:
-            if bad_agent is None:
-                bad_agent = agent
-            continue
-        if type(message) is not str:
-            message = str(message)
-        stamp = None
-        if stamps is not None and t >= wake[agent]:
-            stamp = stamps[agent][t - wake[agent]]
-        append[agent](timeline_entry(interned, t, kind, peer, message, stamp))
+        if hit is None:
+            if (
+                type(t) is not int
+                or type(agent) is not int
+                or type(peer) is not int
+                or not 0 <= t <= horizon
+                or kind not in EVENT_KINDS
+            ):
+                _event_error(ev, raw_events, path, horizon)
+            if not 0 <= agent < n_agents:
+                if bad_agent is None:
+                    bad_agent = agent
+                continue
+            if type(message) is not str:
+                message = str(message)
+            awake = t >= wake[agent]
+            stamp = stamps[agent][t - wake[agent]] if stamps is not None and awake else None
+            entry = timeline_entry(interned, t, kind, peer, message, stamp)
+            # the event's (sender, recipient, message)
+            hit = (entry, (agent, peer, message) if kind == SEND else (peer, agent, message))
+            if awake and 0 <= peer < n_agents:
+                table[t, agent, kind, peer, message] = hit
+            else:
+                broken = True
+        entry, flow = hit
+        append[agent](entry)
+        if entry[1]:  # kind != SEND: a receive, matched after the loop
+            receives.append(hit)
+        elif first_sent.get(flow, t + 1) > t:
+            first_sent[flow] = t
 
     if short_clock is not None:
         a = short_clock
@@ -224,6 +282,8 @@ def run_from_dict(obj: dict, n_agents: int, horizon: int, path: str, interned: d
             f"{path}.events[{j}].agent: run {run_id!r}: event names agent {bad_agent}"
         )
     run = Run(run_id, wake, init, tuple(map(canonical_timeline, per_agent)), clock)
+    if not broken and all(first_sent.get(flow, e[0] + 1) <= e[0] for e, flow in receives):
+        return run
     for agent, i, field, problem in inconsistencies(run, n_agents):
         if field == "clock":
             raise SchemaError(f"{path}.clock.{agent}[{i}]: {problem}")
@@ -249,8 +309,9 @@ def system_from_dict(obj: dict, path: str = "system") -> System:
     runs = _need(obj, "runs", path)
     if type(runs) is not tuple:
         interned: dict = {}
+        contexts: dict = {}
         runs = [
-            run_from_dict(r, n, horizon, f"{path}.runs[{i}]", interned)
+            run_from_dict(r, n, horizon, f"{path}.runs[{i}]", interned, contexts)
             for i, r in enumerate(_expect(runs, list, f"{path}.runs"))
         ]
     try:
@@ -491,13 +552,14 @@ def _runs(reader: _Reader, obj: dict, path: str) -> tuple[Run, ...]:
     n = _need_count(obj, "agents", path)
     horizon = _need_count(obj, "horizon", path)
     interned: dict = {}
+    contexts: dict = {}
     runs: list[Run] = []
     size = 0  # runs are alike: the text of the last one is read ahead for the next
     for i in _items(reader):
         start = reader.at()
         raw = reader.take(_value, size)
         size = reader.at() - start
-        runs.append(run_from_dict(raw, n, horizon, f"{path}.runs[{i}]", interned))
+        runs.append(run_from_dict(raw, n, horizon, f"{path}.runs[{i}]", interned, contexts))
         del raw  # before the next run's object is parsed
     return tuple(runs)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from epimc import decoders, serialize
 from epimc.cli import EXIT_BROKEN_PIPE, CliError, _read, main
-from epimc.runs import ModelError, System
+from epimc.runs import ModelError, System, timeline_entry
 from epimc.scenarios import SCENARIOS, _depth_formula
 from epimc.semantics import Model, ScenarioManifest, evaluate, verify_manifest
 from epimc.formulas import parse
@@ -1041,6 +1041,42 @@ def test_reading_the_runs_alone_steps_over_the_valuation_an_entry_at_a_time(benc
     system, held, peak = _traced(lambda: _read(str(bench_broadcast), system_from_dict))
     assert len(system.runs) == 729
     assert peak <= held + 8 * serialize.CHUNK
+
+
+@pytest.fixture(scope="module")
+def bench_muddy(tmp_path_factory):
+    """The bench's muddy children manifest: 128 runs and 47,592 events,
+    733 of them distinct, in an 8.9 MB file."""
+    out = tmp_path_factory.mktemp("muddy")
+    with open(os.devnull, "w") as devnull, mock.patch("sys.stdout", new=devnull):
+        assert main(["scenario", "muddy_children", "--param", "n=6", "--param", "announce=true",
+                     "--param", "rounds=6", "--param", "staggered_announcement=true",
+                     "--out", str(out)]) == 0
+    return out / "muddy_children.manifest.json"
+
+
+def _entries_built(path, decode) -> int:
+    """The timeline entries built while ``_read`` decodes file ``path``."""
+    built = []
+
+    def counted(*args):
+        built.append(None)
+        return timeline_entry(*args)
+
+    with mock.patch.object(serialize, "timeline_entry", counted):
+        _read(str(path), decode)
+    return len(built)
+
+
+@pytest.mark.parametrize("files, decode, distinct", [
+    ("bench_broadcast", model_from_dict, 24), ("bench_muddy", manifest_from_dict, 733)
+], ids=["broadcast", "muddy"])
+def test_reading_builds_one_entry_per_distinct_event(request, files, decode, distinct):
+    # the broadcast's 8,748 events are 24 distinct ones and the muddy
+    # manifest's 47,592 events 733, each run's under the same wake-up
+    # times and clock tables: each distinct event is checked and made into
+    # a timeline entry once per file
+    assert _entries_built(request.getfixturevalue(files), decode) <= distinct
 
 
 def test_read_peak_grows_with_the_chunk_by_a_few_times_as_much(bench_broadcast):

@@ -25,7 +25,7 @@ from epimc.scenarios import (
     muddy_children,
     timestamped_demo,
 )
-from epimc.cli import _read
+from epimc.cli import CliError, _read
 from epimc import jsontext
 from epimc.jsontext import _BATCH, write_json
 from epimc.writer import _manifest_doc, _write_split
@@ -722,3 +722,73 @@ def test_equal_events_and_timeline_pairs_are_one_object(tmp_path):
             assert _shared(system)
             assert [r.content_key() for r in system.runs] == [
                 r.content_key() for r in model.system.runs]
+
+
+# A decode checks each distinct event once, under its run's wake-up times
+# and clock tables, and shares the result with the later runs. These
+# documents put a valid send and receive in that table with run "a", and
+# run "b" repeats them with one change; through ``cli._read`` each must
+# exit as it did before events were shared, with the same message. True,
+# 1 and 1.0 are equal and hash alike, so a hit must not skip a type check.
+
+_TABLE_SEND = {"time": 1, "agent": 0, "kind": "send", "peer": 1, "message": "m"}
+_TABLE_RECEIVE = {"time": 1, "agent": 1, "kind": "receive", "peer": 0, "message": "m"}
+_TABLE_RUN = {"id": "a", "wake_up": {"0": 0, "1": 0}, "initial_state": {"0": "s", "1": "t"},
+              "clock": {"0": [0, 1, 2], "1": [0, 1, 2]}, "events": [_TABLE_SEND, _TABLE_RECEIVE]}
+
+
+def _table_document(**changes) -> dict:
+    """Two runs of two agents over ticks 0..2: "a" as above, and "b" equal
+    to it but for ``changes``."""
+    return {"schema": 1, "agents": 2, "horizon": 2,
+            "runs": [_TABLE_RUN, dict(_TABLE_RUN, id="b", **changes)]}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"events": [_TABLE_SEND, dict(_TABLE_RECEIVE, time=True)]},
+     "system.runs[1].events[1].time: expected an integer, got True"),
+    ({"events": [dict(_TABLE_SEND, time=1.0), _TABLE_RECEIVE]},
+     "system.runs[1].events[0].time: expected an integer, got 1.0"),
+    ({"events": [_TABLE_SEND, dict(_TABLE_RECEIVE, agent=True)]},
+     "system.runs[1].events[1].agent: expected an integer, got True"),
+    ({"events": [dict(_TABLE_SEND, peer=1.0), _TABLE_RECEIVE]},
+     "system.runs[1].events[0].peer: expected an integer, got 1.0"),
+    ({"events": [dict(_TABLE_SEND, kind="Send"), _TABLE_RECEIVE]},
+     "system.runs[1].events[0].kind: 'Send' is not send or receive"),
+    ({"events": [dict(_TABLE_SEND, agent=2), _TABLE_RECEIVE]},
+     "system.runs[1].events[0].agent: run 'b': event names agent 2"),
+    ({"events": [dict(_TABLE_SEND, peer=5), _TABLE_RECEIVE]},
+     "system.runs[1].events[0].peer: peer 5 is not an agent"),
+    ({"wake_up": {"0": 2, "1": 0}, "clock": {"0": [2], "1": [0, 1, 2]}},
+     "system.runs[1].events[0]: event before wake-up at 2"),
+    ({"events": [_TABLE_RECEIVE]},
+     "system.runs[1].events[0]: receive of 'm' has no matching send from agent 0"),
+    ({"clock": {"0": [0, True, 2], "1": [0, 1, 2]}},
+     "system.runs[1].clock.0[1]: expected an integer, got True"),
+    ({"clock": {"0": [0, 2, 1], "1": [0, 2, 1]}},
+     "system.runs[1].clock.0[2]: clock is not monotone nondecreasing (1 after 2)"),
+], ids=["time-true", "time-float", "agent-true", "peer-float", "kind", "agent-range",
+        "peer-range", "before-wake", "no-send", "clock-true", "clock-order"])
+def test_a_repeated_event_is_checked_again_in_every_run(tmp_path, changes, message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_table_document()))
+    _read(str(path), model_from_dict)
+    path.write_text(json.dumps(_table_document(**changes)))
+    with pytest.raises(CliError) as err:
+        _read(str(path), model_from_dict)
+    assert (err.value.exit_code, str(err.value)) == (2, f"{path}: {message}")
+
+
+@pytest.mark.parametrize("first, then", [(1, True), (True, 1), ("m", None), (1, 1.0)])
+def test_a_repeated_event_with_a_message_of_another_type_keeps_its_text(tmp_path, first, then):
+    def events(message):
+        return [dict(_TABLE_SEND, message=message), dict(_TABLE_RECEIVE, message=message)]
+
+    doc = _table_document(events=events(then))
+    doc["runs"][0] = dict(_TABLE_RUN, events=events(first))
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    system = _read(str(path), model_from_dict).system
+    messages = {run.id: {ev.message for line in run.timeline for _, ev in line}
+                for run in system.runs}
+    assert messages == {"a": {str(first)}, "b": {str(then)}}
