@@ -41,8 +41,8 @@ def _read(path: str, decode):
     """The document in file ``path``, decoded by ``decode``.
 
     ``load_document`` reads the file in chunks and decodes each item of
-    it (a run, a batch of a proposition's entries, an expectation) as it
-    parses it, so it never holds more than a few chunks of the text
+    it (a run, a batch of a proposition's entries or of expectations) as
+    it parses it, so it never holds more than a few chunks of the text
     besides the item it is reading; for ``system_from_dict``, which reads
     the runs alone, it decodes no other item, steps over a valuation one
     entry at a time and loads no model decoder. If opening, reading or
@@ -109,7 +109,6 @@ ROWS = 256
 def _cmd_eval(args) -> int:
     from json.encoder import encode_basestring_ascii as escape
     from operator import add
-    from typing import Callable
 
     from .decoders import model_from_dict
     from .runs import ModelError
@@ -145,17 +144,17 @@ def _cmd_eval(args) -> int:
     timing = None if args.no_timing else time.monotonic() - started
 
     def run_rows(heads, tail: str, sep: str):
-        """Each run's rows, ``ROWS`` at most at a time, joined by ``sep``:
+        """Each run's rows, at most ``ROWS`` at a time, joined by ``sep``:
         the row of tick t is ``heads(run_id)[bit] + str(t) + tail``, so
         each run id is put into the text once."""
         width = len(times)
         tails = [f"{t}{tail}" for t in times] if width <= ROWS else None
         for at, run_id in zip(range(0, len(bits), width), run_ids):
             head = heads(run_id).__getitem__
-            for start in range(0, width, ROWS):
-                span = times[start : start + ROWS]
-                run_bits = bits[at + start : at + start + len(span)]
-                yield sep.join(map(add, map(head, run_bits), tails or [f"{t}{tail}" for t in span]))
+            for start in range(at, at + width, ROWS):
+                span = times[start - at : start - at + ROWS]
+                ends = tails or [f"{t}{tail}" for t in span]
+                yield sep.join(map(add, map(head, bits[start : start + len(span)]), ends))
 
     if args.format == "table":
         def line_heads(run_id: str) -> dict[str, str]:
@@ -165,7 +164,7 @@ def _cmd_eval(args) -> int:
         _emit({"lines": run_rows(line_heads, "", "\n")}, "table", timing)
         return 0
 
-    def array(heads, tail: Callable[[int], str]):
+    def array(heads, tail):
         """A ``jsontext`` value function: the array of the rows of
         ``run_rows``, each run's written at once; ``heads`` and ``tail``
         also take the array's depth."""

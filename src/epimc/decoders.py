@@ -8,10 +8,11 @@ as ``check`` does, never loads this module. ``load_document`` imports
 ``_valuation`` and ``_expectations`` from here only when it decodes
 values.
 
-A valuation that follows its runs is read a batch of entries at a time:
-``_batches`` parses the text from the next entry to the last ``]``
-within ``WINDOW`` characters by one ``_value`` call, so while a file is
-read nothing beside the model is alive but one batch and its text.
+A valuation that follows its runs, and a manifest's expectations, are
+read a batch of items at a time: ``_batches`` parses the text from the
+next item to the last ``]`` (``}`` for an object) within ``WINDOW``
+characters by one ``_value`` call, so while a file is read nothing
+beside the model is alive but one batch and its text.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .serialize import (
 if TYPE_CHECKING:
     from .semantics import Model, ScenarioManifest, Valuation
 
-#: The characters of a valuation's text that one batch of its entries
-#: is taken from (see ``_batches``).
+#: The characters of an array's text that one batch of its items is
+#: taken from (see ``_batches``).
 WINDOW = 16 * 1024
 
 

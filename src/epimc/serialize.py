@@ -8,10 +8,15 @@ decodes the run part alone.
 
 A file is parsed by ``load_document``, which reads it in chunks of
 ``CHUNK`` bytes and decodes each run as soon as it is parsed, and, when
-asked for values, each proposition of a valuation a batch of entries at
-a time and each expectation, so neither the whole text nor the whole
-JSON document is ever held. ``load_json`` parses a text whole, for the
-key orders and errors that ``load_document`` leaves to it.
+asked for values, each proposition of a valuation and a manifest's
+expectations a batch of items at a time, so neither the whole text nor
+the whole JSON document is ever held. ``load_json`` parses a text whole,
+for the key orders and errors that ``load_document`` leaves to it.
+
+The runs of one decode share a table of the events already checked:
+each distinct event, under a run's wake-up times and clock tables, is
+checked and made into a timeline entry once, and a repeated one costs
+the type checks of its fields and one lookup (see ``run_from_dict``).
 
 Other names are read from their modules on first use: the model and
 manifest decoders (``valuation_from_dict``, ``model_from_dict`` and
@@ -28,8 +33,7 @@ import codecs
 import json
 import os
 import re
-from functools import cache
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter, le
 from typing import Any, BinaryIO, Callable, Iterator, NoReturn
 
@@ -71,13 +75,6 @@ def __getattr__(name: str) -> Any:
 
 
 _INTEGERS_ONLY = {int}
-_LISTS_ONLY = {list}
-
-
-@cache
-def _agent_keys(n_agents: int) -> tuple[str, ...]:
-    """The keys of an object with a value per agent."""
-    return tuple(map(str, range(n_agents)))
 
 
 class SchemaError(ModelError):
@@ -157,37 +154,40 @@ _FIELDS = itemgetter("time", "agent", "kind", "peer", "message")
 def run_from_dict(
     obj: dict, n_agents: int, horizon: int, path: str, interned: dict, contexts: dict
 ) -> Run:
-    """A run from its JSON object, decoded in one loop over its events,
-    which also checks every rule of ``runs.inconsistencies``.
+    """A run from its JSON object, decoded in one loop over its events
+    that also checks the rules of ``runs.inconsistencies``: the first
+    sends of each (sender, recipient, message) are taken as the sends
+    are decoded, and the receives are matched to them after the loop.
 
     ``interned`` is a table of ``runs.timeline_entry``'s, so equal events,
     and equal (tick, event) pairs, decoded with one table are one object.
-    ``contexts`` maps a run's wake-up times and clock tables to a table
-    from an event's fields to its entry and its flow (see ``_sends_first``),
-    holding the events found consistent under them. So each distinct
-    event of the runs decoded with one ``contexts`` is checked and made
-    into an entry once, and each distinct context's clock tables are
-    checked once. True == 1 == 1.0 and the three hash alike, so the types
-    of an event's fields are checked on every event, before the lookup.
+    ``contexts`` maps a run's wake-up times and clock tables, once their
+    lengths and order are checked, to a table from the fields of each
+    event found consistent under them to its entry and its (sender,
+    recipient, message). So each distinct event of the runs decoded with
+    one ``contexts`` is checked and made into an entry once, and each
+    distinct context's clock tables are checked once. True == 1 == 1.0
+    and the three hash alike, so the types of every event's fields are
+    checked before its lookup.
 
     The first bad field raises a ``SchemaError`` that starts with its
     path, formatted only then; a bad clock length or agent is reported
     after every field check, and a break of ``runs.inconsistencies``
     after that, its first in the order it finds them.
     """
-    keys = _agent_keys(n_agents)
+    keys = [str(a) for a in range(n_agents)]
     _expect(obj, dict, path)
     run_id = str(_need(obj, "id", path))
     wake_raw = _need(obj, "wake_up", path, dict)
     init_raw = _need(obj, "initial_state", path, dict)
-    wake = tuple(map(wake_raw.get, keys))
+    wake = tuple(wake_raw.get(k) for k in keys)
     for k, w in zip(keys, wake):
         if type(w) is not int or not 0 <= w <= horizon:
             _need_tick(wake_raw, k, f"{path}.wake_up", horizon)
     for k in keys:
         if k not in init_raw:
             raise SchemaError(f"{path}.initial_state.{k}: missing")
-    init = tuple(map(str, map(init_raw.__getitem__, keys)))
+    init = tuple(str(init_raw[k]) for k in keys)
     raw_events = obj.get("events", [])
     if type(raw_events) is not list:
         raise _type_error(f"{path}.events", list, raw_events)
@@ -196,18 +196,14 @@ def run_from_dict(
     if raw_clock is not None:
         if type(raw_clock) is not dict:
             raise _type_error(f"{path}.clock", dict, raw_clock)
-        rows = tuple(map(raw_clock.get, keys))
-        if not (
-            _LISTS_ONLY.issuperset(map(type, rows))
-            and _INTEGERS_ONLY.issuperset(map(type, chain.from_iterable(rows)))
-        ):
-            for k, readings in zip(keys, rows):  # the first bad table
-                if type(readings) is not list:
-                    _need(raw_clock, k, f"{path}.clock", list)
-                if not _INTEGERS_ONLY.issuperset(map(type, readings)):
-                    t = next(t for t, v in enumerate(readings) if type(v) is not int)
-                    raise _type_error(f"{path}.clock.{k}[{t}]", int, readings[t])
-        clock = tuple(map(tuple, rows))
+        for k in keys:
+            readings = raw_clock.get(k)
+            if type(readings) is not list:
+                _need(raw_clock, k, f"{path}.clock", list)
+            if not _INTEGERS_ONLY.issuperset(map(type, readings)):
+                t = next(t for t, v in enumerate(readings) if type(v) is not int)
+                raise _type_error(f"{path}.clock.{k}[{t}]", int, readings[t])
+        clock = tuple(tuple(raw_clock[k]) for k in keys)
     # A context already in ``contexts`` has the right clock lengths and
     # monotone clocks. A bad clock length or agent is reported only after
     # every field check.
@@ -235,7 +231,8 @@ def run_from_dict(
         try:
             t, agent, kind, peer, message = fields = _FIELDS(ev)
             hit = None
-            if type(t) is int and type(agent) is int and type(peer) is int and type(message) is str:
+            if (type(t) is int and type(agent) is int and type(peer) is int
+                    and type(message) is str):
                 hit = table.get(fields)  # a TypeError if the kind is not hashable
         except (KeyError, TypeError):  # a missing field, not an object or a bad kind
             _event_error(ev, raw_events, path, horizon)
@@ -366,10 +363,11 @@ def load_document(file: BinaryIO, values: bool = True) -> dict:
       entries at a time (see ``decoders._batches``); without ``values``,
       a ``valuation`` is stepped over an entry at a time;
     - with ``values``, the top's ``expectations`` array becomes a tuple
-      of ``Expectation``\\ s, whose points are not yet checked.
+      of ``Expectation``\\ s, a batch of items at a time, whose points
+      are not yet checked.
 
-    Only one item's raw value, or one batch of entries, is alive at a
-    time, and neither the whole text nor the whole document is ever held.
+    Only one item's raw value, or one batch of items, is alive at a time,
+    and neither the whole text nor the whole document is ever held.
 
     It raises on anything else: text that is not UTF-8 or not one JSON
     object, a repeated key in an object it walks, an item that does not
@@ -548,7 +546,8 @@ def _runs(reader: _Reader, obj: dict, path: str) -> tuple[Run, ...]:
     """The runs of the array that opens at the reader's next character,
     decoded with the ``agents`` and ``horizon`` that ``obj`` already
     holds. Equal events, and equal (tick, event) pairs, are one object
-    among them; the table that shares them is dropped at the end."""
+    among them; the tables that share them and the events already
+    checked are dropped at the end."""
     n = _need_count(obj, "agents", path)
     horizon = _need_count(obj, "horizon", path)
     interned: dict = {}
