@@ -101,16 +101,9 @@ def _emit(report: dict, fmt: str, timing: float | None) -> None:
         print(f"elapsed: {timing:.3f}s")
 
 
-#: The rows of ``eval`` that are made and written at a time: a run's, or
-#: this many of a longer run's.
-ROWS = 256
-
-
 def _cmd_eval(args) -> int:
-    from json.encoder import encode_basestring_ascii as escape
-    from operator import add
-
     from .decoders import model_from_dict
+    from .evalreport import eval_report
     from .runs import ModelError
     from .semantics import EvalError, truth_mask
     from .serialize import SchemaError, parse_point
@@ -142,57 +135,7 @@ def _cmd_eval(args) -> int:
             raise CliError(str(exc), 1) from None
         run_ids, times = [point.run_id], (point.time,)
     timing = None if args.no_timing else time.monotonic() - started
-
-    def run_rows(heads, tail: str, sep: str):
-        """Each run's rows, at most ``ROWS`` at a time, joined by ``sep``:
-        the row of tick t is ``heads(run_id)[bit] + str(t) + tail``, so
-        each run id is put into the text once."""
-        width = len(times)
-        tails = [f"{t}{tail}" for t in times] if width <= ROWS else None
-        for at, run_id in zip(range(0, len(bits), width), run_ids):
-            head = heads(run_id).__getitem__
-            for start in range(at, at + width, ROWS):
-                span = times[start - at : start - at + ROWS]
-                ends = tails or [f"{t}{tail}" for t in span]
-                yield sep.join(map(add, map(head, bits[start : start + len(span)]), ends))
-
-    if args.format == "table":
-        def line_heads(run_id: str) -> dict[str, str]:
-            return {"0": f"F  {run_id}@", "1": f"T  {run_id}@"}
-
-        # _emit ends each run's lines with a newline
-        _emit({"lines": run_rows(line_heads, "", "\n")}, "table", timing)
-        return 0
-
-    def array(heads, tail):
-        """A ``jsontext`` value function: the array of the rows of
-        ``run_rows``, each run's written at once; ``heads`` and ``tail``
-        also take the array's depth."""
-        def write_array(depth: int, write) -> None:
-            here = "\n" + "  " * depth
-            sep = "[" + here + "  "
-            rows = run_rows(lambda run_id: heads(run_id, depth), tail(depth), "," + here + "  ")
-            for text in rows:
-                write(sep + text)
-                sep = "," + here + "  "
-            write(here + "]" if sep[0] == "," else "[]")
-        return write_array
-
-    def result_heads(run_id: str, depth: int) -> dict[str, str]:
-        inner = "\n" + "  " * (depth + 2)
-        point = f'{inner}"point": {escape(run_id)[:-1]}@'
-        return {"0": f'{{{inner}"holds": false,{point}', "1": f'{{{inner}"holds": true,{point}'}
-
-    def json_line_heads(run_id: str, depth: int) -> dict[str, str]:
-        inside = escape(run_id)[1:-1]
-        return {"0": f'"F  {inside}@', "1": f'"T  {inside}@'}
-
-    report = {
-        "formula": args.formula,
-        "results": array(result_heads, lambda depth: '"\n' + "  " * (depth + 1) + "}"),
-        "lines": array(json_line_heads, lambda depth: '"'),
-    }
-    _emit(report, "json", timing)
+    _emit(eval_report(args.formula, run_ids, times, bits, args.format), args.format, timing)
     return 0
 
 

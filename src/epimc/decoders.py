@@ -2,11 +2,11 @@
 and view policy, and a manifest's expectations.
 
 ``serialize`` decodes the run part of a file and resolves the public
-names here (``valuation_from_dict``, ``model_from_dict`` and
-``manifest_from_dict``) on first use, so a query that reads runs alone,
-as ``check`` does, never loads this module. ``load_document`` imports
-``_valuation`` and ``_expectations`` from here only when it decodes
-values.
+names here (``valuation_from_dict``, ``model_from_dict``,
+``manifest_from_dict`` and ``parse_point``) on first use, so a query
+that reads runs alone, as ``check`` does, never loads this module.
+``load_document`` imports ``_valuation`` and ``_expectations`` from
+here only when it decodes values.
 
 A valuation that follows its runs, and a manifest's expectations, are
 read a batch of items at a time: ``_batches`` parses the text from the
@@ -29,7 +29,6 @@ from .serialize import (
     _need,
     _Reader,
     _value,
-    parse_point,
     system_from_dict,
 )
 
@@ -39,6 +38,15 @@ if TYPE_CHECKING:
 #: The characters of an array's text that one batch of its items is
 #: taken from (see ``_batches``).
 WINDOW = 16 * 1024
+
+
+def parse_point(text: str) -> Point:
+    """Points are addressed as ``run_id@time``; the last @ separates and
+    the time is ASCII digits."""
+    run_id, sep, t = text.rpartition("@")
+    if not sep or not (t.isascii() and t.isdigit()):
+        raise SchemaError(f"point {text!r} is not of the form run_id@time")
+    return Point(run_id, int(t))
 
 
 def valuation_from_dict(obj: Any, system: System, path: str = "valuation") -> Valuation:

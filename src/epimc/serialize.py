@@ -7,20 +7,17 @@ Details and examples live in docs/file-formats.md. ``system_from_dict``
 decodes the run part alone.
 
 A file is parsed by ``load_document``, which reads it in chunks of
-``CHUNK`` bytes and decodes each run as soon as it is parsed, and, when
-asked for values, each proposition of a valuation and a manifest's
-expectations a batch of items at a time, so neither the whole text nor
-the whole JSON document is ever held. ``load_json`` parses a text whole,
-for the key orders and errors that ``load_document`` leaves to it.
-
-The runs of one decode share a table of the events already checked:
-each distinct event, under a run's wake-up times and clock tables, is
-checked and made into a timeline entry once, and a repeated one costs
-the type checks of its fields and one lookup (see ``run_from_dict``).
+``CHUNK`` bytes and decodes each run as soon as it is parsed, checking
+each distinct event once per file, and, when asked for values, a
+valuation's point lists and the expectations a batch at a time, so
+neither the whole text nor the whole JSON document is ever held.
+``load_json`` parses a text whole, for the key orders and errors that
+``load_document`` leaves to it.
 
 Other names are read from their modules on first use: the model and
-manifest decoders (``valuation_from_dict``, ``model_from_dict`` and
-``manifest_from_dict``, from ``decoders``) and the writing side
+manifest decoders (``valuation_from_dict``, ``model_from_dict``,
+``manifest_from_dict`` and ``parse_point``, from ``decoders``) and the
+writing side
 (``dump_json`` from ``jsontext``, and the ``*_to_dict`` functions and
 ``write_manifest`` from ``writer``). So a query that reads runs alone,
 as ``check`` does, loads none of them, and one that only reads loads no
@@ -42,7 +39,6 @@ from .runs import (
     EVENT_KINDS,
     SEND,
     ModelError,
-    Point,
     Run,
     System,
     canonical_timeline,
@@ -55,8 +51,8 @@ from .runs import (
 #: model and manifest decoders and the writing side.
 _LAZY = {
     "dump_json": "jsontext",
-    **dict.fromkeys(("valuation_from_dict", "model_from_dict", "manifest_from_dict"),
-                    "decoders"),
+    **dict.fromkeys(("valuation_from_dict", "model_from_dict", "manifest_from_dict",
+                     "parse_point"), "decoders"),
     **dict.fromkeys(
         ("run_events", "run_to_dict", "system_to_dict", "valuation_to_dict",
          "model_to_dict", "manifest_to_dict", "write_manifest"),
@@ -138,15 +134,6 @@ def _need_count(obj: dict, key: str, path: str) -> int:
     return value
 
 
-def parse_point(text: str) -> Point:
-    """Points are addressed as ``run_id@time``; the last @ separates and
-    the time is ASCII digits."""
-    run_id, sep, t = text.rpartition("@")
-    if not sep or not (t.isascii() and t.isdigit()):
-        raise SchemaError(f"point {text!r} is not of the form run_id@time")
-    return Point(run_id, int(t))
-
-
 #: An event object's fields, in the order of a ``contexts`` table's keys.
 _FIELDS = itemgetter("time", "agent", "kind", "peer", "message")
 
@@ -155,25 +142,17 @@ def run_from_dict(
     obj: dict, n_agents: int, horizon: int, path: str, interned: dict, contexts: dict
 ) -> Run:
     """A run from its JSON object, decoded in one loop over its events
-    that also checks the rules of ``runs.inconsistencies``: the first
-    sends of each (sender, recipient, message) are taken as the sends
-    are decoded, and the receives are matched to them after the loop.
+    that also checks the rules of ``runs.inconsistencies``.
 
     ``interned`` is a table of ``runs.timeline_entry``'s, so equal events,
     and equal (tick, event) pairs, decoded with one table are one object.
-    ``contexts`` maps a run's wake-up times and clock tables, once their
-    lengths and order are checked, to a table from the fields of each
-    event found consistent under them to its entry and its (sender,
-    recipient, message). So each distinct event of the runs decoded with
-    one ``contexts`` is checked and made into an entry once, and each
-    distinct context's clock tables are checked once. True == 1 == 1.0
-    and the three hash alike, so the types of every event's fields are
-    checked before its lookup.
-
-    The first bad field raises a ``SchemaError`` that starts with its
-    path, formatted only then; a bad clock length or agent is reported
-    after every field check, and a break of ``runs.inconsistencies``
-    after that, its first in the order it finds them.
+    ``contexts`` holds each run's initial states, wake-up times and clock
+    tables, which the runs decoded with it share, and the events found
+    consistent under them, so each distinct event of those runs is
+    checked once. The first bad field raises a
+    ``SchemaError`` that starts with its path, formatted only then; a bad
+    clock length or agent is reported after every field check, and a
+    break of ``runs.inconsistencies`` after that.
     """
     keys = [str(a) for a in range(n_agents)]
     _expect(obj, dict, path)
@@ -188,6 +167,7 @@ def run_from_dict(
         if k not in init_raw:
             raise SchemaError(f"{path}.initial_state.{k}: missing")
     init = tuple(str(init_raw[k]) for k in keys)
+    init = contexts.setdefault(init, init)  # equal initial states are one tuple
     raw_events = obj.get("events", [])
     if type(raw_events) is not list:
         raise _type_error(f"{path}.events", list, raw_events)
@@ -204,46 +184,40 @@ def run_from_dict(
                 t = next(t for t, v in enumerate(readings) if type(v) is not int)
                 raise _type_error(f"{path}.clock.{k}[{t}]", int, readings[t])
         clock = tuple(tuple(raw_clock[k]) for k in keys)
-    # A context already in ``contexts`` has the right clock lengths and
-    # monotone clocks. A bad clock length or agent is reported only after
-    # every field check.
+    # ``contexts`` maps each (wake, clock) whose clock lengths and order
+    # are right to itself, which its runs share, and a table from an
+    # event's fields to its entry and its (sender, recipient, message). A
+    # bad clock length or agent is reported only after every field check.
     bad_agent = short_clock = None
     broken = False  # a rule of ``inconsistencies`` is broken
-    table = contexts.get((wake, clock))
-    if table is None:
-        table = {}
+    context = contexts.get((wake, clock))
+    if context is None:
+        context = (wake, clock, {})
         if clock is not None:
             short_clock = next(
                 (a for a in range(n_agents) if len(clock[a]) != horizon - wake[a] + 1), None
             )
-        if short_clock is None:
-            if all(all(map(le, row, islice(row, 1, None))) for row in clock or ()):
-                contexts[wake, clock] = table
-            else:
-                broken = True
+        broken = not all(all(map(le, row, islice(row, 1, None))) for row in clock or ())
+        if short_clock is None and not broken:
+            contexts[wake, clock] = context
+    wake, clock, table = context
     stamps = clock if short_clock is None else None
 
     per_agent: list[list[tuple]] = [[] for _ in keys]
     append = [entries.append for entries in per_agent]
-    first_sent: dict[tuple[int, int, str], int] = {}
+    first_sent = {}  # (sender, recipient, message) -> the tick it is first sent
     receives = []
     for ev in raw_events:
         try:
             t, agent, kind, peer, message = fields = _FIELDS(ev)
-            hit = None
-            if (type(t) is int and type(agent) is int and type(peer) is int
-                    and type(message) is str):
-                hit = table.get(fields)  # a TypeError if the kind is not hashable
-        except (KeyError, TypeError):  # a missing field, not an object or a bad kind
+            # True == 1 == 1.0 and they hash alike: the types are checked
+            # on every event, before its fields are looked up
+            typed = type(t) is int and type(agent) is int and type(peer) is int
+            hit = table.get(fields) if typed and type(message) is str else None
+        except (KeyError, TypeError):  # a missing field, not an object or an unhashable kind
             _event_error(ev, raw_events, path, horizon)
         if hit is None:
-            if (
-                type(t) is not int
-                or type(agent) is not int
-                or type(peer) is not int
-                or not 0 <= t <= horizon
-                or kind not in EVENT_KINDS
-            ):
+            if not typed or not 0 <= t <= horizon or kind not in EVENT_KINDS:
                 _event_error(ev, raw_events, path, horizon)
             if not 0 <= agent < n_agents:
                 if bad_agent is None:
@@ -279,8 +253,14 @@ def run_from_dict(
             f"{path}.events[{j}].agent: run {run_id!r}: event names agent {bad_agent}"
         )
     run = Run(run_id, wake, init, tuple(map(canonical_timeline, per_agent)), clock)
-    if not broken and all(first_sent.get(flow, e[0] + 1) <= e[0] for e, flow in receives):
-        return run
+    if broken or any(first_sent.get(flow, e[0] + 1) > e[0] for e, flow in receives):
+        _inconsistency_error(run, n_agents, raw_events, path)
+    return run
+
+
+def _inconsistency_error(run: Run, n_agents: int, raw_events: list, path: str) -> NoReturn:
+    """Raise the schema error of the first break of ``runs.inconsistencies``
+    in ``run``, decoded from ``raw_events``."""
     for agent, i, field, problem in inconsistencies(run, n_agents):
         if field == "clock":
             raise SchemaError(f"{path}.clock.{agent}[{i}]: {problem}")
@@ -291,7 +271,6 @@ def run_from_dict(
             == (t, agent, ev.kind, ev.peer, ev.message)
         )
         raise SchemaError(f"{path}.events[{j}]{'.peer' if field == 'peer' else ''}: {problem}")
-    return run
 
 
 def system_from_dict(obj: dict, path: str = "system") -> System:
@@ -363,11 +342,11 @@ def load_document(file: BinaryIO, values: bool = True) -> dict:
       entries at a time (see ``decoders._batches``); without ``values``,
       a ``valuation`` is stepped over an entry at a time;
     - with ``values``, the top's ``expectations`` array becomes a tuple
-      of ``Expectation``\\ s, a batch of items at a time, whose points
-      are not yet checked.
+      of ``Expectation``\\ s, a batch at a time, whose points are not
+      yet checked.
 
-    Only one item's raw value, or one batch of items, is alive at a time,
-    and neither the whole text nor the whole document is ever held.
+    Only one item's raw value, or one batch of entries, is alive at a
+    time, and neither the whole text nor the whole document is ever held.
 
     It raises on anything else: text that is not UTF-8 or not one JSON
     object, a repeated key in an object it walks, an item that does not
@@ -545,9 +524,9 @@ def _items(reader: _Reader) -> Iterator[int]:
 def _runs(reader: _Reader, obj: dict, path: str) -> tuple[Run, ...]:
     """The runs of the array that opens at the reader's next character,
     decoded with the ``agents`` and ``horizon`` that ``obj`` already
-    holds. Equal events, and equal (tick, event) pairs, are one object
-    among them; the tables that share them and the events already
-    checked are dropped at the end."""
+    holds. Equal events, (tick, event) pairs, initial states, wake-up
+    times and clock tables are one object among them; the tables that
+    share them are dropped at the end."""
     n = _need_count(obj, "agents", path)
     horizon = _need_count(obj, "horizon", path)
     interned: dict = {}

@@ -888,7 +888,8 @@ def test_query_children_import_only_what_their_command_uses(attack_files, comman
         assert not {"epimc.decoders", "epimc.semantics"} & imported
     else:
         query = {"epimc.decoders", "epimc.formulas", "epimc.semantics", "epimc.views"}
-        assert imported == core | query | ({"epimc.axioms"} if command == "axioms" else set())
+        own = {"axioms": {"epimc.axioms"}, "eval": {"epimc.evalreport"}}.get(command, set())
+        assert imported == core | query | own
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
@@ -1066,6 +1067,14 @@ def _entries_built(path, decode) -> int:
     with mock.patch.object(serialize, "timeline_entry", counted):
         _read(str(path), decode)
     return len(built)
+
+
+def test_runs_share_equal_initial_states_wake_ups_and_clocks(bench_broadcast):
+    # the 729 runs have one initial state, wake-up and clock tuple each
+    runs = _read(str(bench_broadcast), system_from_dict).runs
+    assert len(runs) == 729
+    for field in ("initial_state", "wake_up", "clock"):
+        assert len({id(getattr(run, field)) for run in runs}) == 1, field
 
 
 @pytest.mark.parametrize("files, decode, distinct", [
