@@ -196,11 +196,11 @@ def _batches(reader: _Reader) -> Iterator[list]:
     ``WINDOW`` characters when that item is an object, else to the last
     ``]``, parsed in brackets by one ``_value`` call. When the array's
     own ``]`` lies in that text, the parse stops there and the reader
-    resumes at it. A cut inside an item or a string does
-    not parse; the items up to the position the parse failed at are then
-    taken one at a time, and the next item starts a batch again, so no
-    text is parsed more than twice: in a batch and, where that batch
-    failed, item by item.
+    resumes at it. A cut inside an item or a string does not parse; the
+    items up to the position the parse failed at are then taken one at a
+    time, and the next item starts a batch again, so no text is parsed
+    more than twice: in a batch and, where that batch failed, item by
+    item.
     Whatever does not decode raises, for the caller's whole-document
     decoding to report.
     """
@@ -230,7 +230,7 @@ def _expectations(reader: _Reader) -> tuple:
     Equal formulas, points and notes are one object among them."""
     from .semantics import Expectation
 
-    shared: dict = {}  # equal formulas, points and notes are one object
+    shared: dict = {}
     out: list = []
     for batch in _batches(reader):
         for e in batch:

@@ -17,9 +17,8 @@ neither the whole text nor the whole JSON document is ever held.
 Other names are read from their modules on first use: the model and
 manifest decoders (``valuation_from_dict``, ``model_from_dict``,
 ``manifest_from_dict`` and ``parse_point``, from ``decoders``) and the
-writing side
-(``dump_json`` from ``jsontext``, and the ``*_to_dict`` functions and
-``write_manifest`` from ``writer``). So a query that reads runs alone,
+writing side (``dump_json`` from ``jsontext``, and the ``*_to_dict``
+functions and ``write_manifest`` from ``writer``). So a query that reads runs alone,
 as ``check`` does, loads none of them, and one that only reads loads no
 writer.
 """
@@ -149,10 +148,10 @@ def run_from_dict(
     ``contexts`` holds each run's initial states, wake-up times and clock
     tables, which the runs decoded with it share, and the events found
     consistent under them, so each distinct event of those runs is
-    checked once. The first bad field raises a
-    ``SchemaError`` that starts with its path, formatted only then; a bad
-    clock length or agent is reported after every field check, and a
-    break of ``runs.inconsistencies`` after that.
+    checked once. The first bad field raises a ``SchemaError`` that
+    starts with its path, formatted only then; a bad clock length or
+    agent is reported after every field check, and a break of
+    ``runs.inconsistencies`` after that.
     """
     keys = [str(a) for a in range(n_agents)]
     _expect(obj, dict, path)
@@ -167,7 +166,7 @@ def run_from_dict(
         if k not in init_raw:
             raise SchemaError(f"{path}.initial_state.{k}: missing")
     init = tuple(str(init_raw[k]) for k in keys)
-    init = contexts.setdefault(init, init)  # equal initial states are one tuple
+    init = contexts.setdefault(init, init)  # also a key: a tuple of strings
     raw_events = obj.get("events", [])
     if type(raw_events) is not list:
         raise _type_error(f"{path}.events", list, raw_events)

@@ -727,9 +727,9 @@ def test_equal_events_and_timeline_pairs_are_one_object(tmp_path):
 # A decode checks each distinct event once, under its run's wake-up times
 # and clock tables, and shares the result with the later runs. These
 # documents put a valid send and receive in that table with run "a", and
-# run "b" repeats them with one change; through ``cli._read`` each must
-# exit as it did before events were shared, with the same message. True,
-# 1 and 1.0 are equal and hash alike, so a hit must not skip a type check.
+# run "b" repeats them with one change, which ``cli._read`` must report
+# with exit code 2 and the message pinned here. True, 1 and 1.0 are equal
+# and hash alike, so a hit must not skip a type check.
 
 _TABLE_SEND = {"time": 1, "agent": 0, "kind": "send", "peer": 1, "message": "m"}
 _TABLE_RECEIVE = {"time": 1, "agent": 1, "kind": "receive", "peer": 0, "message": "m"}
