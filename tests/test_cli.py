@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +31,7 @@ from epimc.serialize import (
 )
 from epimc.views import export_graph
 from tests.helpers import child_env, random_model
+from tests.test_golden import BUILDS, SCENARIOS as GOLDEN_SCENARIOS
 from tests.test_scenarios import SMALL_PARAMS
 
 
@@ -466,19 +468,9 @@ _DECODERS = {"system": (model_from_dict, system_from_dict), "manifest": (manifes
 #: put every token boundary on a chunk boundary.
 _CHUNKS = (serialize.CHUNK, 1, 7)
 
-
-def _streamed(path: Path, text: str, kind: str) -> None:
-    """``_read`` decodes the file at ``path``, whose text is ``text``, run
-    by run, in chunks of each size: it never parses the whole document,
-    and gets what the whole document's decoders get."""
-    path.write_text(text)
-    for decode in _DECODERS[kind]:
-        whole = _whole(text, decode, str(path))
-        for chunk in _CHUNKS:
-            with mock.patch.object(serialize, "CHUNK", chunk), mock.patch.object(
-                serialize, "load_json", side_effect=AssertionError("whole")
-            ):
-                assert _read_as(path, decode) == whole
+#: The windows a batch of items is cut from: the default, and one that
+#: cuts most batches inside an item.
+_WINDOWS = (decoders.WINDOW, 40)
 
 
 def _reversed_keys(value):
@@ -487,6 +479,52 @@ def _reversed_keys(value):
     if isinstance(value, list):
         return [_reversed_keys(item) for item in value]
     return value
+
+
+def _runs_last(value):
+    if isinstance(value, dict):
+        return {key: _runs_last(value[key]) for key in sorted(value, key=lambda key: key == "runs")}
+    return value
+
+
+#: The layouts a file may come in: minified, and indented by 1 and by 2.
+_LAYOUTS = {"minified": {"separators": (",", ":")}, "indent1": {"indent": 1},
+            "indent2": {"indent": 2}}
+
+
+def _laid_out(text: str) -> dict[str, str]:
+    """The text of the document in ``text`` in each layout ``_read`` is
+    tried with. With its keys reversed, a runs array comes before its
+    object's agents and horizon; with the runs last, a valuation comes
+    before its runs."""
+    doc = json.loads(text)
+    return {
+        "as written": text,
+        "minified": json.dumps(doc, **_LAYOUTS["minified"]),
+        "keys reversed": json.dumps(_reversed_keys(doc)),
+        "runs last": json.dumps(_runs_last(doc), indent=1),
+        "indent 1": json.dumps(doc, **_LAYOUTS["indent1"]),
+    }
+
+
+def _streamed(path: Path, text: str, kind: str) -> None:
+    """``_read`` decodes the file at ``path``, written with ``text`` in each
+    layout, in chunks of each size and batches of each window, into what
+    the whole document's decoders get. It parses the whole text only when
+    the keys are reversed: every other layout is decoded run by run."""
+    for layout, laid_out in _laid_out(text).items():
+        path.write_text(laid_out)
+        whole_text = (
+            {"wraps": load_json} if layout == "keys reversed"
+            else {"side_effect": AssertionError("whole")}
+        )
+        for decode in _DECODERS[kind]:
+            whole = _whole(laid_out, decode, str(path))
+            for chunk, window in product(_CHUNKS, _WINDOWS):
+                with mock.patch.object(serialize, "CHUNK", chunk), \
+                        mock.patch.object(decoders, "WINDOW", window), \
+                        mock.patch.object(serialize, "load_json", **whole_text):
+                    assert _read_as(path, decode) == whole
 
 
 def _twice(doc: dict, key: str, value) -> str:
@@ -498,11 +536,11 @@ def _twice(doc: dict, key: str, value) -> str:
 
 
 def _variants(text: str) -> dict[str, str]:
-    """Other texts of the document in ``text``, and broken ones."""
+    """Broken texts of the document in ``text``, and one whose runs are
+    replaced."""
     doc = json.loads(text)
     horizon = doc.get("system", doc)["horizon"]
     return {
-        "reversed": json.dumps(_reversed_keys(doc)),
         "runs twice": _twice(doc, "runs", []),
         # a longer horizon after the runs: clock tables fall short
         "horizon twice": _twice(doc, "horizon", horizon + 1),
@@ -514,9 +552,8 @@ def _variants(text: str) -> dict[str, str]:
 
 def _same_as_whole(path: Path, text: str, kind: str) -> None:
     """``_read`` makes of each variant of ``text`` what the whole
-    document's decoders make of it, or reports the same error; the
-    minified text still decodes run by run."""
-    _streamed(path, json.dumps(json.loads(text), separators=(",", ":")), kind)
+    document's decoders make of it, or reports the same error with exit
+    code 2."""
     for variant in _variants(text).values():
         path.write_text(variant)
         for decode in _DECODERS[kind]:
@@ -526,11 +563,20 @@ def _same_as_whole(path: Path, text: str, kind: str) -> None:
                     assert _read_as(path, decode) == whole
 
 
-@pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
-def test_read_decodes_scenario_files_run_by_run(tmp_path, capsys, name):
+#: The ``--param`` sets of every scenario build that ``tests/golden.json``
+#: digests, by scenario.
+_GOLDEN_BUILDS = [
+    pytest.param(name, params, id=name if i == 0 else f"{name}-{i}")
+    for name in sorted(GOLDEN_SCENARIOS)
+    for i, params in enumerate([GOLDEN_SCENARIOS[name][0], *BUILDS.get(name, ())])
+]
+
+
+@pytest.mark.parametrize("name, params", _GOLDEN_BUILDS)
+def test_read_decodes_scenario_files_run_by_run(tmp_path, capsys, name, params):
     argv = ["scenario", name, "--out", str(tmp_path / "out")]
-    for key, value in SMALL_PARAMS[name].items():
-        argv += ["--param", f"{key}={str(value).lower()}"]
+    for param in params:
+        argv += ["--param", param]
     assert main(argv) == 0
     for kind in ("system", "manifest"):
         text = (tmp_path / "out" / f"{name}.{kind}.json").read_text()
@@ -1242,11 +1288,6 @@ def _awkward_system(ids=_AWKWARD_IDS, horizon: int = 39) -> dict:
         "valuation": {"empty": [], "one": [points[-1]], "sparse": points[::7],
                       "full": points},
     }
-
-
-#: The layouts a file may come in: minified, and indented by 1 and by 2.
-_LAYOUTS = {"minified": {"separators": (",", ":")}, "indent1": {"indent": 1},
-            "indent2": {"indent": 2}}
 
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
