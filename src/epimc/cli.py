@@ -45,7 +45,7 @@ def _read(path: str, decode):
     it parses it, so it never holds more than a few chunks of the text
     besides the item it is reading; for ``system_from_dict``, which reads
     the runs alone, it decodes no other item, steps over a valuation one
-    entry at a time and loads no model decoder. If opening, reading or
+    batch at a time and loads no model decoder. If opening, reading or
     decoding raises, the file's whole text is read and its whole document
     decoded, so that a bad file is reported as ``decode(load_json(text))``
     reports it.

@@ -9,10 +9,9 @@ that reads runs alone, as ``check`` does, never loads this module.
 here only when it decodes values.
 
 A valuation that follows its runs, and a manifest's expectations, are
-read a batch of items at a time: ``_batches`` parses the text from the
-next item to the last ``]`` (``}`` for an object) within ``WINDOW``
-characters by one ``_value`` call, so while a file is read nothing
-beside the model is alive but one batch and its text.
+read a batch of items at a time by ``serialize._batches``, the array
+walker that ``check`` also steps over a valuation with, so while a file
+is read nothing beside the model is alive but one batch and its text.
 """
 
 from __future__ import annotations
@@ -20,24 +19,19 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from . import SCHEMA_VERSION
-from .runs import ModelError, Point, Run, System, mask_from_ids
+from .runs import ModelError, Point, System, mask_from_ids
 from .serialize import (
     SchemaError,
+    _batches,
     _expect,
-    _items,
-    _keys,
     _need,
+    _point_lists,
     _Reader,
-    _value,
     system_from_dict,
 )
 
 if TYPE_CHECKING:
     from .semantics import Model, ScenarioManifest, Valuation
-
-#: The characters of an array's text that one batch of its items is
-#: taken from (see ``_batches``).
-WINDOW = 16 * 1024
 
 
 def parse_point(text: str) -> Point:
@@ -162,72 +156,28 @@ def _check_point(system: System, point: Point, path: str) -> None:
         raise SchemaError(f"{path}.point: {point} is not in the system") from None
 
 
-def _valuation(
-    reader: _Reader, runs: tuple[Run, ...], horizon: int, path: str
-) -> tuple[tuple[str, int], ...]:
+def _valuation(reader: _Reader, system: System, path: str) -> tuple[tuple[str, int], ...]:
     """The (name, mask) pairs of the valuation object that opens at the
-    reader's next character, over the points of ``runs``. A point list is
-    checked and ORed into its mask a batch of entries at a time; any
-    other value is parsed whole, for ``_truth_mask`` to reject."""
-    ids = sorted(run.id for run in runs)
-    slots = {run_id: slot for slot, run_id in enumerate(ids)}
-    if len(slots) != len(ids):
-        raise ValueError("a run id is repeated")
-    width = horizon + 1
-    size = len(ids) * width
+    reader's next character, over the points of ``system``. A point list
+    is checked and ORed into its mask a batch of entries at a time (see
+    ``serialize._point_lists``); any other value raises at once, in
+    ``_truth_mask``."""
+    slots, width = system.run_slots, system.horizon + 1
+    size = len(system.runs) * width
     out = []
-    for name in _keys(reader):
-        where = f"{path}.{name}"
-        if reader.peek() == "[":
-            mask = 0
-            for batch in _batches(reader):
-                mask |= _truth_mask(batch, slots, width, size, where)
-        else:
-            mask = _truth_mask(reader.take(_value), slots, width, size, where)
+    for name, batches in _point_lists(reader):
+        mask = 0
+        for batch in batches:
+            mask |= _truth_mask(batch, slots, width, size, f"{path}.{name}")
         out.append((name, mask))
     return tuple(out)
 
 
-def _batches(reader: _Reader) -> Iterator[list]:
-    """The items of the array that opens at the reader's next character,
-    a list of them at a time.
-
-    A batch is the text from the next item to the last ``}`` within
-    ``WINDOW`` characters when that item is an object, else to the last
-    ``]``, parsed in brackets by one ``_value`` call. When the array's
-    own ``]`` lies in that text, the parse stops there and the reader
-    resumes at it. A cut inside an item or a string does not parse; the
-    items up to the position the parse failed at are then taken one at a
-    time, and the next item starts a batch again, so no text is parsed
-    more than twice: in a batch and, where that batch failed, item by
-    item.
-    Whatever does not decode raises, for the caller's whole-document
-    decoding to report.
-    """
-    failed = -1  # where the last batch that did not parse failed
-    for _ in _items(reader):
-        start = reader.at()
-        if start > failed:
-            reader.ahead(WINDOW)
-            text, idx = reader.text, reader.idx
-            cut = text.rfind("}" if text[idx] == "{" else "]", idx, idx + WINDOW) + 1
-            if cut:
-                try:
-                    batch, end = _value("[" + text[idx:cut] + "]")
-                except (ValueError, RecursionError) as exc:
-                    failed = start + getattr(exc, "pos", 1) - 1
-                else:
-                    # at the array's own "]", or past the last one cut
-                    reader.idx = idx + end - 2
-                    yield batch
-                    continue
-        yield [reader.take(_value)]
-
-
 def _expectations(reader: _Reader) -> tuple:
     """The expectations of the array that opens at the reader's next
-    character, decoded a batch of items at a time (see ``_batches``).
-    Equal formulas, points and notes are one object among them."""
+    character, decoded a batch of items at a time (see
+    ``serialize._batches``). Equal formulas, points and notes are one
+    object among them."""
     from .semantics import Expectation
 
     shared: dict = {}

@@ -8,9 +8,11 @@ decodes the run part alone.
 
 A file is parsed by ``load_document``, which reads it in chunks of
 ``CHUNK`` bytes and decodes each run as soon as it is parsed, checking
-each distinct event once per file, and, when asked for values, a
-valuation's point lists and the expectations a batch at a time, so
-neither the whole text nor the whole JSON document is ever held.
+each distinct event once per file. Any other array it walks, a
+valuation's point lists and the expectations, is parsed a batch of
+items at a time by ``_batches``, one ``WINDOW`` of text per batch, and
+is decoded by ``decoders`` when values are asked for, or else dropped.
+So neither the whole text nor the whole JSON document is ever held.
 ``load_json`` parses a text whole, for the key orders and errors that
 ``load_document`` leaves to it.
 
@@ -326,6 +328,10 @@ _comma = re.compile(r"[ \t\n\r]*,[ \t\n\r]*").match
 #: length of the run before it, since the runs of a file are alike.
 CHUNK = 64 * 1024
 
+#: The characters of an array's text that one batch of its items is
+#: taken from (see ``_batches``).
+WINDOW = 16 * 1024
+
 
 def load_document(file: BinaryIO, values: bool = True) -> dict:
     """The JSON object in the UTF-8 text of the binary ``file``, as
@@ -338,8 +344,8 @@ def load_document(file: BinaryIO, values: bool = True) -> dict:
     - with ``values``, a ``valuation`` object that follows its object's
       runs becomes a tuple of (name, mask) pairs, as
       ``valuation_from_dict`` reads it, each point list a batch of
-      entries at a time (see ``decoders._batches``); without ``values``,
-      a ``valuation`` is stepped over an entry at a time;
+      entries at a time (see ``_batches``); without ``values``, a
+      ``valuation`` is stepped over a batch at a time and dropped;
     - with ``values``, the top's ``expectations`` array becomes a tuple
       of ``Expectation``\\ s, a batch at a time, whose points are not
       yet checked.
@@ -455,9 +461,12 @@ def _object(reader: _Reader, path: str, values: bool) -> dict:
         if key == "runs" and opener == "[":
             obj[key] = _runs(reader, obj, path)
         elif key == "valuation" and opener == "{" and not values:
-            _pass_over_valuation(reader)
+            for _name, batches in _point_lists(reader):
+                for _batch in batches:  # dropped as the next one is parsed
+                    pass
         elif key == "valuation" and opener == "{" and type(obj.get("runs")) is tuple:
-            obj[key] = _valuation(reader, obj["runs"], obj["horizon"], f"{path}.valuation")
+            system = make_system(obj["agents"], obj["horizon"], obj["runs"])
+            obj[key] = _valuation(reader, system, f"{path}.valuation")
         elif key == "system" and path == "system" and opener == "{":
             obj[key] = _object(reader, "manifest.system", values)
         elif key == "expectations" and path == "system" and opener == "[" and values:
@@ -465,17 +474,6 @@ def _object(reader: _Reader, path: str, values: bool) -> dict:
         else:
             obj[key] = reader.take(_value)
     return obj
-
-
-def _pass_over_valuation(reader: _Reader) -> None:
-    """Step past the valuation object at the reader's next character,
-    an entry of a point list at a time, keeping none of it."""
-    for _ in _keys(reader):
-        if reader.peek() == "[":
-            for _ in _items(reader):
-                reader.take(_value)
-        else:
-            reader.take(_value)
 
 
 def _keys(reader: _Reader) -> Iterator[str]:
@@ -518,6 +516,54 @@ def _items(reader: _Reader) -> Iterator[int]:
             reader.idx = comma.end()
         else:
             more = _step(reader, "]", True)
+
+
+def _batches(reader: _Reader) -> Iterator[list]:
+    """The items of the array that opens at the reader's next character,
+    a list of them at a time.
+
+    A batch is the text from the next item to the last ``}`` within
+    ``WINDOW`` characters when that item is an object, else to the last
+    ``]``, parsed in brackets by one ``_value`` call. When the array's
+    own ``]`` lies in that text, the parse stops there and the reader
+    resumes at it. A cut inside an item or a string does not parse; the
+    items up to the position the parse failed at are then taken one at a
+    time, and the next item starts a batch again, so no text is parsed
+    more than twice: in a batch and, where that batch failed, item by
+    item.
+    A value that is not an array is parsed whole, as the only batch, for
+    the caller to reject. Whatever does not decode raises, for the
+    caller's whole-document decoding to report.
+    """
+    if reader.peek() != "[":
+        yield reader.take(_value)
+        return
+    failed = -1  # where the last batch that did not parse failed
+    for _ in _items(reader):
+        start = reader.at()
+        if start > failed:
+            reader.ahead(WINDOW)
+            text, idx = reader.text, reader.idx
+            cut = text.rfind("}" if text[idx] == "{" else "]", idx, idx + WINDOW) + 1
+            if cut:
+                try:
+                    batch, end = _value("[" + text[idx:cut] + "]")
+                except (ValueError, RecursionError) as exc:
+                    failed = start + getattr(exc, "pos", 1) - 1
+                else:
+                    # at the array's own "]", or past the last one cut
+                    reader.idx = idx + end - 2
+                    yield batch
+                    continue
+        yield [reader.take(_value)]
+
+
+def _point_lists(reader: _Reader) -> Iterator[tuple[str, Iterator]]:
+    """Each name of the valuation object that opens at the reader's next
+    character, with the batches of its point list (see ``_batches``).
+    The caller takes the batches before it asks for the next name."""
+    for name in _keys(reader):
+        yield name, _batches(reader)
 
 
 def _runs(reader: _Reader, obj: dict, path: str) -> tuple[Run, ...]:

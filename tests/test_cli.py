@@ -415,19 +415,22 @@ def test_read_holds_less_than_a_chunked_text_beyond_the_manifest(muddy_manifest,
 def test_read_parses_each_run_about_once(muddy_manifest, capsys):
     # a run that runs past the text held is parsed again; reading each
     # run's text ahead by the length of the last one avoids most of that.
-    # The expectations are parsed item by item and the valuation a batch
-    # of entries at a time, so no long value is parsed again. The parser
-    # is patched in each module that calls it, so every parse counts
+    # The expectations and each proposition's point list are parsed a
+    # batch of items at a time, one window of text each, so no long value
+    # is parsed again
     parsed = mock.Mock(wraps=serialize._value)
-    with mock.patch.object(serialize, "_value", parsed), \
-            mock.patch.object(decoders, "_value", parsed):
+    with mock.patch.object(serialize, "_value", parsed):
         manifest = _read(muddy_manifest, manifest_from_dict)
     runs = manifest.model.system.runs
     names = manifest.model.valuation.names
-    # 32 runs, 544 expectations, 22 propositions (each within one batch)
-    # and 7 other values; an item that a chunk's end cuts may need a retry
-    assert (len(runs), len(manifest.expectations), len(names)) == (32, 544, 22)
-    assert parsed.call_count <= len(runs) + len(manifest.expectations) + len(names) + 7 + 4
+    # the manifest's keys are sorted: its expectations come first
+    text = Path(muddy_manifest).read_text()
+    windows = (text.index('"parameters"') - text.index('"expectations"')) // serialize.WINDOW + 1
+    # 32 runs, 544 expectations in 7 windows, 22 propositions (each within
+    # one batch) and 7 other values; an item that a chunk's end cuts may
+    # need a retry
+    assert (len(runs), len(manifest.expectations), windows, len(names)) == (32, 544, 7, 22)
+    assert parsed.call_count <= len(runs) + windows + len(names) + 7 + 4
 
 
 def _made_of(decoded) -> tuple:
@@ -470,7 +473,7 @@ _CHUNKS = (serialize.CHUNK, 1, 7)
 
 #: The windows a batch of items is cut from: the default, and one that
 #: cuts most batches inside an item.
-_WINDOWS = (decoders.WINDOW, 40)
+_WINDOWS = (serialize.WINDOW, 40)
 
 
 def _reversed_keys(value):
@@ -522,7 +525,7 @@ def _streamed(path: Path, text: str, kind: str) -> None:
             whole = _whole(laid_out, decode, str(path))
             for chunk, window in product(_CHUNKS, _WINDOWS):
                 with mock.patch.object(serialize, "CHUNK", chunk), \
-                        mock.patch.object(decoders, "WINDOW", window), \
+                        mock.patch.object(serialize, "WINDOW", window), \
                         mock.patch.object(serialize, "load_json", **whole_text):
                     assert _read_as(path, decode) == whole
 
@@ -1081,13 +1084,19 @@ def test_read_peaks_at_the_model_and_a_few_chunks(bench_broadcast):
     assert peak <= held + 8 * serialize.CHUNK
 
 
-def test_reading_the_runs_alone_steps_over_the_valuation_an_entry_at_a_time(bench_broadcast):
-    # check decodes no valuation: each entry of its point lists is parsed
-    # on its own and dropped, so the read peaks within a few chunks of
-    # the system it holds, as a query's read does
+def test_reading_the_runs_alone_steps_over_the_valuation_a_batch_at_a_time(bench_broadcast):
+    # check decodes no valuation: its point lists are parsed a window of
+    # text at a time and each batch is dropped, so the read peaks within a
+    # few chunks of the system it holds, as a query's read does, and
+    # parses each run once and the valuation's text about once
     system, held, peak = _traced(lambda: _read(str(bench_broadcast), system_from_dict))
     assert len(system.runs) == 729
     assert peak <= held + 8 * serialize.CHUNK
+    parsed = mock.Mock(wraps=serialize._value)
+    with mock.patch.object(serialize, "_value", parsed):
+        _read(str(bench_broadcast), system_from_dict)
+    text = bench_broadcast.read_text()
+    assert parsed.call_count <= len(system.runs) + len(text) // serialize.WINDOW + 10
 
 
 @pytest.fixture(scope="module")
@@ -1291,7 +1300,7 @@ def _awkward_system(ids=_AWKWARD_IDS, horizon: int = 39) -> dict:
 
 
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
-@pytest.mark.parametrize("window", [decoders.WINDOW, 40])
+@pytest.mark.parametrize("window", [serialize.WINDOW, 40])
 def test_read_decodes_the_valuation_a_batch_at_a_time(tmp_path, layout, window):
     # whatever the layout, the chunk size and where a window's last "]"
     # falls, the masks are those of the whole document's decode
@@ -1303,7 +1312,7 @@ def test_read_decodes_the_valuation_a_batch_at_a_time(tmp_path, layout, window):
     assert whole["full"] == (1 << 7 * 40) - 1 and whole["empty"] == 0
     for chunk in _CHUNKS:
         with mock.patch.object(serialize, "CHUNK", chunk), \
-                mock.patch.object(decoders, "WINDOW", window), \
+                mock.patch.object(serialize, "WINDOW", window), \
                 mock.patch.object(serialize, "load_json", side_effect=AssertionError("whole")):
             assert _read(str(path), model_from_dict).valuation.masks == whole
 
@@ -1331,7 +1340,6 @@ def test_read_parses_an_awkward_valuation_in_linear_time(tmp_path):
         return value, end
 
     with mock.patch.object(serialize, "_value", parse), \
-            mock.patch.object(decoders, "_value", parse), \
             mock.patch.object(serialize, "load_json", side_effect=AssertionError("whole")):
         model = _read(str(path), model_from_dict)
     entries = sum(bin(mask).count("1") for mask in model.valuation.masks.values())
@@ -1340,7 +1348,7 @@ def test_read_parses_an_awkward_valuation_in_linear_time(tmp_path):
     # one parse per run, per entry and per batch at most, and about five
     # other values; a batch that failed is parsed again item by item, and
     # no text a third time
-    assert len(spans) <= len(ids) + entries + len(text) // decoders.WINDOW + 10
+    assert len(spans) <= len(ids) + entries + len(text) // serialize.WINDOW + 10
     assert sum(spans) <= 2 * len(text)
 
 
