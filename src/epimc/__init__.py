@@ -26,9 +26,9 @@ _LAZY = {
         ("semantics", "Model ScenarioManifest Valuation check_validity evaluate gfp "
                       "holds make_valuation verify_manifest"),
         ("axioms", "axiom_suite check_induction_rule"),
-        ("protocols", "DeliveryModel InitialConfiguration JointProtocol check_ng1 "
-                      "check_ng1prime check_ng2 check_temporal_imprecision "
+        ("protocols", "DeliveryModel InitialConfiguration JointProtocol "
                       "close_under_shifts generate_runs shift_run"),
+        ("checks", "check_ng1 check_ng1prime check_ng2 check_temporal_imprecision"),
         ("scenarios", "SCENARIOS"),
     )
     for name in (module, *names.split())

@@ -241,7 +241,7 @@ _CHECKS = ("ng1", "ng1prime", "ng2", "timp")
 
 
 def _cmd_check(args) -> int:
-    from .protocols import (
+    from .checks import (
         check_ng1,
         check_ng1prime,
         check_ng2,

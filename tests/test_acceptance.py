@@ -21,14 +21,16 @@ from epimc.semantics import (
     make_valuation,
     verify_manifest,
 )
-from epimc.formulas import parse
-from epimc.protocols import (
-    DeliveryModel,
-    InitialConfiguration,
+from epimc.checks import (
     check_ng1,
     check_ng1prime,
     check_ng2,
     check_temporal_imprecision,
+)
+from epimc.formulas import parse
+from epimc.protocols import (
+    DeliveryModel,
+    InitialConfiguration,
     close_under_shifts,
     generate_runs,
     handshake,

@@ -932,9 +932,10 @@ def test_query_children_import_only_what_their_command_uses(attack_files, comman
     assert code == 0
     core = {"epimc", "epimc.cli", "epimc.runs", "epimc.serialize"}
     if command == "check":
-        # the run part alone: neither the model decoders nor the evaluator
-        assert imported == core | {"epimc.protocols"}
-        assert not {"epimc.decoders", "epimc.semantics"} & imported
+        # the run part alone: neither the model decoders nor the evaluator,
+        # and the checks without the run generators
+        assert imported == core | {"epimc.checks"}
+        assert not {"epimc.decoders", "epimc.semantics", "epimc.protocols"} & imported
     else:
         query = {"epimc.decoders", "epimc.formulas", "epimc.semantics", "epimc.views"}
         own = {"axioms": {"epimc.axioms"}, "eval": {"epimc.evalreport"}}.get(command, set())

@@ -28,9 +28,11 @@ EXPORTS = {
     ),
     "epimc.axioms": ("axiom_suite", "check_induction_rule"),
     "epimc.protocols": (
-        "DeliveryModel", "InitialConfiguration", "JointProtocol", "check_ng1",
-        "check_ng1prime", "check_ng2", "check_temporal_imprecision",
+        "DeliveryModel", "InitialConfiguration", "JointProtocol",
         "close_under_shifts", "generate_runs", "shift_run",
+    ),
+    "epimc.checks": (
+        "check_ng1", "check_ng1prime", "check_ng2", "check_temporal_imprecision",
     ),
     "epimc.scenarios": ("SCENARIOS",),
 }

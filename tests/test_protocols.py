@@ -5,6 +5,12 @@ from functools import lru_cache, partial
 
 import pytest
 
+from epimc.checks import (
+    check_ng1,
+    check_ng1prime,
+    check_ng2,
+    check_temporal_imprecision,
+)
 from epimc.protocols import (
     DROPPED,
     PENDING,
@@ -12,10 +18,6 @@ from epimc.protocols import (
     InitialConfiguration,
     JointProtocol,
     ScheduleExplosionError,
-    check_ng1,
-    check_ng1prime,
-    check_ng2,
-    check_temporal_imprecision,
     close_under_shifts,
     enumerate_runs,
     generate_runs,
